@@ -1,8 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input error, 3 path-limit exceeded, 4 internal
-cross-check failure in a sweep.  All output is JSON on stdout; progress
-goes to stderr.
+Exit codes: 0 success, 2 input error, 4 internal cross-check failure
+in a sweep.  All output is JSON on stdout; progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -12,13 +11,8 @@ import json
 import sys
 
 from .criteria import criteria_report
-from .derivations import (
-    DEFAULT_PATH_LIMIT,
-    from_cover_values,
-    is_potential,
-    outer_witness,
-)
-from .errors import InputError, PathLimitExceeded, PosetderivError
+from .derivations import from_cover_values, is_potential, outer_witness
+from .errors import InputError, PosetderivError
 from .fixtures import fixture_json
 from .homology import euler_characteristic, full_order_complex
 from .linalg import ring_from_string
@@ -46,19 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "outer derivations, over which coefficient rings, and whether "
             "the poset is soluble, defective or inconclusive."
         ),
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        default=True,
-        help="emit JSON on stdout (default and only format)",
-    )
-    parser.add_argument(
-        "--path-limit",
-        type=int,
-        default=DEFAULT_PATH_LIMIT,
-        metavar="N",
-        help="abort if one element pair has more than N cover paths",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -142,12 +123,7 @@ def _cmd_analyze(args) -> tuple[dict, int]:
     P = _load_poset(args)
     ring_texts = args.ring or ["q", "gf:2", "gf:3"]
     rings = [ring_from_string(t) for t in ring_texts]
-    return (
-        analysis_report(
-            P, rings, path_limit=args.path_limit, include_witness=args.witness
-        ),
-        0,
-    )
+    return analysis_report(P, rings, include_witness=args.witness), 0
 
 
 def _cmd_derivation(args) -> tuple[dict, int]:
@@ -172,7 +148,7 @@ def _cmd_derivation(args) -> tuple[dict, int]:
             },
             0,
         )
-    witness = outer_witness(P, args.prime, path_limit=args.path_limit)
+    witness = outer_witness(P, args.prime)
     return {"witness": None if witness is None else function_json(witness)}, 0
 
 
@@ -265,9 +241,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, code = _COMMANDS[args.command](args)
-    except PathLimitExceeded as exc:
-        _emit({"error": str(exc)})
-        return 3
     except PosetderivError as exc:
         _emit({"error": str(exc)})
         return 2

@@ -2,11 +2,13 @@
 
 A transitive function assigns a ring value to every strictly comparable
 pair so that values add along chains.  On cover values alone, that
-additivity is equivalent to one linear relation per pair of parallel
-cover paths; the signed incidence matrix of those relations decides,
-by its rank over a coefficient field, whether every transitive function
-is a potential (difference of a vertex function) or outer derivations
-exist.
+additivity is equivalent to the relations between parallel cover paths.
+One reference path per comparable pair generates them all: each extra
+incoming cover inside an upward cone gives one row, at most V * E rows
+in total, and no path is ever enumerated.  The signed incidence matrix
+of those rows decides, by its rank over a coefficient field, whether
+every transitive function is a potential (difference of a vertex
+function) or outer derivations exist: der = E - rank_k, pot = V - C.
 """
 
 from __future__ import annotations
@@ -15,12 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import (
-    InputError,
-    NotComparableError,
-    PathLimitExceeded,
-    UnsupportedRingError,
-)
+from .errors import InputError, NotComparableError, UnsupportedRingError
 from .linalg import (
     IntegerMatrix,
     Ring,
@@ -32,8 +29,6 @@ from .linalg import (
     solve_linear,
 )
 from .poset import Poset, _bits
-
-DEFAULT_PATH_LIMIT = 10_000
 
 Edge = tuple[str, str]
 
@@ -105,58 +100,58 @@ class TransitiveFunction:
         )
 
 
-def _cover_paths(P: Poset, src: int, dst: int, limit: int):
-    """All upward cover-edge paths src -> dst, lexicographic by vertex index."""
-    paths: list[tuple[tuple[int, int], ...]] = []
-    acc: list[tuple[int, int]] = []
+def parallel_pairs(P: Poset) -> list[ParallelPair]:
+    """One relation per extra incoming cover inside each upward cone.
 
-    def walk(vertex):
-        if vertex == dst:
-            if len(paths) >= limit:
-                raise PathLimitExceeded(P.elements[src], P.elements[dst], limit)
-            paths.append(tuple(acc))
-            return
-        for nxt in P.up_covers_idx(vertex):
-            if nxt == dst or P.is_less_idx(nxt, dst):
-                acc.append((vertex, nxt))
-                walk(nxt)
-                acc.pop()
+    For every source x, a reference path ref(x, z) is fixed for each z
+    in the cone of x by walking the cone in topological order:
+    ref(x, z) = ref(x, w0) + (w0, z), where w0 is the smallest-index
+    down-cover of z in {x} | cone(x).  Every other such down-cover w
+    yields the pair (x, z) with path_a = ref(x, z) and
+    path_b = ref(x, w) + (w, z).  Rows come ordered by source index,
+    then target index, then w.
 
-    walk(src)
-    return paths
-
-
-def parallel_pairs(P: Poset, path_limit: int = DEFAULT_PATH_LIMIT) -> list[ParallelPair]:
-    """One relation per non-reference cover path, for every comparable pair.
-
-    For each (x, z) with x < z the m distinct cover paths yield the m - 1
-    pairs (first path, j-th path); differences of those span every
-    pairwise relation.
+    These rows span the same Z-lattice as the relations between all
+    pairs of parallel cover paths.  Each row is such a relation.
+    Conversely, every cover path p from x to z is congruent to
+    ref(x, z) modulo the rows, by induction on z in topological order:
+    p ends with some cover (w, z), its prefix is congruent to ref(x, w)
+    by induction (or empty when w = x), and ref(x, w) + (w, z) is either
+    ref(x, z) itself (w = w0) or differs from it by one row.  So any two
+    parallel paths differ by a combination of rows, and the Smith
+    divisors of the relation matrix are unchanged.  A pair (x, z) gives
+    one row fewer than the covers entering z from within the cone, never
+    more than its number of paths minus one; in total at most V * E.
     """
-    if path_limit < 1:
-        raise ValueError("path_limit must be >= 1")
     out = []
     names = P.elements
-    for i in range(P.n):
-        for j in _bits(P.above_mask(i)):
-            paths = _cover_paths(P, i, j, path_limit)
-            if len(paths) < 2:
+    topo = P.topological_order()
+    for x in range(P.n):
+        cone = P.above_mask(x)
+        inside = cone | (1 << x)
+        ref: dict[int, tuple[Edge, ...]] = {x: ()}
+        extra: dict[int, list[int]] = {}
+        for z in topo:
+            if not (cone >> z) & 1:
                 continue
-            ref = tuple((names[a], names[b]) for a, b in paths[0])
-            for other in paths[1:]:
+            w0, *rest = (w for w in P.down_covers_idx(z) if (inside >> w) & 1)
+            ref[z] = ref[w0] + ((names[w0], names[z]),)
+            extra[z] = rest
+        for z in _bits(cone):
+            for w in extra[z]:
                 out.append(
                     ParallelPair(
-                        source=names[i],
-                        target=names[j],
-                        path_a=ref,
-                        path_b=tuple((names[a], names[b]) for a, b in other),
+                        source=names[x],
+                        target=names[z],
+                        path_a=ref[z],
+                        path_b=ref[w] + ((names[w], names[z]),),
                     )
                 )
     return out
 
 
-def consistency_matrix(P: Poset, path_limit: int = DEFAULT_PATH_LIMIT) -> ConsistencyMatrix:
-    pairs = parallel_pairs(P, path_limit)
+def consistency_matrix(P: Poset) -> ConsistencyMatrix:
+    pairs = parallel_pairs(P)
     col = {edge: c for c, edge in enumerate(P.covers)}
     ncols = len(P.covers)
     entries = [0] * (len(pairs) * ncols)
@@ -173,22 +168,23 @@ def consistency_matrix(P: Poset, path_limit: int = DEFAULT_PATH_LIMIT) -> Consis
     )
 
 
-def der_pot_dims(
-    P: Poset, k: Ring, path_limit: int = DEFAULT_PATH_LIMIT
-) -> tuple[int, int]:
-    """Dimensions of the transitive-function and potential-function spaces.
-
-    der = E - rank_k(consistency matrix), pot = V - C.
-    """
-    cm = consistency_matrix(P, path_limit)
-    rank = rank_from_divisors(smith_normal_form(cm.matrix).divisors, k)
-    return len(P.covers) - rank, P.n - P.component_count
+def relation_divisors(P: Poset) -> tuple[int, ...]:
+    """Smith divisors of the consistency matrix; they fix der over every field."""
+    return smith_normal_form(consistency_matrix(P).matrix).divisors
 
 
-def has_outer_derivation(
-    P: Poset, k: Ring, path_limit: int = DEFAULT_PATH_LIMIT
-) -> bool:
-    der, pot = der_pot_dims(P, k, path_limit)
+def der_pot_from_divisors(P: Poset, divisors, k: Ring) -> tuple[int, int]:
+    """der = E - rank_k(consistency matrix), pot = V - C."""
+    return len(P.covers) - rank_from_divisors(divisors, k), P.n - P.component_count
+
+
+def der_pot_dims(P: Poset, k: Ring) -> tuple[int, int]:
+    """Dimensions of the transitive-function and potential-function spaces."""
+    return der_pot_from_divisors(P, relation_divisors(P), k)
+
+
+def has_outer_derivation(P: Poset, k: Ring) -> bool:
+    der, pot = der_pot_dims(P, k)
     return der > pot
 
 
@@ -298,7 +294,7 @@ def circulation(f: TransitiveFunction, C: CycleWalk):
     return total
 
 
-def outer_witness(P: Poset, p: int, path_limit: int = DEFAULT_PATH_LIMIT):
+def outer_witness(P: Poset, p: int):
     """A concrete outer derivation over Z/p, or None when none exists.
 
     Scans the kernel basis of the consistency matrix over GF(p) in
@@ -306,10 +302,8 @@ def outer_witness(P: Poset, p: int, path_limit: int = DEFAULT_PATH_LIMIT):
     potential test.  Witnesses are not unique.
     """
     k = prime_field(p)
-    cm = consistency_matrix(P, path_limit)
-    divisors = smith_normal_form(cm.matrix).divisors
-    der = len(P.covers) - rank_from_divisors(divisors, k)
-    pot = P.n - P.component_count
+    cm = consistency_matrix(P)
+    der, pot = der_pot_from_divisors(P, smith_normal_form(cm.matrix).divisors, k)
     if der <= pot:
         return None
     ring = mod_ring(p)

@@ -33,18 +33,6 @@ class DimensionError(PosetderivError):
     """Boundary dimension outside the range built for the complex."""
 
 
-class PathLimitExceeded(PosetderivError):
-    """Too many distinct monotone cover paths between one pair of elements."""
-
-    def __init__(self, source, target, limit):
-        super().__init__(
-            f"more than {limit} cover paths from {source!r} to {target!r}"
-        )
-        self.source = source
-        self.target = target
-        self.limit = limit
-
-
 class NotComparableError(PosetderivError):
     """Consecutive walk elements are equal or incomparable."""
 

@@ -63,13 +63,6 @@ class IntegerMatrix:
     def to_rows(self) -> list[list[int]]:
         return [self.row(i) for i in range(self.rows)]
 
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
-
     def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
@@ -88,23 +81,39 @@ class IntegerMatrix:
             for i in range(self.rows)
         ]
 
-    def dump(self) -> str:
-        """Plain-text debug format: one space-separated row per line."""
-        return "\n".join(" ".join(str(v) for v in self.row(i)) for i in range(self.rows))
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin on the bases above is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; refuses n >= _MR_BOUND without a small factor."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_BOUND:
+        raise UnsupportedRingError(
+            f"cannot decide whether {n} is prime: the test is exact only "
+            f"below {_MR_BOUND}"
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

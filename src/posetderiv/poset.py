@@ -131,20 +131,7 @@ class Poset:
         for lst in down:
             lst.sort()
 
-        topo = _topological_order(up, down)
-
-        above = [0] * n
-        for i in reversed(topo):
-            mask = 0
-            for j in up[i]:
-                mask |= (1 << j) | above[j]
-            above[i] = mask
-        below = [0] * n
-        for i in topo:
-            mask = 0
-            for j in down[i]:
-                mask |= (1 << j) | below[j]
-            below[i] = mask
+        topo, above, below = _closure(up, down)
 
         for lo, hi in pairs:
             i, j = index[lo], index[hi]
@@ -234,7 +221,12 @@ class Poset:
         return f"Poset({self.n} elements, {len(self.covers)} covers)"
 
 
-def _topological_order(up, down) -> list[int]:
+def _closure(up, down) -> tuple[list[int], list[int], list[int]]:
+    """Topological order and strict above/below bitmasks of a cover DAG.
+
+    ``up[i]`` and ``down[i]`` list the upper and lower neighbours of i.
+    Raises CycleError when the relation has a directed cycle.
+    """
     n = len(up)
     indeg = [len(down[i]) for i in range(n)]
     queue = [i for i in range(n) if indeg[i] == 0]
@@ -250,7 +242,19 @@ def _topological_order(up, down) -> list[int]:
                 queue.append(nb)
     if len(order) != n:
         raise CycleError("cover relation contains a directed cycle")
-    return order
+    above = [0] * n
+    for i in reversed(order):
+        mask = 0
+        for j in up[i]:
+            mask |= (1 << j) | above[j]
+        above[i] = mask
+    below = [0] * n
+    for i in order:
+        mask = 0
+        for j in down[i]:
+            mask |= (1 << j) | below[j]
+        below[i] = mask
+    return order, above, below
 
 
 def from_covers(elements, covers) -> Poset:
@@ -281,19 +285,7 @@ def transitive_reduction(elements, pairs) -> list[tuple[str, str]]:
             raise CycleError(f"self-pair on {lo!r}")
         up[index[lo]].add(index[hi])
         down[index[hi]].add(index[lo])
-    topo = _topological_order([sorted(s) for s in up], [sorted(s) for s in down])
-    above = [0] * n
-    for i in reversed(topo):
-        mask = 0
-        for j in up[i]:
-            mask |= (1 << j) | above[j]
-        above[i] = mask
-    below = [0] * n
-    for i in topo:
-        mask = 0
-        for j in down[i]:
-            mask |= (1 << j) | below[j]
-        below[i] = mask
+    _, above, below = _closure(up, down)
     covers = []
     for i in range(n):
         for j in _bits(above[i]):

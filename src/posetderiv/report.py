@@ -11,14 +11,14 @@ from fractions import Fraction
 
 from .criteria import CriteriaReport, criteria_report, table2_conflict
 from .derivations import (
-    DEFAULT_PATH_LIMIT,
     TransitiveFunction,
-    consistency_matrix,
+    der_pot_from_divisors,
     outer_witness,
+    relation_divisors,
 )
 from .errors import InputError, UnsupportedRingError
 from .homology import classify, homology
-from .linalg import Ring, _field_modulus, rank_from_divisors, smith_normal_form
+from .linalg import Ring, _field_modulus
 from .poset import Poset, ShapeStats, canonical_form, shape_stats, transitive_reduction
 
 
@@ -166,25 +166,18 @@ def require_rank_ring(ring: Ring) -> None:
         ) from None
 
 
-def analysis_report(
-    P: Poset,
-    rings,
-    path_limit: int = DEFAULT_PATH_LIMIT,
-    include_witness: bool = False,
-) -> dict:
+def analysis_report(P: Poset, rings, include_witness: bool = False) -> dict:
     """Full per-poset report: homology, per-ring dimensions, criteria."""
     for ring in rings:
         require_rank_ring(ring)
     stats = shape_stats(P)
     verdict = classify(P)
-    divisors = smith_normal_form(consistency_matrix(P, path_limit).matrix).divisors
-    pot = P.n - P.component_count
-    edge_count = len(P.covers)
+    divisors = relation_divisors(P)
 
     rings_out = []
     witness_prime = None
     for ring in rings:
-        der = edge_count - rank_from_divisors(divisors, ring)
+        der, pot = der_pot_from_divisors(P, divisors, ring)
         outer = der > pot
         rings_out.append(
             {
@@ -206,7 +199,7 @@ def analysis_report(
 
     witness = None
     if include_witness and witness_prime is not None:
-        w = outer_witness(P, witness_prime, path_limit)
+        w = outer_witness(P, witness_prime)
         if w is not None:
             witness = function_json(w)
 

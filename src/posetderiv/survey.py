@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .errors import SizeLimitError
 from .homology import classify
-from .derivations import consistency_matrix
-from .linalg import RATIONALS, prime_field, rank_from_divisors, smith_normal_form
+from .derivations import der_pot_from_divisors, relation_divisors
+from .linalg import RATIONALS, prime_field
 from .poset import Poset, _bits, canonical_form
 
 SIZE_CAP = 8
@@ -88,12 +88,10 @@ def _analyze_payload(payload):
     P = Poset(elements, covers)
     form = canonical_form(P).decode("ascii")
     verdict = classify(P)
-    divisors = smith_normal_form(consistency_matrix(P).matrix).divisors
-    edge_count = len(covers)
-    pot = P.n - P.component_count
+    divisors = relation_divisors(P)
     identity_ok = True
     for field in _SWEEP_FIELDS:
-        der = edge_count - rank_from_divisors(divisors, field)
+        der, pot = der_pot_from_divisors(P, divisors, field)
         p = field.n
         expected = verdict.betti1 + (
             0 if p is None else sum(1 for t in verdict.torsion1 if t % p == 0)

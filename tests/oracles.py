@@ -3,8 +3,9 @@
 Everything here deliberately avoids the package's Smith-normal-form and
 enumeration code paths: rank via fraction-free (Bareiss) elimination,
 modular rank via straightforward Gaussian elimination, Smith divisors via
-gcds of k x k minors, determinants via Bareiss, and labeled posets via
-brute force over all antisymmetric transitive relations.
+gcds of k x k minors, determinants via Bareiss, labeled posets via brute
+force over all antisymmetric transitive relations, and parallel-path
+relations by listing every cover path.
 """
 
 from __future__ import annotations
@@ -218,3 +219,50 @@ def is_forest(n: int, edges) -> bool:
             return False
         parent[ra] = rb
     return True
+
+
+def cover_paths(elements, covers, src):
+    """Every upward cover path from src, grouped by endpoint.
+
+    Returns {dst: [path, ...]} with each path a tuple of cover pairs;
+    paths are listed depth-first, upper covers taken in element order.
+    """
+    pos = {e: i for i, e in enumerate(elements)}
+    up = {e: [] for e in elements}
+    for lo, hi in covers:
+        up[lo].append(hi)
+    for lst in up.values():
+        lst.sort(key=pos.__getitem__)
+    out = {}
+    acc = []
+
+    def walk(vertex):
+        for nxt in up[vertex]:
+            acc.append((vertex, nxt))
+            out.setdefault(nxt, []).append(tuple(acc))
+            walk(nxt)
+            acc.pop()
+
+    walk(src)
+    return out
+
+
+def path_relation_rows(elements, covers):
+    """Parallel-path relations as integer rows over the cover columns.
+
+    For every comparable pair with m cover paths, the m - 1 rows
+    (first path) - (j-th path).  Exponential in general; small posets only.
+    """
+    covers = [tuple(c) for c in covers]
+    col = {edge: c for c, edge in enumerate(covers)}
+    rows = []
+    for src in elements:
+        for paths in cover_paths(elements, covers, src).values():
+            for other in paths[1:]:
+                row = [0] * len(covers)
+                for edge in paths[0]:
+                    row[col[edge]] += 1
+                for edge in other:
+                    row[col[edge]] -= 1
+                rows.append(row)
+    return rows

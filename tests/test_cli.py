@@ -143,11 +143,11 @@ def test_analyze_unreduced_input_needs_flag(capsys, tmp_path):
     assert report["poset"]["stats"]["edge_count"] == 2
 
 
-def test_analyze_path_limit_exit_code(capsys, tmp_path):
-    # three stacked diamonds give 8 parallel routes bottom to top
+def _stacked_diamonds_file(tmp_path, levels):
+    # x0 < {a0,b0} < x1 < ...; 2**levels monotone paths bottom to top
     elements = []
     covers = []
-    for i in range(3):
+    for i in range(levels):
         elements += [f"x{i}", f"a{i}", f"b{i}"]
         covers += [
             [f"x{i}", f"a{i}"],
@@ -155,12 +155,23 @@ def test_analyze_path_limit_exit_code(capsys, tmp_path):
             [f"a{i}", f"x{i + 1}"],
             [f"b{i}", f"x{i + 1}"],
         ]
-    elements.append("x3")
-    path = tmp_path / "deep.json"
+    elements.append(f"x{levels}")
+    path = tmp_path / f"diamonds{levels}.json"
     path.write_text(json.dumps({"elements": elements, "covers": covers}))
-    code, payload = run_cli(capsys, "--path-limit", "3", "analyze", str(path))
-    assert code == 3
-    assert "error" in payload
+    return path
+
+
+def test_stacked_diamonds_exit_zero_without_path_limit(capsys, tmp_path):
+    code, report = run_cli(capsys, "analyze", str(_stacked_diamonds_file(tmp_path, 3)))
+    assert code == 0
+    assert report["conclusiveness"]["soluble"] is True
+    # 16384 cover paths between the ends; the relations never list them
+    deep = str(_stacked_diamonds_file(tmp_path, 14))
+    code, payload = run_cli(capsys, "derivation", "witness", deep, "--prime", "2")
+    assert (code, payload) == (0, {"witness": None})
+    with pytest.raises(SystemExit) as exc:
+        main(["--path-limit", "3", "analyze", deep])
+    assert exc.value.code == 2
 
 
 def test_analyze_witness_flag(capsys):

@@ -5,8 +5,8 @@ import pytest
 
 from posetderiv import (
     CycleWalk,
+    IntegerMatrix,
     NotComparableError,
-    PathLimitExceeded,
     Poset,
     RATIONALS,
     circulation,
@@ -22,10 +22,11 @@ from posetderiv import (
     prime_field,
     rank_over,
     shape_stats,
+    smith_normal_form,
 )
 from posetderiv import fixtures as fx
 
-from oracles import is_forest, random_poset_covers
+from oracles import is_forest, path_relation_rows, random_poset_covers
 
 
 def all_posets_up_to(n):
@@ -102,13 +103,23 @@ def _stacked_diamonds(levels):
     return Poset(elements, covers)
 
 
-def test_path_limit_enforced():
-    P = _stacked_diamonds(3)  # 8 paths bottom to top
-    with pytest.raises(PathLimitExceeded) as err:
-        parallel_pairs(P, path_limit=7)
-    assert err.value.source == "x0"
-    assert err.value.target == "x3"
-    assert len(parallel_pairs(P, path_limit=8)) > 0
+def test_stacked_diamonds_relations_without_path_limit():
+    # 16384 cover paths bottom to top, yet one row per extra incoming cover
+    P = _stacked_diamonds(14)
+    assert len(parallel_pairs(P)) == 287
+    assert der_pot_dims(P, RATIONALS) == (42, 42)
+
+
+def test_tree_relations_match_path_oracle(rp2, s5):
+    # same Z-lattice as all parallel-path relations, never more rows
+    for P in [*all_posets_up_to(6), rp2, s5, _stacked_diamonds(3)]:
+        tree = consistency_matrix(P).matrix
+        rows = path_relation_rows(P.elements, P.covers)
+        assert tree.rows <= len(rows)
+        oracle = IntegerMatrix.from_rows(rows, cols=len(P.covers))
+        assert (
+            smith_normal_form(tree).divisors == smith_normal_form(oracle).divisors
+        )
 
 
 # -- dimensions and the rank criterion ----------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,29 @@ def test_ring_arithmetic():
     assert m.is_zero(10)
 
 
-def test_matrix_debug_dump():
-    a = IntegerMatrix.from_rows([[1, -2], [0, 30]])
-    assert a.dump() == "1 -2\n0 30"
+def test_large_prime_field_parses_quickly():
+    start = time.monotonic()
+    assert ring_from_string("gf:1000000000000000003").n == 1000000000000000003
+    assert time.monotonic() - start < 0.1
+
+
+def test_strong_pseudoprime_is_rejected():
+    # 3215031751 = 151 * 751 * 28351 passes Miller-Rabin to bases 2, 3, 5, 7
+    with pytest.raises(UnsupportedRingError):
+        prime_field(3215031751)
+
+
+def test_primality_agrees_with_trial_division():
+    for n in range(2, 3000):
+        prime = all(n % d for d in range(2, int(n**0.5) + 1))
+        try:
+            prime_field(n)
+            accepted = True
+        except UnsupportedRingError:
+            accepted = False
+        assert accepted == prime, n
+
+
+def test_primality_beyond_exact_bound_is_refused():
+    with pytest.raises(UnsupportedRingError, match="exact only below"):
+        prime_field(3_317_044_064_679_887_385_961_981)
