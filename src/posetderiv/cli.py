@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input error, 4 internal cross-check failure
-in a sweep.  All output is JSON on stdout; progress goes to stderr.
+(the relation-matrix and homology routes disagree) in `analyze` or a
+sweep.  All output is JSON on stdout; progress goes to stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .homology import euler_characteristic, full_order_complex
 from .linalg import ring_from_string
 from .poset import core, find_crowns, join_meet
 from .report import (
+    IDENTITY_CONFLICT,
     analysis_report,
     canonical_sha256,
     criteria_json,
@@ -123,7 +125,9 @@ def _cmd_analyze(args) -> tuple[dict, int]:
     P = _load_poset(args)
     ring_texts = args.ring or ["q", "gf:2", "gf:3"]
     rings = [ring_from_string(t) for t in ring_texts]
-    return analysis_report(P, rings, include_witness=args.witness), 0
+    report = analysis_report(P, rings, include_witness=args.witness)
+    failed = any(c.startswith(IDENTITY_CONFLICT) for c in report["conflicts"])
+    return report, 4 if failed else 0
 
 
 def _cmd_derivation(args) -> tuple[dict, int]:

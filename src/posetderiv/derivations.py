@@ -25,7 +25,7 @@ from .linalg import (
     mod_ring,
     prime_field,
     rank_from_divisors,
-    smith_normal_form,
+    smith_divisors,
     solve_linear,
 )
 from .poset import Poset, _bits
@@ -170,7 +170,7 @@ def consistency_matrix(P: Poset) -> ConsistencyMatrix:
 
 def relation_divisors(P: Poset) -> tuple[int, ...]:
     """Smith divisors of the consistency matrix; they fix der over every field."""
-    return smith_normal_form(consistency_matrix(P).matrix).divisors
+    return smith_divisors(consistency_matrix(P).matrix)
 
 
 def der_pot_from_divisors(P: Poset, divisors, k: Ring) -> tuple[int, int]:
@@ -301,13 +301,13 @@ def outer_witness(P: Poset, p: int):
     deterministic order and returns the first member that fails the
     potential test.  Witnesses are not unique.
     """
-    k = prime_field(p)
     cm = consistency_matrix(P)
-    der, pot = der_pot_from_divisors(P, smith_normal_form(cm.matrix).divisors, k)
-    if der <= pot:
+    basis = kernel_basis(cm.matrix, prime_field(p))
+    # len(basis) = E - rank_p = der; pot = V - C
+    if len(basis) <= P.n - P.component_count:
         return None
     ring = mod_ring(p)
-    for vec in kernel_basis(cm.matrix, k):
+    for vec in basis:
         assignment = {edge: vec[c] for c, edge in enumerate(cm.column_edges)}
         f = from_cover_values(P, ring, assignment)
         assert f is not None, "kernel vector must satisfy all relations"

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import compress
 from math import gcd
 
 from .errors import InputError, UnsupportedRingError
@@ -217,112 +219,203 @@ class SmithDecomposition:
     divisors: tuple[int, ...]
 
 
-def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
-    m, n = a.rows, a.cols
-    s = a.to_rows()
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
+def _smith_loop(s: list[list[int]], rows: int, cols: int, u=None, v=None):
+    """Diagonalize s in place by dense elementary operations.
 
-    def swap_rows(mat, i, j):
-        mat[i], mat[j] = mat[j], mat[i]
-
-    def swap_cols(mat, i, j):
-        for row in mat:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_row(mat, i):
-        mat[i] = [-x for x in mat[i]]
-
-    def row_sub(mat, i, j, q):
-        # row_i -= q * row_j
-        ri, rj = mat[i], mat[j]
-        for t in range(len(ri)):
-            ri[t] -= q * rj[t]
-
-    def col_sub(mat, j, t, q):
-        # col_j -= q * col_t
-        for row in mat:
-            row[j] -= q * row[t]
-
-    def row_add(mat, i, j):
-        ri, rj = mat[i], mat[j]
-        for t in range(len(ri)):
-            ri[t] += rj[t]
-
-    def min_nonzero(start):
+    Each step moves an entry of least absolute value to the pivot, clears
+    its row and column by division with remainder, and when a remainder
+    survives repeats; when the pivot fails to divide some later entry,
+    that row is added to the pivot row first.  Rows and columns before
+    the pivot are already clear, so every operation starts at the pivot
+    index.  When u and v are given they receive the same row and column
+    operations, so that s_final = u * s_initial * v.  Returns the nonzero
+    diagonal, each entry dividing the next.
+    """
+    lim = min(rows, cols)
+    t = 0
+    while t < lim:
         pos = None
         val = 0
-        for i in range(start, m):
+        for i in range(t, rows):
             row = s[i]
-            for j in range(start, n):
+            for j in range(t, cols):
                 x = row[j]
                 if x and (pos is None or abs(x) < val):
                     pos = (i, j)
                     val = abs(x)
                     if val == 1:
-                        return pos
-        return pos
-
-    t = 0
-    lim = min(m, n)
-    while t < lim:
-        piv = min_nonzero(t)
-        if piv is None:
+                        break
+            if val == 1:
+                break
+        if pos is None:
             break
-        pi, pj = piv
+        pi, pj = pos
         if pi != t:
-            swap_rows(s, t, pi)
-            swap_rows(u, t, pi)
+            s[t], s[pi] = s[pi], s[t]
+            if u is not None:
+                u[t], u[pi] = u[pi], u[t]
         if pj != t:
-            swap_cols(s, t, pj)
-            swap_cols(v, t, pj)
+            for mat in (s,) if v is None else (s, v):
+                for row in mat:
+                    row[t], row[pj] = row[pj], row[t]
         if s[t][t] < 0:
-            negate_row(s, t)
-            negate_row(u, t)
+            s[t] = [-x for x in s[t]]
+            if u is not None:
+                u[t] = [-x for x in u[t]]
 
-        pivot = s[t][t]
+        top = s[t]
+        pivot = top[t]
         dirty = False
-        for i in range(t + 1, m):
-            if s[i][t]:
-                q = s[i][t] // pivot
+        for i in range(t + 1, rows):
+            ri = s[i]
+            if ri[t]:
+                q = ri[t] // pivot
                 if q:
-                    row_sub(s, i, t, q)
-                    row_sub(u, i, t, q)
-                if s[i][t]:
+                    for c in range(t, cols):
+                        ri[c] -= q * top[c]
+                    if u is not None:
+                        ui, ut = u[i], u[t]
+                        for c in range(rows):
+                            ui[c] -= q * ut[c]
+                if ri[t]:
                     dirty = True
-        for j in range(t + 1, n):
-            if s[t][j]:
-                q = s[t][j] // pivot
+        for j in range(t + 1, cols):
+            if top[j]:
+                q = top[j] // pivot
                 if q:
-                    col_sub(s, j, t, q)
-                    col_sub(v, j, t, q)
-                if s[t][j]:
+                    for i in range(t, rows):
+                        row = s[i]
+                        row[j] -= q * row[t]
+                    if v is not None:
+                        for row in v:
+                            row[j] -= q * row[t]
+                if top[j]:
                     dirty = True
         if dirty:
             continue
 
-        off = None
-        for i in range(t + 1, m):
-            row = s[i]
-            for j in range(t + 1, n):
-                if row[j] % pivot:
-                    off = i
-                    break
-            if off is not None:
-                break
+        off = next(
+            (
+                i
+                for i in range(t + 1, rows)
+                if any(x % pivot for x in s[i][t + 1 :])
+            ),
+            None,
+        )
         if off is not None:
-            row_add(s, t, off)
-            row_add(u, t, off)
+            s[t] = [x + y for x, y in zip(top, s[off])]
+            if u is not None:
+                u[t] = [x + y for x, y in zip(u[t], u[off])]
             continue
         t += 1
+    return tuple(s[i][i] for i in range(lim) if s[i][i] != 0)
 
-    divisors = tuple(s[i][i] for i in range(lim) if s[i][i] != 0)
+
+def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
+    """Smith form with its unimodular transforms; see smith_divisors when
+    only the divisors are needed."""
+    m, n = a.rows, a.cols
+    s = a.to_rows()
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    divisors = _smith_loop(s, m, n, u, v)
     return SmithDecomposition(
         u=IntegerMatrix.from_rows(u, cols=m),
         s=IntegerMatrix.from_rows(s, cols=n),
         v=IntegerMatrix.from_rows(v, cols=n),
         divisors=divisors,
     )
+
+
+def smith_divisors(a: IntegerMatrix) -> tuple[int, ...]:
+    """Smith divisors of a, without transforms.
+
+    Sparse step: rows are kept as {column: value} dicts, and a pivot of
+    absolute value 1 with the least Markowitz cost
+    (row nonzeros - 1) * (column nonzeros - 1) is eliminated from the
+    other rows of its column until none is left.  A unit pivot
+    contributes the divisor 1 and splits off as a 1 x 1 block: clearing
+    its row by column operations would change nothing else, so the row
+    is simply dropped.  Dense step: the rows that remain go through the
+    dense Smith loop.  See Dumas, Saunders and Villard, J. Symb. Comput.
+    32 (2001).
+    """
+    n = a.cols
+    e = a.entries
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for i in range(a.rows):
+        vals = e[i * n : (i + 1) * n]
+        row = {j: vals[j] for j in compress(range(n), vals)}
+        if row:
+            rows[i] = row
+            for j in row:
+                cols.setdefault(j, set()).add(i)
+
+    # Lazy heap of (cost, row, column) over unit entries.  Every unit
+    # entry whose cost may have dropped is pushed again, so the heap
+    # always holds a cost no higher than each entry's current one; a
+    # popped item whose cost has changed is pushed back at its current
+    # cost, and the first one that still holds is a least-cost pivot.
+    heap = [
+        ((len(row) - 1) * (len(cols[j]) - 1), i, j)
+        for i, row in rows.items()
+        for j, x in row.items()
+        if x == 1 or x == -1
+    ]
+    heapify(heap)
+    units = 0
+    while heap:
+        cost, pi, pj = heappop(heap)
+        prow = rows.get(pi)
+        if prow is None or prow.get(pj) not in (1, -1):
+            continue
+        now = (len(prow) - 1) * (len(cols[pj]) - 1)
+        if now != cost:
+            heappush(heap, (now, pi, pj))
+            continue
+        del rows[pi]
+        units += 1
+        for j in prow:
+            cols[j].discard(pi)
+        sign = prow[pj]
+        updated = [(i, len(rows[i])) for i in cols[pj]]
+        for i, _ in updated:
+            row = rows[i]
+            q = row[pj] * sign
+            for j, x in prow.items():
+                y = row.get(j, 0) - q * x
+                if y:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+            if not row:
+                del rows[i]
+        # Costs can drop only in the columns of the pivot row, whose
+        # values and counts changed, and along updated rows that shrank.
+        for j in prow:
+            members = cols[j]
+            if not members:
+                del cols[j]
+                continue
+            cj = len(members) - 1
+            for i in members:
+                if rows[i][j] in (1, -1):
+                    heappush(heap, ((len(rows[i]) - 1) * cj, i, j))
+        for i, before in updated:
+            row = rows.get(i)
+            if row and len(row) < before:
+                ri = len(row) - 1
+                for j, x in row.items():
+                    if (x == 1 or x == -1) and j not in prow:
+                        heappush(heap, (ri * (len(cols[j]) - 1), i, j))
+
+    order = sorted(cols)
+    rest = [[row.get(j, 0) for j in order] for row in rows.values()]
+    return (1,) * units + _smith_loop(rest, len(rest), len(order))
 
 
 def _field_modulus(k: Ring) -> int | None:
@@ -346,7 +439,7 @@ def rank_from_divisors(divisors, k: Ring) -> int:
 
 
 def rank_over(a: IntegerMatrix, k: Ring) -> int:
-    return rank_from_divisors(smith_normal_form(a).divisors, k)
+    return rank_from_divisors(smith_divisors(a), k)
 
 
 def _scalar_solve(d: int, c: int, k: Ring):

@@ -17,7 +17,7 @@ from .derivations import (
     relation_divisors,
 )
 from .errors import InputError, UnsupportedRingError
-from .homology import classify, homology
+from .homology import classify, homology, routes_agree
 from .linalg import Ring, _field_modulus
 from .poset import Poset, ShapeStats, canonical_form, shape_stats, transitive_reduction
 
@@ -166,18 +166,39 @@ def require_rank_ring(ring: Ring) -> None:
         ) from None
 
 
+# Opens every `conflicts` entry that reports a failed cross-route identity.
+IDENTITY_CONFLICT = "cross-route identity fails over"
+
+
 def analysis_report(P: Poset, rings, include_witness: bool = False) -> dict:
-    """Full per-poset report: homology, per-ring dimensions, criteria."""
+    """Full per-poset report: homology, per-ring dimensions, criteria.
+
+    Both routes run on every report, so each requested field is
+    cross-checked (homology.routes_agree); a failure becomes a
+    `conflicts` entry starting with IDENTITY_CONFLICT.
+    """
     for ring in rings:
         require_rank_ring(ring)
     stats = shape_stats(P)
     verdict = classify(P)
     divisors = relation_divisors(P)
 
+    crit = criteria_report(P)
+    conflicts = []
+    message = table2_conflict(crit.table2_case, verdict.torsion1)
+    if message:
+        conflicts.append(message)
+
     rings_out = []
     witness_prime = None
     for ring in rings:
         der, pot = der_pot_from_divisors(P, divisors, ring)
+        if not routes_agree(verdict, der, pot, ring):
+            conflicts.append(
+                f"{IDENTITY_CONFLICT} {ring.label()}: der - pot = {der - pot}, "
+                f"but H1 has betti {verdict.betti1} and torsion "
+                f"{list(verdict.torsion1)}"
+            )
         outer = der > pot
         rings_out.append(
             {
@@ -190,12 +211,6 @@ def analysis_report(P: Poset, rings, include_witness: bool = False) -> dict:
         p = _field_modulus(ring)
         if outer and p is not None and witness_prime is None:
             witness_prime = p
-
-    crit = criteria_report(P)
-    conflicts = []
-    message = table2_conflict(crit.table2_case, verdict.torsion1)
-    if message:
-        conflicts.append(message)
 
     witness = None
     if include_witness and witness_prime is not None:

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import SizeLimitError
-from .homology import classify
+from .homology import classify, routes_agree
 from .derivations import der_pot_from_divisors, relation_divisors
 from .linalg import RATIONALS, prime_field
 from .poset import Poset, _bits, canonical_form
@@ -89,15 +89,10 @@ def _analyze_payload(payload):
     form = canonical_form(P).decode("ascii")
     verdict = classify(P)
     divisors = relation_divisors(P)
-    identity_ok = True
-    for field in _SWEEP_FIELDS:
-        der, pot = der_pot_from_divisors(P, divisors, field)
-        p = field.n
-        expected = verdict.betti1 + (
-            0 if p is None else sum(1 for t in verdict.torsion1 if t % p == 0)
-        )
-        if der - pot != expected:
-            identity_ok = False
+    identity_ok = all(
+        routes_agree(verdict, *der_pot_from_divisors(P, divisors, field), field)
+        for field in _SWEEP_FIELDS
+    )
     return {
         "n": P.n,
         "form": form,
@@ -112,9 +107,10 @@ def _analyze_payload(payload):
 def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepReport:
     """Classify every poset class up to max_n elements and cross-check.
 
-    The cross-check ties the consistency-matrix route to homology: for
-    each test field, (E - rank) - (V - C) must equal betti1 plus the
-    number of torsion coefficients killed by the field characteristic.
+    The cross-check (homology.routes_agree) ties the consistency-matrix
+    route to homology: for each test field, (E - rank) - (V - C) must
+    equal betti1 plus the number of torsion coefficients killed by the
+    field characteristic.
     Report content does not depend on parallelism.
     """
     if not 1 <= max_n <= SIZE_CAP:

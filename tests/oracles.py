@@ -1,11 +1,13 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here deliberately avoids the package's Smith-normal-form and
-enumeration code paths: rank via fraction-free (Bareiss) elimination,
-modular rank via straightforward Gaussian elimination, Smith divisors via
-gcds of k x k minors, determinants via Bareiss, labeled posets via brute
-force over all antisymmetric transitive relations, and parallel-path
-relations by listing every cover path.
+Everything here deliberately avoids the package's divisors-only Smith
+kernel and enumeration code paths: rank via fraction-free (Bareiss)
+elimination, modular rank via straightforward Gaussian elimination, Smith
+divisors via gcds of k x k minors, determinants via Bareiss, labeled
+posets via brute force over all antisymmetric transitive relations,
+parallel-path relations by listing every cover path, and homology of the
+whole order complex, never its core, through the dense Smith form with
+transforms.
 """
 
 from __future__ import annotations
@@ -266,3 +268,18 @@ def path_relation_rows(elements, covers):
                     row[col[edge]] -= 1
                 rows.append(row)
     return rows
+
+
+def uncored_homology(P, n: int):
+    """(betti, torsion) of H_n of the order complex of P itself.
+
+    Uses the dense transform-tracking Smith form on the boundary maps of
+    the uncored complex, so it shares neither beat-point removal nor the
+    sparse kernel with `posetderiv.homology`.
+    """
+    from posetderiv import boundary_matrix, order_complex, smith_normal_form
+
+    K = order_complex(P, n + 1)
+    rank_n = 0 if n == 0 else len(smith_normal_form(boundary_matrix(K, n)).divisors)
+    divisors = smith_normal_form(boundary_matrix(K, n + 1)).divisors
+    return K.count(n) - rank_n - len(divisors), tuple(d for d in divisors if d > 1)

@@ -162,13 +162,12 @@ def _stacked_diamonds_file(tmp_path, levels):
 
 
 def test_stacked_diamonds_exit_zero_without_path_limit(capsys, tmp_path):
-    code, report = run_cli(capsys, "analyze", str(_stacked_diamonds_file(tmp_path, 3)))
+    # 16384 cover paths between the ends; the relations never list them,
+    # and homology runs on the core, a single point
+    deep = str(_stacked_diamonds_file(tmp_path, 14))
+    code, report = run_cli(capsys, "analyze", deep)
     assert code == 0
     assert report["conclusiveness"]["soluble"] is True
-    # 16384 cover paths between the ends; the relations never list them
-    deep = str(_stacked_diamonds_file(tmp_path, 14))
-    code, payload = run_cli(capsys, "derivation", "witness", deep, "--prime", "2")
-    assert (code, payload) == (0, {"witness": None})
     with pytest.raises(SystemExit) as exc:
         main(["--path-limit", "3", "analyze", deep])
     assert exc.value.code == 2
@@ -331,6 +330,22 @@ def test_sweep_exit_code_on_identity_failure(capsys, monkeypatch):
     code, payload = run_cli(capsys, "sweep", "--max-n", "2")
     assert code == 4
     assert payload["identity_failures"]
+
+
+def test_analyze_exit_code_on_identity_failure(capsys, monkeypatch):
+    import posetderiv.report as report
+
+    # no relations: der = E over every field, which H1 of rp2 contradicts
+    monkeypatch.setattr(report, "relation_divisors", lambda P: ())
+    code, payload = run_cli(
+        capsys, "analyze", str(FIXTURE_DIR / "rp2.json"), "--ring", "q", "--ring", "gf:2"
+    )
+    assert code == 4
+    failed = [c for c in payload["conflicts"] if c.startswith(report.IDENTITY_CONFLICT)]
+    assert len(failed) == 2
+    assert failed[0].startswith(f"{report.IDENTITY_CONFLICT} q: der - pot = 12,")
+    assert failed[1].startswith(f"{report.IDENTITY_CONFLICT} gf:2: der - pot = 12,")
+    assert any("case 15" in c for c in payload["conflicts"])
 
 
 def test_homology_command_other_dims(capsys):

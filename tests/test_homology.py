@@ -16,11 +16,12 @@ from posetderiv import (
     order_complex,
     prime_field,
     rank_over,
+    routes_agree,
     shape_stats,
 )
 from posetderiv import fixtures as fx
 
-from oracles import random_poset_covers
+from oracles import random_poset_covers, uncored_homology
 
 
 def all_posets_up_to(n):
@@ -139,6 +140,29 @@ def test_graph_complexes_have_no_torsion():
             assert homology(P, 1).torsion == ()
 
 
+def chain_product(*lengths):
+    # product of chains: grid a x b for two lengths, B_k for k lengths of 2
+    points = [()]
+    for n in lengths:
+        points = [p + (i,) for p in points for i in range(n)]
+    name = "_".join
+    covers = [
+        (name(map(str, p)), name(map(str, p[:k] + (p[k] + 1,) + p[k + 1 :])))
+        for p in points
+        for k in range(len(p))
+        if p[k] + 1 < lengths[k]
+    ]
+    return Poset([name(map(str, p)) for p in points], covers)
+
+
+def test_cored_homology_matches_uncored_oracle():
+    named = [fx.rp2(), fx.s5(), fx.crown(3), chain_product(3, 3), chain_product(2, 2, 2)]
+    for P in list(all_posets_up_to(6)) + named:
+        for n in (0, 1, 2):
+            h = homology(P, n)
+            assert (h.betti, h.torsion) == uncored_homology(P, n), (P, n)
+
+
 # -- euler characteristic --------------------------------------------------
 
 
@@ -184,6 +208,14 @@ def test_classify_booleans_are_consistent():
 
 
 # -- cross-module dimension identity -----------------------------------------
+
+
+def test_routes_agree_counts_killed_torsion(rp2):
+    v = classify(rp2)
+    assert routes_agree(v, 12, 12, RATIONALS)
+    assert routes_agree(v, 13, 12, prime_field(2))
+    assert not routes_agree(v, 12, 12, prime_field(2))
+    assert routes_agree(v, 12, 12, prime_field(3))
 
 
 def test_rank_homology_identity_small():

@@ -16,6 +16,7 @@ from posetderiv import (
     prime_field,
     rank_over,
     ring_from_string,
+    smith_divisors,
     smith_normal_form,
     solve_linear,
 )
@@ -100,6 +101,26 @@ def test_snf_divisors_match_minor_gcds():
 
 def test_snf_random_reconstruction():
     assert run_snf_trials(200, seed=2024) == []
+
+
+def test_smith_divisors_match_oracles():
+    rng = random.Random(91)
+    for t in range(300):
+        mat = random_integer_matrix(rng, 5, 6)
+        if t % 3 == 1:
+            # no entry of absolute value 1: the dense step does all the work
+            mat = [[2 * x for x in row] for row in mat]
+        elif t % 3 == 2:
+            # mostly zeros, like boundary and relation matrices
+            mat = [[x if rng.random() < 0.3 else 0 for x in row] for row in mat]
+        a = IntegerMatrix.from_rows(mat, cols=len(mat[0]) if mat else 0)
+        expected = smith_normal_form(a).divisors
+        assert smith_divisors(a) == expected
+        assert list(expected) == minor_gcd_divisors(mat)
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 3)):
+        assert smith_divisors(IntegerMatrix.zeros(rows, cols)) == ()
+    assert smith_divisors(IntegerMatrix.from_rows([[2, 4], [2, 2]])) == (2, 2)
+    assert smith_divisors(IntegerMatrix.from_rows([[1, 2], [3, 4], [0, 6]])) == (1, 2)
 
 
 # -- rank ------------------------------------------------------------------
