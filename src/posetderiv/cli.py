@@ -11,13 +11,13 @@ import argparse
 import json
 import sys
 
-from .criteria import criteria_report
+from .criteria import criteria_report, crown_bounds
 from .derivations import from_cover_values, is_potential, outer_witness
 from .errors import InputError, PosetderivError
 from .fixtures import fixture_json
 from .homology import euler_characteristic, full_order_complex
 from .linalg import ring_from_string
-from .poset import core, find_crowns, join_meet
+from .poset import core
 from .report import (
     IDENTITY_CONFLICT,
     analysis_report,
@@ -177,26 +177,22 @@ def _cmd_core(args) -> tuple[dict, int]:
 
 
 def _cmd_crowns(args) -> tuple[dict, int]:
-    P = _load_poset(args)
-    crowns = []
-    all_have = True
-    for crown in find_crowns(P, args.max_n):
-        join, meet = join_meet(P, sorted(crown.element_set(), key=P.index))
-        if join is None and meet is None:
-            all_have = False
-        crowns.append(
-            {
-                "n": crown.n,
-                "lower": list(crown.lower),
-                "upper": list(crown.upper),
-                "join": join,
-                "meet": meet,
-            }
-        )
+    crowns = [
+        {
+            "n": crown.n,
+            "lower": list(crown.lower),
+            "upper": list(crown.upper),
+            "join": join,
+            "meet": meet,
+        }
+        for crown, join, meet in crown_bounds(_load_poset(args), args.max_n)
+    ]
     return (
         {
             "crowns_found": len(crowns),
-            "all_have_join_or_meet": all_have,
+            "all_have_join_or_meet": all(
+                c["join"] is not None or c["meet"] is not None for c in crowns
+            ),
             "crowns": crowns,
         },
         0,

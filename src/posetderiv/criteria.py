@@ -125,35 +125,33 @@ def table2_lookup(stats: ShapeStats, beat_point_free: bool) -> int | None:
     return None
 
 
-def crown_obstruction_report(P: Poset, max_n: int = 6) -> CrownReport:
-    """Count crowns and check each crown's element set for a join or meet.
+def crown_bounds(P: Poset, max_n: int = 6) -> list[tuple[Crown, str | None, str | None]]:
+    """Each induced crown with 2 <= n <= max_n, paired with the join and
+    the meet of its element set (None where there is none)."""
+    return [(c, *join_meet(P, c.element_set())) for c in find_crowns(P, max_n)]
+
+
+def crown_obstruction_report(P: Poset) -> CrownReport:
+    """Count crowns (n <= 6) and check each one's element set for a join or meet.
 
     If every crown has a join or a meet, the poset cannot be defective:
     an outer derivation would have nonzero circulation on some minimal
     cycle, which is a crown, and a join or meet telescopes that
     circulation to zero.
     """
-    crowns = find_crowns(P, max_n)
-    all_have = True
-    for crown in crowns:
-        join, meet = join_meet(P, sorted(crown.element_set(), key=P.index))
-        if join is None and meet is None:
-            all_have = False
-            break
-    return CrownReport(crowns_found=len(crowns), all_have_join_or_meet=all_have)
+    bounds = crown_bounds(P)
+    return CrownReport(
+        crowns_found=len(bounds),
+        all_have_join_or_meet=all(j is not None or m is not None for _, j, m in bounds),
+    )
 
 
-def crowns_without_bounds(P: Poset, max_n: int = 6) -> list[Crown]:
+def crowns_without_bounds(P: Poset) -> list[Crown]:
     """The crowns whose element set has neither a join nor a meet."""
-    out = []
-    for crown in find_crowns(P, max_n):
-        join, meet = join_meet(P, sorted(crown.element_set(), key=P.index))
-        if join is None and meet is None:
-            out.append(crown)
-    return out
+    return [c for c, j, m in crown_bounds(P) if j is None and m is None]
 
 
-def criteria_report(P: Poset, max_crown_n: int = 6) -> CriteriaReport:
+def criteria_report(P: Poset) -> CriteriaReport:
     stats = shape_stats(P)
     bpf = not beat_points(P)
     return CriteriaReport(
@@ -162,7 +160,7 @@ def criteria_report(P: Poset, max_crown_n: int = 6) -> CriteriaReport:
         co18=co18_bound(P),
         size_bound_ok=size_bound_check(P),
         table2_case=table2_lookup(stats, bpf),
-        crowns=crown_obstruction_report(P, max_crown_n),
+        crowns=crown_obstruction_report(P),
     )
 
 

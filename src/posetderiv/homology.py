@@ -120,7 +120,7 @@ def homology(P: Poset, n: int) -> HomologySummary:
     that exceed 1, already in divisibility order.
     """
     if n < 0:
-        raise ValueError("dimension must be >= 0")
+        raise DimensionError(f"homology dimension must be >= 0, got {n}")
     K = order_complex(core(P), n + 1)
     chains_n = K.count(n)
     if n == 0:

@@ -20,6 +20,7 @@ from enum import Enum
 from .errors import (
     CycleError,
     DuplicateError,
+    InputError,
     NotReducedError,
     UnknownElementError,
 )
@@ -373,71 +374,46 @@ def find_crowns(P: Poset, max_n: int = 6) -> list[Crown]:
 
     Each crown is reported once, up to rotation and reflection of its
     indices.  Backtracking search over alternating lower/upper walks,
-    anchored at the smallest lower element.
+    anchored at the smallest lower element, on the order bitmasks.
     """
     if max_n < 2:
-        raise ValueError("max_n must be >= 2")
-    n = P.n
-    above = P._above
-    used = [False] * n
-    found: list[Crown] = []
+        raise InputError(f"crown size must be >= 2, got {max_n}")
+    above, below = P._above, P._below
+    walks = []
 
-    def lt(i, j):
-        return (above[i] >> j) & 1
+    def add_upper(lowers, uppers, block):
+        # block: the placed elements and everything below a lower, above a
+        # middle lower or comparable to an upper
+        last = lowers[-1]
+        closing = above[lowers[0]] if len(lowers) > 1 else 0
+        middle = above[last] if len(lowers) > 1 else 0
+        # a new lower comes after the anchor in index order and does not lie
+        # above the last lower; it lies below a non-closing upper, so not
+        # above the anchor either
+        lower_ok = ~(block | above[last]) & -(2 << lowers[0])
+        for v in _bits(above[last] & ~block):
+            if (closing >> v) & 1:
+                # skip the mirror-image walk; (v,) + uppers puts lower[i]
+                # below upper[i] and upper[i + 1]
+                if uppers[0] < v:
+                    walks.append((len(lowers), lowers, (v,) + uppers))
+            elif len(lowers) < max_n:
+                vblock = block | middle | above[v] | below[v] | (1 << v)
+                for u in _bits(below[v] & lower_ok):
+                    add_upper(lowers + (u,), uppers + (v,), vblock)
 
-    def add_upper(us, vs):
-        k = len(us)
-        last = us[-1]
-        for v in range(n):
-            if used[v] or not lt(last, v):
-                continue
-            if any(lt(v, u) for u in us):
-                continue
-            if any(lt(us[j], v) for j in range(1, k - 1)):
-                continue
-            if any(lt(v, w) or lt(w, v) for w in vs):
-                continue
-            if k >= 2 and lt(us[0], v):
-                # closing edge; skip the mirror-image walk
-                if vs[0] < v:
-                    found.append(_make_crown(P, us, vs + [v]))
-                continue
-            if k < max_n:
-                used[v] = True
-                add_lower(us, vs + [v])
-                used[v] = False
+    for start in range(P.n):
+        add_upper((start,), (), (1 << start) | below[start])
 
-    def add_lower(us, vs):
-        v_last = vs[-1]
-        for u in range(us[0] + 1, n):
-            if used[u] or not lt(u, v_last):
-                continue
-            if any(lt(u, x) or lt(x, u) for x in us):
-                continue
-            if any(lt(u, w) or lt(w, u) for w in vs[:-1]):
-                continue
-            used[u] = True
-            add_upper(us + [u], vs)
-            used[u] = False
-
-    for start in range(n):
-        used[start] = True
-        add_upper([start], [])
-        used[start] = False
-
-    idx = P.index
-    found.sort(
-        key=lambda c: (c.n, tuple(idx(e) for e in c.lower), tuple(idx(e) for e in c.upper))
-    )
-    return found
-
-
-def _make_crown(P: Poset, us, vs) -> Crown:
-    # walk order us[i] < vs[i], us[i+1] < vs[i]; rotate uppers so that
-    # lower[i] < upper[i] and lower[i] < upper[i+1] (mod n)
-    lower = tuple(P.elements[u] for u in us)
-    upper = tuple(P.elements[v] for v in [vs[-1]] + vs[:-1])
-    return Crown(lower=lower, upper=upper)
+    walks.sort()
+    names = P.elements
+    return [
+        Crown(
+            lower=tuple(names[i] for i in lower),
+            upper=tuple(names[i] for i in upper),
+        )
+        for _, lower, upper in walks
+    ]
 
 
 def join_meet(P: Poset, subset) -> tuple[str | None, str | None]:

@@ -19,7 +19,7 @@ from .derivations import (
 from .errors import InputError, UnsupportedRingError
 from .homology import classify, homology, routes_agree
 from .linalg import Ring, _field_modulus
-from .poset import Poset, ShapeStats, canonical_form, shape_stats, transitive_reduction
+from .poset import Poset, ShapeStats, canonical_form, transitive_reduction
 
 
 def _identifier_ok(value) -> bool:
@@ -179,7 +179,6 @@ def analysis_report(P: Poset, rings, include_witness: bool = False) -> dict:
     """
     for ring in rings:
         require_rank_ring(ring)
-    stats = shape_stats(P)
     verdict = classify(P)
     divisors = relation_divisors(P)
 
@@ -220,7 +219,7 @@ def analysis_report(P: Poset, rings, include_witness: bool = False) -> dict:
 
     return {
         "poset": {
-            "stats": stats_json(stats),
+            "stats": stats_json(crit.stats),
             "canonical_sha256": canonical_sha256(P),
         },
         "homology": {

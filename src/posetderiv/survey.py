@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import SizeLimitError
@@ -86,7 +85,6 @@ def _analyze_payload(payload):
     """Per-poset sweep record; module-level so process pools can pickle it."""
     elements, covers = payload
     P = Poset(elements, covers)
-    form = canonical_form(P).decode("ascii")
     verdict = classify(P)
     divisors = relation_divisors(P)
     identity_ok = all(
@@ -95,7 +93,6 @@ def _analyze_payload(payload):
     )
     return {
         "n": P.n,
-        "form": form,
         "betti1": verdict.betti1,
         "torsion": list(verdict.torsion1),
         "soluble": verdict.soluble,
@@ -121,24 +118,34 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
     soluble = []
     inconclusive: list[str] = []
     failures: list[str] = []
-    for n in range(1, max_n + 1):
-        payloads = [(P.elements, P.covers) for P in enumerate_posets(n)]
-        if parallelism > 1 and len(payloads) > 1:
-            with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    pool = None
+    if parallelism > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=parallelism)
+    try:
+        for n in range(1, max_n + 1):
+            posets = list(enumerate_posets(n))
+            payloads = [(P.elements, P.covers) for P in posets]
+            if pool is not None and len(payloads) > 1:
                 chunk = max(1, len(payloads) // (parallelism * 4))
                 records = list(pool.map(_analyze_payload, payloads, chunksize=chunk))
-        else:
-            records = [_analyze_payload(p) for p in payloads]
-        counts.append((n, len(records)))
-        defective.append((n, sum(1 for r in records if r["defective"])))
-        soluble.append((n, sum(1 for r in records if r["soluble"])))
-        for r in records:
-            if r["torsion"]:
-                inconclusive.append(r["form"])
-            if not r["identity_ok"]:
-                failures.append(r["form"])
-        if progress:
-            print(f"sweep: n={n} classes={len(records)}", file=sys.stderr)
+            else:
+                records = [_analyze_payload(p) for p in payloads]
+            counts.append((n, len(records)))
+            defective.append((n, sum(1 for r in records if r["defective"])))
+            soluble.append((n, sum(1 for r in records if r["soluble"])))
+            for P, r in zip(posets, records):
+                # a class's canonical form is needed only to name it here
+                if r["torsion"]:
+                    inconclusive.append(canonical_form(P).decode("ascii"))
+                if not r["identity_ok"]:
+                    failures.append(canonical_form(P).decode("ascii"))
+            if progress:
+                print(f"sweep: n={n} classes={len(records)}", file=sys.stderr)
+    finally:
+        if pool is not None:
+            pool.shutdown()
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return SweepReport(
         max_n=max_n,

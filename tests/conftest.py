@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,6 +7,11 @@ import pytest
 from posetderiv import fixtures as fx
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+# Hypothesis caches the literals of local modules under its storage
+# directory even with database=None.  Pointing that directory at the null
+# device makes those writes fail quietly, so a run leaves no .hypothesis/.
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", os.devnull)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = REPO_ROOT / "fixtures"

@@ -5,9 +5,9 @@ kernel and enumeration code paths: rank via fraction-free (Bareiss)
 elimination, modular rank via straightforward Gaussian elimination, Smith
 divisors via gcds of k x k minors, determinants via Bareiss, labeled
 posets via brute force over all antisymmetric transitive relations,
-parallel-path relations by listing every cover path, and homology of the
+parallel-path relations by listing every cover path, homology of the
 whole order complex, never its core, through the dense Smith form with
-transforms.
+transforms, and induced crowns by testing every subset of elements.
 """
 
 from __future__ import annotations
@@ -283,3 +283,35 @@ def uncored_homology(P, n: int):
     rank_n = 0 if n == 0 else len(smith_normal_form(boundary_matrix(K, n)).divisors)
     divisors = smith_normal_form(boundary_matrix(K, n + 1)).divisors
     return K.count(n) - rank_n - len(divisors), tuple(d for d in divisors if d > 1)
+
+
+def brute_force_crowns(P, max_n: int) -> list[frozenset]:
+    """Element sets of the induced crowns of P with 2 <= k <= max_n.
+
+    Tries every subset of 2k elements and keeps those whose induced order
+    is one alternating 2k-cycle: k pairwise-incomparable lowers (the
+    minimal elements of the subset), k pairwise-incomparable uppers, each
+    element comparable to exactly two others, and the comparability graph
+    connected.
+    """
+    lt = P.is_less_idx
+    found = []
+    for k in range(2, max_n + 1):
+        for subset in combinations(range(P.n), 2 * k):
+            lowers = [x for x in subset if not any(lt(y, x) for y in subset)]
+            uppers = [x for x in subset if x not in lowers]
+            if len(lowers) != k or any(lt(a, b) for a in uppers for b in uppers):
+                continue
+            nbrs = {x: [y for y in subset if lt(x, y) or lt(y, x)] for x in subset}
+            if any(len(nb) != 2 for nb in nbrs.values()):
+                continue
+            seen = {subset[0]}
+            stack = [subset[0]]
+            while stack:
+                for y in nbrs[stack.pop()]:
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            if len(seen) == 2 * k:
+                found.append(frozenset(P.elements[x] for x in subset))
+    return found

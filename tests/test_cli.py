@@ -293,6 +293,14 @@ def test_crowns_command(capsys):
     assert payload["crowns"][0]["meet"] is None
 
 
+def test_crowns_command_rejects_size_below_two(capsys):
+    code, payload = run_cli(
+        capsys, "crowns", str(FIXTURE_DIR / "rp2.json"), "--max-n", "1"
+    )
+    assert code == 2
+    assert "crown size" in payload["error"]
+
+
 def test_criteria_command(capsys):
     code, payload = run_cli(capsys, "criteria", str(FIXTURE_DIR / "rp2.json"))
     assert code == 0
@@ -359,6 +367,14 @@ def test_homology_command_other_dims(capsys):
     )
     assert code == 0
     assert payload["homology"]["dim"] == 2
+
+
+def test_homology_command_rejects_negative_dim(capsys):
+    code, payload = run_cli(
+        capsys, "homology", str(FIXTURE_DIR / "rp2.json"), "--dim", "-1"
+    )
+    assert code == 2
+    assert "dimension" in payload["error"]
 
 
 def test_identifier_validation(capsys, tmp_path):

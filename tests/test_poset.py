@@ -2,6 +2,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetderiv import (
     CycleError,
@@ -22,7 +24,12 @@ from posetderiv import (
 )
 from posetderiv import fixtures as fx
 
-from oracles import all_labeled_strict_orders, is_forest, random_poset_covers
+from oracles import (
+    all_labeled_strict_orders,
+    brute_force_crowns,
+    is_forest,
+    random_poset_covers,
+)
 
 
 def all_posets_up_to(n):
@@ -239,6 +246,7 @@ def test_rp2_crowns(rp2):
     )
     for crown in crowns:
         assert _crown_is_induced(rp2, crown)
+    assert {c.element_set() for c in crowns} == set(brute_force_crowns(rp2, 6))
 
 
 def test_crown_fixtures_found_at_every_size():
@@ -262,6 +270,46 @@ def test_crowns_unique_up_to_symmetry():
     for P in all_posets_up_to(6):
         crowns = find_crowns(P, max_n=3)
         assert len({frozenset(c.element_set()) for c in crowns}) == len(crowns)
+
+
+@st.composite
+def random_posets(draw, max_size=9):
+    """Random posets on up to max_size elements, listed in random order.
+
+    A crown on 2k elements (k = 0, 2, 3 or 4) is planted and random pairs
+    are added with a random density, each oriented by a random rank that
+    puts the crown's lowers below its uppers and the other elements
+    anywhere; transitive_reduction then turns the relation into covers.
+    Added pairs may break the crown.
+    """
+    rng = draw(st.randoms(use_true_random=True))
+    k = rng.choice((0, 2, 3, 4))
+    n = rng.randint(max(1, 2 * k), max_size)
+    density = rng.choice((0.05, 0.1, 0.2, 0.35))
+    rank = [
+        rng.uniform(-1, 0) if i < k else rng.uniform(1, 2) if i < 2 * k else rng.uniform(-1, 2)
+        for i in range(n)
+    ]
+    pairs = {(i, k + i) for i in range(k)} | {(i, k + (i + 1) % k) for i in range(k)}
+    pairs |= {
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if rank[i] < rank[j] and rng.random() < density
+    }
+    elements = [f"e{i}" for i in range(n)]
+    rng.shuffle(elements)
+    relation = [(elements[i], elements[j]) for i, j in pairs]
+    return Poset(elements, transitive_reduction(elements, relation))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(random_posets())
+def test_find_crowns_matches_brute_force(P):
+    for max_n in range(2, 5):
+        found = [c.element_set() for c in find_crowns(P, max_n)]
+        assert len(set(found)) == len(found)
+        assert set(found) == set(brute_force_crowns(P, max_n))
 
 
 # -- join and meet ------------------------------------------------------
