@@ -100,6 +100,16 @@ class TransitiveFunction:
         )
 
 
+def _cone_walk(P: Poset, x: int):
+    """Yield each z above x in topological order, with its down-covers that
+    lie in {x} | cone(x), in index order."""
+    cone = P.above_mask(x)
+    inside = cone | (1 << x)
+    for z in P.topological_order():
+        if (cone >> z) & 1:
+            yield z, [w for w in P.down_covers_idx(z) if (inside >> w) & 1]
+
+
 def parallel_pairs(P: Poset) -> list[ParallelPair]:
     """One relation per extra incoming cover inside each upward cone.
 
@@ -125,19 +135,13 @@ def parallel_pairs(P: Poset) -> list[ParallelPair]:
     """
     out = []
     names = P.elements
-    topo = P.topological_order()
     for x in range(P.n):
-        cone = P.above_mask(x)
-        inside = cone | (1 << x)
         ref: dict[int, tuple[Edge, ...]] = {x: ()}
         extra: dict[int, list[int]] = {}
-        for z in topo:
-            if not (cone >> z) & 1:
-                continue
-            w0, *rest = (w for w in P.down_covers_idx(z) if (inside >> w) & 1)
+        for z, (w0, *rest) in _cone_walk(P, x):
             ref[z] = ref[w0] + ((names[w0], names[z]),)
             extra[z] = rest
-        for z in _bits(cone):
+        for z in _bits(P.above_mask(x)):
             for w in extra[z]:
                 out.append(
                     ParallelPair(
@@ -215,20 +219,16 @@ def from_cover_values(P: Poset, ring: Ring, cover_values: dict):
 
     names = P.elements
     values: dict[tuple[str, str], object] = {}
-    topo = P.topological_order()
     for i in range(P.n):
         local = {i: ring.zero}
-        for j in topo:
-            if not P.is_less_idx(i, j):
-                continue
+        for j, downs in _cone_walk(P, i):
             val = None
-            for w in P.down_covers_idx(j):
-                if w == i or P.is_less_idx(i, w):
-                    cand = ring.add(local[w], cv[(w, j)])
-                    if val is None:
-                        val = cand
-                    elif cand != val:
-                        return None
+            for w in downs:
+                cand = ring.add(local[w], cv[(w, j)])
+                if val is None:
+                    val = cand
+                elif cand != val:
+                    return None
             local[j] = val
             values[(names[i], names[j])] = val
     return TransitiveFunction(P, ring, values)

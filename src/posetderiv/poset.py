@@ -10,6 +10,13 @@ Conventions used throughout the package:
 - Input covers must already be transitively reduced; redundant pairs are
   rejected, never dropped silently.  ``transitive_reduction`` performs an
   explicit reduction for callers that want one.
+
+One rule gives covers, beat points, cores, joins and meets: i is minimal
+in a bitmask set S iff ``below[i] & S`` is empty (``_minimal``; the
+``above`` masks give the maximal elements).  The covers of i inside S are
+the minimal elements of ``above[i] & S``; i is a beat point of S iff
+``below[i] & S`` has one maximal or ``above[i] & S`` one minimal element;
+a join (meet) is the only minimal upper (maximal lower) bound.
 """
 
 from __future__ import annotations
@@ -79,6 +86,11 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _minimal(mask: int, below) -> list[int]:
+    """Ascending indices of the minimal elements of ``mask`` under ``below``."""
+    return [i for i in _bits(mask) if not below[i] & mask]
+
+
 class Poset:
     """Immutable finite poset with precomputed strict-order bitmasks.
 
@@ -93,7 +105,6 @@ class Poset:
         "_index",
         "_above",
         "_below",
-        "_up",
         "_down",
         "_topo",
         "_component",
@@ -161,7 +172,6 @@ class Poset:
         self._index = index
         self._above = tuple(above)
         self._below = tuple(below)
-        self._up = tuple(tuple(lst) for lst in up)
         self._down = tuple(tuple(lst) for lst in down)
         self._topo = tuple(topo)
         self._component = tuple(component)
@@ -186,9 +196,6 @@ class Poset:
 
     def below_mask(self, i: int) -> int:
         return self._below[i]
-
-    def up_covers_idx(self, i: int) -> tuple[int, ...]:
-        return self._up[i]
 
     def down_covers_idx(self, i: int) -> tuple[int, ...]:
         return self._down[i]
@@ -287,12 +294,7 @@ def transitive_reduction(elements, pairs) -> list[tuple[str, str]]:
         up[index[lo]].add(index[hi])
         down[index[hi]].add(index[lo])
     _, above, below = _closure(up, down)
-    covers = []
-    for i in range(n):
-        for j in _bits(above[i]):
-            if not (above[i] & below[j]):
-                covers.append((elems[i], elems[j]))
-    return covers
+    return [(elems[i], elems[j]) for i in range(n) for j in _minimal(above[i], below)]
 
 
 def leq(P: Poset, x: str, y: str) -> Relation:
@@ -335,38 +337,43 @@ def shape_stats(P: Poset) -> ShapeStats:
     )
 
 
+def _beat_points(alive: int, above, below):
+    """Yield the beat points of the subposet on the bitmask ``alive``, ascending."""
+    for i in _bits(alive):
+        if (
+            len(_minimal(below[i] & alive, above)) == 1
+            or len(_minimal(above[i] & alive, below)) == 1
+        ):
+            yield i
+
+
 def beat_points(P: Poset) -> list[str]:
     """Elements that cover exactly one element or are covered by exactly one."""
-    out = []
-    for i in range(P.n):
-        if len(P.down_covers_idx(i)) == 1 or len(P.up_covers_idx(i)) == 1:
-            out.append(P.elements[i])
-    return out
-
-
-def _delete_element(P: Poset, x: str) -> Poset:
-    xi = P.index(x)
-    keep = [i for i in range(P.n) if i != xi]
-    keep_mask = 0
-    for i in keep:
-        keep_mask |= 1 << i
-    elements = [P.elements[i] for i in keep]
-    covers = []
-    for i in keep:
-        for j in _bits(P.above_mask(i) & keep_mask):
-            if not (P.above_mask(i) & P.below_mask(j) & keep_mask):
-                covers.append((P.elements[i], P.elements[j]))
-    return Poset(elements, covers)
+    full = (1 << P.n) - 1
+    return [P.elements[i] for i in _beat_points(full, P._above, P._below)]
 
 
 def core(P: Poset) -> Poset:
-    """Remove beat points (first in element order) until none remain."""
-    cur = P
-    while True:
-        bp = beat_points(cur)
-        if not bp:
-            return cur
-        cur = _delete_element(cur, bp[0])
+    """Remove beat points (first in element order) until none remain.
+
+    Walks a bitmask of the surviving elements and builds one poset at the
+    end, or returns P itself when it has no beat point.
+    """
+    above, below = P._above, P._below
+    full = alive = (1 << P.n) - 1
+    while (beat := next(_beat_points(alive, above, below), None)) is not None:
+        alive ^= 1 << beat
+    if alive == full:
+        return P
+    names = P.elements
+    return Poset(
+        [names[i] for i in _bits(alive)],
+        [
+            (names[i], names[j])
+            for i in _bits(alive)
+            for j in _minimal(above[i] & alive, below)
+        ],
+    )
 
 
 def find_crowns(P: Poset, max_n: int = 6) -> list[Crown]:
@@ -421,23 +428,17 @@ def join_meet(P: Poset, subset) -> tuple[str | None, str | None]:
     idxs = [P.index(x) for x in subset]
     if not idxs:
         raise ValueError("subset must be nonempty")
-    full = (1 << P.n) - 1
-    ub = full
-    lb = full
+    above, below = P._above, P._below
+    ub = lb = (1 << P.n) - 1
     for i in idxs:
-        ub &= P.above_mask(i) | (1 << i)
-        lb &= P.below_mask(i) | (1 << i)
-    join = None
-    for u in _bits(ub):
-        if ub & ~(P.above_mask(u) | (1 << u)) == 0:
-            join = P.elements[u]
-            break
-    meet = None
-    for u in _bits(lb):
-        if lb & ~(P.below_mask(u) | (1 << u)) == 0:
-            meet = P.elements[u]
-            break
-    return join, meet
+        ub &= above[i] | (1 << i)
+        lb &= below[i] | (1 << i)
+    joins = _minimal(ub, below)
+    meets = _minimal(lb, above)
+    return (
+        P.elements[joins[0]] if len(joins) == 1 else None,
+        P.elements[meets[0]] if len(meets) == 1 else None,
+    )
 
 
 def canonical_form(P: Poset) -> bytes:

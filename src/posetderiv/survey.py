@@ -16,7 +16,7 @@ from .errors import SizeLimitError
 from .homology import classify, routes_agree
 from .derivations import der_pot_from_divisors, relation_divisors
 from .linalg import RATIONALS, prime_field
-from .poset import Poset, _bits, canonical_form
+from .poset import Poset, _minimal, canonical_form
 
 SIZE_CAP = 8
 
@@ -58,11 +58,8 @@ def _down_sets(P: Poset) -> list[int]:
 
 def _extend(P: Poset, down_set: int) -> Poset:
     new = f"x{P.n}"
-    covers = list(P.covers)
-    for j in _bits(down_set):
-        if not (P.above_mask(j) & down_set):
-            covers.append((P.elements[j], new))
-    return Poset(P.elements + (new,), covers)
+    tops = [(P.elements[j], new) for j in _minimal(down_set, P._above)]
+    return Poset(P.elements + (new,), P.covers + tuple(tops))
 
 
 def enumerate_posets(n: int):
@@ -81,10 +78,8 @@ def enumerate_posets(n: int):
         yield level[form]
 
 
-def _analyze_payload(payload):
+def _analyze_payload(P: Poset):
     """Per-poset sweep record; module-level so process pools can pickle it."""
-    elements, covers = payload
-    P = Poset(elements, covers)
     verdict = classify(P)
     divisors = relation_divisors(P)
     identity_ok = all(
@@ -126,12 +121,11 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
     try:
         for n in range(1, max_n + 1):
             posets = list(enumerate_posets(n))
-            payloads = [(P.elements, P.covers) for P in posets]
-            if pool is not None and len(payloads) > 1:
-                chunk = max(1, len(payloads) // (parallelism * 4))
-                records = list(pool.map(_analyze_payload, payloads, chunksize=chunk))
+            if pool is not None and len(posets) > 1:
+                chunk = max(1, len(posets) // (parallelism * 4))
+                records = list(pool.map(_analyze_payload, posets, chunksize=chunk))
             else:
-                records = [_analyze_payload(p) for p in payloads]
+                records = [_analyze_payload(P) for P in posets]
             counts.append((n, len(records)))
             defective.append((n, sum(1 for r in records if r["defective"])))
             soluble.append((n, sum(1 for r in records if r["soluble"])))

@@ -7,7 +7,9 @@ divisors via gcds of k x k minors, determinants via Bareiss, labeled
 posets via brute force over all antisymmetric transitive relations,
 parallel-path relations by listing every cover path, homology of the
 whole order complex, never its core, through the dense Smith form with
-transforms, and induced crowns by testing every subset of elements.
+transforms, induced crowns by testing every subset of elements, beat
+points by counting cover pairs, cores by rebuilding the poset after each
+deletion, and joins and meets by comparing every pair of bounds.
 """
 
 from __future__ import annotations
@@ -315,3 +317,55 @@ def brute_force_crowns(P, max_n: int) -> list[frozenset]:
             if len(seen) == 2 * k:
                 found.append(frozenset(P.elements[x] for x in subset))
     return found
+
+
+def cover_count_beat_points(P) -> list[str]:
+    """Elements with exactly one upper or exactly one lower cover in P.covers."""
+    ups = {x: 0 for x in P.elements}
+    downs = {x: 0 for x in P.elements}
+    for lo, hi in P.covers:
+        ups[lo] += 1
+        downs[hi] += 1
+    return [x for x in P.elements if ups[x] == 1 or downs[x] == 1]
+
+
+def iterated_core(P):
+    """Core of P, rebuilding the poset after every beat-point deletion.
+
+    Deletes the first beat point in element order, recomputes the covers
+    of the induced order on the rest by looking for an element strictly
+    between each comparable pair, and repeats until no beat point is left.
+    """
+    from posetderiv import Poset
+
+    while True:
+        beats = cover_count_beat_points(P)
+        if not beats:
+            return P
+        keep = [P.index(x) for x in P.elements if x != beats[0]]
+        lt = P.is_less_idx
+        covers = [
+            (P.elements[a], P.elements[b])
+            for a in keep
+            for b in keep
+            if lt(a, b) and not any(lt(a, c) and lt(c, b) for c in keep)
+        ]
+        P = Poset([P.elements[a] for a in keep], covers)
+
+
+def brute_force_join_meet(P, subset):
+    """(join, meet) of subset: the upper bound below every upper bound, and
+    the lower bound above every lower bound, or None each."""
+    idxs = [P.index(x) for x in subset]
+
+    def le(a, b):
+        return a == b or P.is_less_idx(a, b)
+
+    ubs = [u for u in range(P.n) if all(le(s, u) for s in idxs)]
+    lbs = [u for u in range(P.n) if all(le(u, s) for s in idxs)]
+    least = [u for u in ubs if all(le(u, v) for v in ubs)]
+    greatest = [u for u in lbs if all(le(v, u) for v in lbs)]
+    return (
+        P.elements[least[0]] if least else None,
+        P.elements[greatest[0]] if greatest else None,
+    )

@@ -284,6 +284,44 @@ def test_core_command(capsys):
     assert "canonical_sha256" in payload
 
 
+def test_core_command_removes_first_beat_point(capsys, tmp_path):
+    # a 2-crown with t above y1 only: y1 and t are both beat points, and
+    # removing y1 first (element order) keeps t in the core
+    path = tmp_path / "crown_tail.json"
+    path.write_text(
+        json.dumps(
+            {
+                "elements": ["x1", "x2", "y1", "y2", "t"],
+                "covers": [
+                    ["x1", "y1"], ["x1", "y2"], ["x2", "y1"], ["x2", "y2"], ["y1", "t"]
+                ],
+            }
+        )
+    )
+    code, payload = run_cli(capsys, "core", str(path))
+    assert code == 0
+    assert payload["elements"] == ["x1", "x2", "y2", "t"]
+    assert payload["covers"] == [["x1", "y2"], ["x1", "t"], ["x2", "y2"], ["x2", "t"]]
+
+
+def test_homology_euler_runs_on_the_core(capsys, tmp_path, monkeypatch):
+    import posetderiv.cli as cli
+
+    real = cli.full_order_complex
+
+    def spy(P):
+        # the complex of the 40-chain itself has 2**40 - 1 simplices
+        assert P.n == 1
+        return real(P)
+
+    monkeypatch.setattr(cli, "full_order_complex", spy)
+    path = tmp_path / "chain40.json"
+    path.write_text(json.dumps(run_cli(capsys, "fixture", "chain:40")[1]))
+    code, payload = run_cli(capsys, "homology", str(path), "--euler")
+    assert code == 0
+    assert payload["euler_characteristic"] == 1
+
+
 def test_crowns_command(capsys):
     code, payload = run_cli(capsys, "crowns", str(FIXTURE_DIR / "crown2.json"))
     assert code == 0

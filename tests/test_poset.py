@@ -27,7 +27,10 @@ from posetderiv import fixtures as fx
 from oracles import (
     all_labeled_strict_orders,
     brute_force_crowns,
+    brute_force_join_meet,
+    cover_count_beat_points,
     is_forest,
+    iterated_core,
     random_poset_covers,
 )
 
@@ -310,6 +313,23 @@ def test_find_crowns_matches_brute_force(P):
         found = [c.element_set() for c in find_crowns(P, max_n)]
         assert len(set(found)) == len(found)
         assert set(found) == set(brute_force_crowns(P, max_n))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(random_posets(max_size=12), st.randoms(use_true_random=True))
+def test_minimal_element_rule_matches_oracles(P, rng):
+    # covers, beat points, cores, joins and meets all come from poset._minimal
+    C, D = core(P), iterated_core(P)
+    assert (C.elements, C.covers) == (D.elements, D.covers)
+    assert beat_points(P) == cover_count_beat_points(P)
+    if not beat_points(P):
+        assert C is P
+    for _ in range(6):
+        subset = rng.sample(P.elements, rng.randint(1, P.n))
+        assert join_meet(P, subset) == brute_force_join_meet(P, subset)
+    pairs = list(P.strict_pairs())
+    rng.shuffle(pairs)
+    assert transitive_reduction(P.elements, pairs) == list(P.covers)
 
 
 # -- join and meet ------------------------------------------------------
