@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poset import Crown, Poset, ShapeStats, beat_points, find_crowns, join_meet, shape_stats
+from .poset import Crown, Poset, ShapeStats, _join_meet, beat_points, find_crowns, shape_stats
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,11 @@ def table2_lookup(stats: ShapeStats, beat_point_free: bool) -> int | None:
 def crown_bounds(P: Poset, max_n: int = 6) -> list[tuple[Crown, str | None, str | None]]:
     """Each induced crown with 2 <= n <= max_n, paired with the join and
     the meet of its element set (None where there is none)."""
-    return [(c, *join_meet(P, c.element_set())) for c in find_crowns(P, max_n)]
+    index = P._index
+    return [
+        (c, *_join_meet(P, map(index.__getitem__, c.lower + c.upper)))
+        for c in find_crowns(P, max_n)
+    ]
 
 
 def crown_obstruction_report(P: Poset) -> CrownReport:

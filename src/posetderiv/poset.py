@@ -16,7 +16,8 @@ in a bitmask set S iff ``below[i] & S`` is empty (``_minimal``; the
 ``above`` masks give the maximal elements).  The covers of i inside S are
 the minimal elements of ``above[i] & S``; i is a beat point of S iff
 ``below[i] & S`` has one maximal or ``above[i] & S`` one minimal element;
-a join (meet) is the only minimal upper (maximal lower) bound.
+a join (meet) is the least upper (greatest lower) bound, which ``_least``
+finds by walking down to one minimal element and checking it against S.
 """
 
 from __future__ import annotations
@@ -423,95 +424,227 @@ def find_crowns(P: Poset, max_n: int = 6) -> list[Crown]:
     ]
 
 
-def join_meet(P: Poset, subset) -> tuple[str | None, str | None]:
-    """Least upper bound and greatest lower bound of a set, or None each."""
-    idxs = [P.index(x) for x in subset]
-    if not idxs:
-        raise ValueError("subset must be nonempty")
+def _least(mask: int, below, above) -> int | None:
+    """The least element of a bitmask set, or None; ``(above, below)`` gives the greatest."""
+    if not mask:
+        return None
+    i = (mask & -mask).bit_length() - 1
+    while lower := below[i] & mask:
+        i = (lower & -lower).bit_length() - 1
+    # i is minimal in mask, so it is the least element if there is one
+    return None if mask & ~(above[i] | (1 << i)) else i
+
+
+def _join_meet(P: Poset, idxs) -> tuple[str | None, str | None]:
+    """Join and meet of a nonempty collection of element indices, or None each."""
     above, below = P._above, P._below
     ub = lb = (1 << P.n) - 1
     for i in idxs:
         ub &= above[i] | (1 << i)
         lb &= below[i] | (1 << i)
-    joins = _minimal(ub, below)
-    meets = _minimal(lb, above)
+    join, meet = _least(ub, below, above), _least(lb, above, below)
+    names = P.elements
     return (
-        P.elements[joins[0]] if len(joins) == 1 else None,
-        P.elements[meets[0]] if len(meets) == 1 else None,
+        None if join is None else names[join],
+        None if meet is None else names[meet],
     )
+
+
+def join_meet(P: Poset, subset) -> tuple[str | None, str | None]:
+    """Least upper bound and greatest lower bound of a set, or None each."""
+    idxs = [P.index(x) for x in subset]
+    if not idxs:
+        raise ValueError("subset must be nonempty")
+    return _join_meet(P, idxs)
+
+
+def _refine(part: list[int], cells: int, queue: list[int], above, below) -> int:
+    """Refine the ordered cell partition ``part`` in place until it is equitable.
+
+    ``part[s]`` is the bitmask of the cell that starts at position s, or 0
+    where no cell starts; ``cells`` has bit s set where a cell of two or
+    more elements starts, and the updated mask is returned.  Each splitter
+    cell W taken from ``queue`` (cell starts, first in first out) splits
+    every cell by the counts ``(|above[v] & W|, |below[v] & W|)``; the
+    pieces take consecutive starts in increasing count order, so the
+    result depends only on the order structure, not on labels.  New
+    pieces join the queue, except the first largest one when its cell was
+    not queued (Hopcroft's rule).
+    """
+    mul = len(part) + 1
+    queued = 0
+    for w in queue:
+        queued |= 1 << w
+    head = 0
+    while head < len(queue) and cells:
+        w = queue[head]
+        head += 1
+        queued ^= 1 << w
+        W = part[w]
+        touched = 0
+        rest = W
+        while rest:
+            low = rest & -rest
+            x = low.bit_length() - 1
+            touched |= above[x] | below[x]
+            rest ^= low
+        todo = cells
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            s = bit.bit_length() - 1
+            C = part[s]
+            if not C & touched:
+                continue
+            groups: dict[int, int] = {}
+            rest = C
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
+                rest ^= low
+                key = (above[v] & W).bit_count() * mul + (below[v] & W).bit_count()
+                groups[key] = groups.get(key, 0) | low
+            if len(groups) == 1:
+                continue
+            pieces = []
+            t = s
+            for key in sorted(groups):
+                piece = groups[key]
+                size = piece.bit_count()
+                part[t] = piece
+                pieces.append((t, size))
+                if size > 1:
+                    cells |= 1 << t
+                else:
+                    cells &= ~(1 << t)
+                t += size
+            if queued & bit:
+                del pieces[0]
+            else:
+                del pieces[max(range(len(pieces)), key=lambda k: pieces[k][1])]
+            for t, _ in pieces:
+                queued |= 1 << t
+                queue.append(t)
+    return cells
+
+
+def _orbits(perms) -> dict[int, int]:
+    """Orbit bitmask of each element that some permutation in ``perms`` moves.
+
+    Each permutation is a pair (image list, bitmask of moved elements);
+    elements missing from the result are fixed by all of them.
+    """
+    root: dict[int, int] = {}
+
+    def find(x):
+        while root.setdefault(x, x) != x:
+            x = root[x]
+        return x
+
+    for g, moved in perms:
+        for x in _bits(moved):
+            a, b = find(x), find(g[x])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    masks: dict[int, int] = {}
+    for x in root:
+        r = find(x)
+        masks[r] = masks.get(r, 0) | (1 << x)
+    return {x: masks[find(x)] for x in root}
 
 
 def canonical_form(P: Poset) -> bytes:
     """Byte string equal for two posets iff they are order-isomorphic.
 
-    Color refinement on the strict order relation fixes an ordered cell
-    partition; a backtracking search over cell-respecting element orders
-    then selects the lexicographically least relation encoding.
+    Individualization-refinement search (McKay and Piperno, *Practical
+    graph isomorphism, II*, 2014).  Each node of the search tree is an
+    equitable ordered cell partition (``_refine``); its children
+    individualize each element of its first non-singleton cell and refine
+    again.  A leaf orders every element, and its certificate is the list
+    of ``above`` bitmasks relabeled to that order; the form is
+    ``f"{n}:"`` followed by the least certificate, comma-separated, in
+    ASCII.  A leaf whose certificate equals the first or the best one
+    gives an automorphism.  Automorphisms prune each node's children to
+    one per orbit of those that fix the node's prefix pointwise, and the
+    search jumps back to the common ancestor of the two leaves.
     """
     n = P.n
     if n == 0:
         return b"0:"
-    above = P._above
-    below = P._below
+    above, below = P._above, P._below
+    root = [0] * n
+    root[0] = (1 << n) - 1
+    first = best = None
+    gens: list[tuple[list[int], int]] = []
+    path: list[int] = []
 
-    color = [0] * n
-    ncolors = 1
-    while True:
-        keys = []
-        for i in range(n):
-            keys.append(
-                (
-                    color[i],
-                    tuple(sorted(color[j] for j in _bits(below[i]))),
-                    tuple(sorted(color[j] for j in _bits(above[i]))),
-                )
-            )
-        uniq = sorted(set(keys))
-        remap = {k: c for c, k in enumerate(uniq)}
-        color = [remap[k] for k in keys]
-        if len(uniq) == ncolors:
-            break
-        ncolors = len(uniq)
+    def leaf(part):
+        nonlocal first, best
+        lab = [m.bit_length() - 1 for m in part]
+        pos = [0] * n
+        for k, v in enumerate(lab):
+            pos[v] = k
+        cert = []
+        for v in lab:
+            rest = above[v]
+            r = 0
+            while rest:
+                low = rest & -rest
+                r |= 1 << pos[low.bit_length() - 1]
+                rest ^= low
+            cert.append(r)
+        if first is None:
+            first = best = (cert, lab, path[:])
+            return len(path)
+        for ref_cert, ref_lab, ref_path in (first, best):
+            if cert == ref_cert:
+                g = [0] * n
+                moved = 0
+                for a, b in zip(lab, ref_lab):
+                    g[a] = b
+                    if a != b:
+                        moved |= 1 << a
+                gens.append((g, moved))
+                k = 0
+                while path[k] == ref_path[k]:
+                    k += 1
+                return k
+        if cert < best[0]:
+            best = (cert, lab, path[:])
+        return len(path)
 
-    cells: list[list[int]] = [[] for _ in range(ncolors)]
-    for i in range(n):
-        cells[color[i]].append(i)
-    cell_at = [c for c, cell in enumerate(cells) for _ in cell]
+    def search(part, cells, fixed):
+        if not cells:
+            return leaf(part)
+        depth = len(path)
+        bit = cells & -cells
+        s = bit.bit_length() - 1
+        C = part[s]
+        explored = 0
+        seen = 0
+        orbit: dict[int, int] = {}
+        rest = C
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if explored and len(gens) > seen:
+                seen = len(gens)
+                orbit = _orbits([gm for gm in gens if not fixed & gm[1]])
+            if orbit.get(v, 0) & explored:
+                continue
+            child = part[:]
+            child[s] = low
+            child[s + 1] = C ^ low
+            child_cells = cells ^ bit if C.bit_count() == 2 else cells ^ bit ^ (bit << 1)
+            child_cells = _refine(child, child_cells, [s], above, below)
+            path.append(v)
+            back = search(child, child_cells, fixed | low)
+            path.pop()
+            explored |= low
+            if back < depth:
+                return back
+        return depth
 
-    best: list[int] | None = None
-    cur: list[int] = []
-    placed: list[int] = []
-    used = [False] * n
-
-    def key_for(v):
-        k = 0
-        for t, p in enumerate(placed):
-            k |= ((above[p] >> v) & 1) << (2 * t)
-            k |= ((above[v] >> p) & 1) << (2 * t + 1)
-        return k
-
-    def rec(pos):
-        nonlocal best
-        if pos == n:
-            if best is None or cur < best:
-                best = cur[:]
-            return
-        groups: dict[int, list[int]] = {}
-        for v in cells[cell_at[pos]]:
-            if not used[v]:
-                groups.setdefault(key_for(v), []).append(v)
-        kmin = min(groups)
-        if best is not None and cur == best[:pos] and kmin > best[pos]:
-            return
-        cur.append(kmin)
-        for v in groups[kmin]:
-            used[v] = True
-            placed.append(v)
-            rec(pos + 1)
-            placed.pop()
-            used[v] = False
-        cur.pop()
-
-    rec(0)
-    assert best is not None
-    return (f"{n}:" + ",".join(map(str, best))).encode("ascii")
+    search(root, _refine(root, 1 if n > 1 else 0, [0], above, below), 0)
+    return (f"{n}:" + ",".join(map(str, best[0]))).encode("ascii")

@@ -103,7 +103,9 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
     route to homology: for each test field, (E - rank) - (V - C) must
     equal betti1 plus the number of torsion coefficients killed by the
     field characteristic.
-    Report content does not depend on parallelism.
+    Report content does not depend on parallelism.  With ``progress``,
+    each level prints its class count, the seconds since the sweep
+    started and the level's classes per second to stderr.
     """
     if not 1 <= max_n <= SIZE_CAP:
         raise SizeLimitError(f"sweep supports 1 <= max_n <= {SIZE_CAP}, got {max_n}")
@@ -120,6 +122,7 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
         pool = ProcessPoolExecutor(max_workers=parallelism)
     try:
         for n in range(1, max_n + 1):
+            level_start = time.monotonic()
             posets = list(enumerate_posets(n))
             if pool is not None and len(posets) > 1:
                 chunk = max(1, len(posets) // (parallelism * 4))
@@ -136,7 +139,13 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
                 if not r["identity_ok"]:
                     failures.append(canonical_form(P).decode("ascii"))
             if progress:
-                print(f"sweep: n={n} classes={len(records)}", file=sys.stderr)
+                now = time.monotonic()
+                rate = len(records) / max(now - level_start, 1e-9)
+                print(
+                    f"sweep: n={n} classes={len(records)} elapsed_s={now - start:.2f}"
+                    f" classes_per_s={rate:.0f}",
+                    file=sys.stderr,
+                )
     finally:
         if pool is not None:
             pool.shutdown()

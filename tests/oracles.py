@@ -9,7 +9,9 @@ parallel-path relations by listing every cover path, homology of the
 whole order complex, never its core, through the dense Smith form with
 transforms, induced crowns by testing every subset of elements, beat
 points by counting cover pairs, cores by rebuilding the poset after each
-deletion, and joins and meets by comparing every pair of bounds.
+deletion, joins and meets by comparing every pair of bounds, and
+canonical forms by one round of colour refinement and then a brute-force
+search over every cell-respecting element order.
 """
 
 from __future__ import annotations
@@ -369,3 +371,83 @@ def brute_force_join_meet(P, subset):
         P.elements[least[0]] if least else None,
         P.elements[greatest[0]] if greatest else None,
     )
+
+
+def brute_force_canonical_form(P) -> bytes:
+    """A complete isomorphism invariant of P, by exhaustive search.
+
+    Colour refinement on the strict order fixes an ordered cell
+    partition; a backtracking search over every element order that
+    respects the cells selects the lexicographically least relation
+    encoding.  Equal for two posets iff they are isomorphic, but its
+    bytes differ from ``canonical_form``'s, and its cost grows with the
+    factorial of the cell sizes.
+    """
+    n = P.n
+    if n == 0:
+        return b"0:"
+    above = [P.above_mask(i) for i in range(n)]
+    below = [P.below_mask(i) for i in range(n)]
+
+    def bits(mask):
+        return [i for i in range(n) if (mask >> i) & 1]
+
+    color = [0] * n
+    ncolors = 1
+    while True:
+        keys = [
+            (
+                color[i],
+                tuple(sorted(color[j] for j in bits(below[i]))),
+                tuple(sorted(color[j] for j in bits(above[i]))),
+            )
+            for i in range(n)
+        ]
+        uniq = sorted(set(keys))
+        remap = {k: c for c, k in enumerate(uniq)}
+        color = [remap[k] for k in keys]
+        if len(uniq) == ncolors:
+            break
+        ncolors = len(uniq)
+
+    cells: list[list[int]] = [[] for _ in range(ncolors)]
+    for i in range(n):
+        cells[color[i]].append(i)
+    cell_at = [c for c, cell in enumerate(cells) for _ in cell]
+
+    best: list[int] | None = None
+    cur: list[int] = []
+    placed: list[int] = []
+    used = [False] * n
+
+    def key_for(v):
+        k = 0
+        for t, p in enumerate(placed):
+            k |= ((above[p] >> v) & 1) << (2 * t)
+            k |= ((above[v] >> p) & 1) << (2 * t + 1)
+        return k
+
+    def rec(pos):
+        nonlocal best
+        if pos == n:
+            if best is None or cur < best:
+                best = cur[:]
+            return
+        groups: dict[int, list[int]] = {}
+        for v in cells[cell_at[pos]]:
+            if not used[v]:
+                groups.setdefault(key_for(v), []).append(v)
+        kmin = min(groups)
+        if best is not None and cur == best[:pos] and kmin > best[pos]:
+            return
+        cur.append(kmin)
+        for v in groups[kmin]:
+            used[v] = True
+            placed.append(v)
+            rec(pos + 1)
+            placed.pop()
+            used[v] = False
+        cur.pop()
+
+    rec(0)
+    return (f"{n}:" + ",".join(map(str, best))).encode("ascii")

@@ -1,8 +1,11 @@
 import json
+import random
+import time
 
 import pytest
 
 from posetderiv.cli import main
+from posetderiv.fixtures import fixture_json
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR
 
@@ -171,6 +174,58 @@ def test_stacked_diamonds_exit_zero_without_path_limit(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--path-limit", "3", "analyze", deep])
     assert exc.value.code == 2
+
+
+def _product(P, Q):
+    elements = [f"{p}.{q}" for p in P["elements"] for q in Q["elements"]]
+    covers = [[f"{a}.{q}", f"{b}.{q}"] for a, b in P["covers"] for q in Q["elements"]]
+    covers += [[f"{p}.{a}", f"{p}.{b}"] for p in P["elements"] for a, b in Q["covers"]]
+    return {"elements": elements, "covers": covers}
+
+
+def _disjoint_diamonds(k):
+    elements = [f"{c}{i}" for i in range(k) for c in "blrt"]
+    covers = [[f"{lo}{i}", f"{hi}{i}"] for i in range(k) for lo, hi in ("bl", "br", "lt", "rt")]
+    return {"elements": elements, "covers": covers}
+
+
+def _relabeled(P, seed):
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(len(P["elements"]))]
+    rng.shuffle(names)
+    rename = dict(zip(P["elements"], names))
+    elements = list(names)
+    rng.shuffle(elements)
+    covers = [[rename[lo], rename[hi]] for lo, hi in P["covers"]]
+    rng.shuffle(covers)
+    return {"elements": elements, "covers": covers}
+
+
+SYMMETRIC_INPUTS = {
+    "crown:10": fixture_json("crown:10"),
+    "torus:3x3": _product(fixture_json("crown:3"), fixture_json("crown:3")),
+    "antichain:10": fixture_json("antichain:10"),
+    "diamonds:6": _disjoint_diamonds(6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC_INPUTS))
+def test_symmetric_inputs_get_one_hash_across_relabelings(capsys, tmp_path, name):
+    # each has many automorphisms; the canonical search must prune by them
+    hashes = {"analyze": set(), "core": set()}
+    start = time.monotonic()
+    for seed in range(3):
+        path = tmp_path / f"copy{seed}.json"
+        path.write_text(json.dumps(_relabeled(SYMMETRIC_INPUTS[name], seed)))
+        code, report = run_cli(capsys, "analyze", str(path))
+        assert code == 0
+        hashes["analyze"].add(report["poset"]["canonical_sha256"])
+        code, report = run_cli(capsys, "core", str(path))
+        assert code == 0
+        hashes["core"].add(report["canonical_sha256"])
+    elapsed = time.monotonic() - start
+    assert len(hashes["analyze"]) == len(hashes["core"]) == 1
+    assert elapsed < 30, f"{name}: 3 analyze + 3 core took {elapsed:.1f}s"
 
 
 def test_analyze_witness_flag(capsys):
@@ -354,6 +409,23 @@ def test_sweep_command(capsys, tmp_path):
     report = json.loads(out.read_text())
     assert report["counts_by_n"] == [[1, 1], [2, 2], [3, 5], [4, 16]]
     assert report["inconclusive_found"] == []
+
+
+def test_sweep_progress_on_stderr(capsys):
+    code = main(["sweep", "--max-n", "3"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["counts_by_n"] == [[1, 1], [2, 2], [3, 5]]
+    lines = [line.split() for line in captured.err.splitlines()]
+    assert [line[:3] for line in lines] == [
+        ["sweep:", "n=1", "classes=1"],
+        ["sweep:", "n=2", "classes=2"],
+        ["sweep:", "n=3", "classes=5"],
+    ]
+    fields = [dict(f.split("=") for f in line[3:]) for line in lines]
+    elapsed = [float(f["elapsed_s"]) for f in fields]
+    assert elapsed == sorted(elapsed) and elapsed[0] >= 0
+    assert all(float(f["classes_per_s"]) > 0 for f in fields)
 
 
 def test_sweep_size_guard(capsys):

@@ -26,6 +26,7 @@ from posetderiv import fixtures as fx
 
 from oracles import (
     all_labeled_strict_orders,
+    brute_force_canonical_form,
     brute_force_crowns,
     brute_force_join_meet,
     cover_count_beat_points,
@@ -318,7 +319,8 @@ def test_find_crowns_matches_brute_force(P):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(random_posets(max_size=12), st.randoms(use_true_random=True))
 def test_minimal_element_rule_matches_oracles(P, rng):
-    # covers, beat points, cores, joins and meets all come from poset._minimal
+    # covers, beat points and cores come from poset._minimal, joins and
+    # meets from poset._least
     C, D = core(P), iterated_core(P)
     assert (C.elements, C.covers) == (D.elements, D.covers)
     assert beat_points(P) == cover_count_beat_points(P)
@@ -439,3 +441,123 @@ def test_canonical_form_separates_labeled_classes():
         seen += 1
     assert seen == 219
     assert len(forms) == 16
+
+
+@st.composite
+def symmetric_posets(draw, max_size=12):
+    """Random posets on up to max_size elements with planted symmetric parts.
+
+    One to three groups are each either stacked above everything before
+    them or set beside it.  A group is one to three disjoint equal copies
+    of an antichain, a chain, a crown or a small random poset.  Sometimes a
+    few random pairs, oriented by index (a linear extension), then break
+    part of the symmetry.  Elements get random names in random order.
+    """
+    rng = draw(st.randoms(use_true_random=True))
+    n = 0
+    pairs = set()
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("antichain", "chain", "crown", "random"))
+        if kind == "antichain":
+            size, block = rng.randint(1, 4), []
+        elif kind == "chain":
+            size = rng.randint(2, 3)
+            block = [(i, i + 1) for i in range(size - 1)]
+        elif kind == "crown":
+            k = rng.randint(2, 4)
+            size = 2 * k
+            block = [(i, k + i) for i in range(k)] + [(i, k + (i + 1) % k) for i in range(k)]
+        else:
+            size = rng.randint(2, 4)
+            block = [(i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < 0.4]
+        copies = min(rng.randint(1, 3), (max_size - n) // size)
+        start = n
+        for _ in range(copies):
+            pairs |= {(n + i, n + j) for i, j in block}
+            n += size
+        if start and rng.random() < 0.5:
+            pairs |= {(i, j) for i in range(start) for j in range(start, n)}
+    n = max(n, 1)
+    if n > 1 and rng.random() < 0.3:
+        for _ in range(rng.randint(1, 3)):
+            pairs.add(tuple(sorted(rng.sample(range(n), 2))))
+    names = [f"e{i}" for i in range(n)]
+    rng.shuffle(names)
+    elements = names[:]
+    rng.shuffle(elements)
+    relation = [(names[i], names[j]) for i, j in pairs]
+    return Poset(elements, transitive_reduction(elements, relation))
+
+
+def _relabeled(P, rng):
+    new = [f"r{i}" for i in range(P.n)]
+    rng.shuffle(new)
+    rename = dict(zip(P.elements, new))
+    elements = [rename[e] for e in P.elements]
+    rng.shuffle(elements)
+    return Poset(elements, [(rename[a], rename[b]) for a, b in P.covers])
+
+
+def _dual(P):
+    return Poset(P.elements, [(b, a) for a, b in P.covers])
+
+
+def _decoded(form):
+    # "n:m0,m1,..." where m_k is the bitmask of the elements above element k
+    count, _, body = form.decode("ascii").partition(":")
+    masks = [int(m) for m in body.split(",")] if body else []
+    elements = [f"v{i}" for i in range(int(count))]
+    relation = [
+        (elements[i], elements[j])
+        for i, mask in enumerate(masks)
+        for j in range(len(masks))
+        if mask >> j & 1
+    ]
+    return Poset(elements, transitive_reduction(elements, relation))
+
+
+def _disjoint_union(*posets):
+    elements = [f"{k}.{e}" for k, P in enumerate(posets) for e in P.elements]
+    covers = [(f"{k}.{a}", f"{k}.{b}") for k, P in enumerate(posets) for a, b in P.covers]
+    return Poset(elements, covers)
+
+
+def test_canonical_form_where_refinement_mixes_orbits():
+    # every lower of a crown covers two uppers and every upper two lowers,
+    # so refinement leaves all lowers of these unions in one cell, whatever
+    # crown they lie in; only the search tells the orbits apart
+    rng = random.Random(7)
+    unions = [
+        _disjoint_union(fx.crown(6)),
+        _disjoint_union(fx.crown(3), fx.crown(3)),
+        _disjoint_union(fx.crown(4), fx.crown(2)),
+        _disjoint_union(fx.crown(2), fx.crown(2), fx.crown(2)),
+        _disjoint_union(fx.crown(2), fx.crown(3), fx.crown(6)),
+        _disjoint_union(fx.crown(5), fx.crown(3), fx.crown(2)),
+    ]
+    forms = [canonical_form(P) for P in unions]
+    assert len(set(forms)) == len(forms)
+    for P, form in zip(unions, forms):
+        for _ in range(20):
+            assert canonical_form(_relabeled(P, rng)) == form
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    symmetric_posets(),
+    symmetric_posets(max_size=7),
+    symmetric_posets(max_size=7),
+    st.randoms(use_true_random=True),
+)
+def test_canonical_form_on_symmetric_posets(P, Q, R, rng):
+    form = canonical_form(P)
+    for _ in range(3):
+        assert canonical_form(_relabeled(P, rng)) == form
+    assert canonical_form(_decoded(form)) == form
+    # on up to 7 elements, forms agree exactly when the oracle's forms do
+    small = [Q, _relabeled(Q, rng), _dual(Q), R, _dual(R)] + ([P] if P.n <= 7 else [])
+    forms = [canonical_form(X) for X in small]
+    oracle = [brute_force_canonical_form(X) for X in small]
+    for i in range(len(small)):
+        for j in range(i):
+            assert (forms[i] == forms[j]) == (oracle[i] == oracle[j])
