@@ -2,38 +2,40 @@
 
 Exit codes: 0 success, 2 input error, 4 internal cross-check failure
 (the relation-matrix and homology routes disagree) in `analyze` or a
-sweep.  All output is JSON on stdout; progress goes to stderr.
+sweep.  All output is JSON on stdout; progress goes to stderr.  `main`
+may be called many times in one process: the argument parser is built
+on the first call only, and each call parses its arguments afresh.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from dataclasses import asdict
 
 from .criteria import criteria_report, crown_bounds
 from .derivations import from_cover_values, is_potential, outer_witness
 from .errors import InputError, PosetderivError
 from .fixtures import fixture_json
-from .homology import euler_characteristic, full_order_complex
+from .homology import euler_by_moebius, homology
 from .linalg import ring_from_string
 from .poset import core
 from .report import (
     IDENTITY_CONFLICT,
     analysis_report,
     canonical_sha256,
-    criteria_json,
     encode_value,
     function_json,
     function_values_from_json,
-    homology_json,
     poset_from_json,
-    stats_json,
     sweep_json,
 )
 from .survey import sweep
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="posetderiv",
@@ -83,8 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--euler",
         action="store_true",
-        help="also report the Euler characteristic, computed on the full "
-        "order complex of the core",
+        help="also report the Euler characteristic of the order complex, "
+        "from the Moebius function of the poset without building the complex",
     )
 
     p = sub.add_parser("core", help="remove beat points until none remain")
@@ -99,7 +101,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="classify all posets up to a size")
     p.add_argument("--max-n", type=int, required=True, metavar="N")
-    p.add_argument("--jobs", type=int, default=1, metavar="J")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="J",
+        help="worker processes, at least 1; no more than the CPU count start",
+    )
     p.add_argument("--out", metavar="PATH", help="write the report to this file")
 
     p = sub.add_parser("fixture", help="print a built-in fixture")
@@ -135,10 +143,9 @@ def _cmd_derivation(args) -> tuple[dict, int]:
     P = _load_poset(args)
     if args.derivation_command == "verify":
         obj = _load_json(args.function)
-        if args.ring is not None:
-            obj = dict(obj)
-            obj["ring"] = args.ring
-        ring, values = function_values_from_json(obj, P)
+        if args.ring is not None and isinstance(obj, dict):
+            obj = {**obj, "ring": args.ring}
+        ring, values = function_values_from_json(obj)
         f = from_cover_values(P, ring, values)
         if f is None:
             return {"transitive": False, "potential": False, "phi": None}, 0
@@ -159,10 +166,9 @@ def _cmd_derivation(args) -> tuple[dict, int]:
 
 def _cmd_homology(args) -> tuple[dict, int]:
     P = _load_poset(args)
-    out = {"homology": homology_json(P, args.dim)}
+    out = {"homology": asdict(homology(P, args.dim))}
     if args.euler:
-        # removing beat points keeps the homotopy type, hence the Euler characteristic
-        out["euler_characteristic"] = euler_characteristic(full_order_complex(core(P)))
+        out["euler_characteristic"] = euler_by_moebius(P)
     return out, 0
 
 
@@ -202,9 +208,8 @@ def _cmd_crowns(args) -> tuple[dict, int]:
 
 
 def _cmd_criteria(args) -> tuple[dict, int]:
-    P = _load_poset(args)
-    rep = criteria_report(P)
-    return {"stats": stats_json(rep.stats), "criteria": criteria_json(rep)}, 0
+    criteria = asdict(criteria_report(_load_poset(args)))
+    return {"stats": criteria.pop("stats"), "criteria": criteria}, 0
 
 
 def _cmd_sweep(args) -> tuple[dict, int]:
@@ -235,21 +240,13 @@ _COMMANDS = {
 }
 
 
-def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2))
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, code = _COMMANDS[args.command](args)
-    except PosetderivError as exc:
-        _emit({"error": str(exc)})
-        return 2
-    except OSError as exc:
-        _emit({"error": str(exc)})
-        return 2
-    _emit(payload)
+    except (PosetderivError, OSError) as exc:
+        payload, code = {"error": str(exc)}, 2
+    print(json.dumps(payload, indent=2))
     return code
 
 

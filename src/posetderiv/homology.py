@@ -117,11 +117,16 @@ def homology(P: Poset, n: int) -> HomologySummary:
     LNM 2032, 2011), so every homology group is unchanged.
     betti = dim ker d_n - rank d_{n+1} over the rationals (d_0 is the
     zero map); torsion coefficients are the Smith divisors of d_{n+1}
-    that exceed 1, already in divisibility order.
+    that exceed 1, already in divisibility order.  A complex on c
+    vertices has no simplex of dimension c or more, so for n >= c the
+    group is 0 and nothing is built.
     """
     if n < 0:
         raise DimensionError(f"homology dimension must be >= 0, got {n}")
-    K = order_complex(core(P), n + 1)
+    C = core(P)
+    if n >= C.n:
+        return HomologySummary(dim=n, betti=0, torsion=())
+    K = order_complex(C, n + 1)
     chains_n = K.count(n)
     if n == 0:
         rank_n = 0
@@ -141,6 +146,20 @@ def euler_characteristic(K: OrderComplex) -> int:
     return sum(
         (-1) ** d * len(simps) for d, simps in enumerate(K.simplices_by_dim)
     )
+
+
+def euler_by_moebius(P: Poset) -> int:
+    """Euler characteristic of the order complex of P, building no complex.
+
+    With a bottom 0 adjoined, chi = -sum over x of mu(0, x), where
+    mu(0, x) = -1 - sum over y < x of mu(0, y) (Hall's theorem: the
+    reduced Euler characteristic is mu of the bounded poset).  One pass
+    over the ``below`` masks in topological order.
+    """
+    mu = [0] * P.n
+    for x in P.topological_order():
+        mu[x] = -1 - sum(mu[y] for y in _bits(P.below_mask(x)))
+    return -sum(mu)
 
 
 def classify(P: Poset) -> ConclusiveVerdict:

@@ -7,9 +7,10 @@ rationals are rendered as "p/q" strings.  No floats appear anywhere.
 from __future__ import annotations
 
 import hashlib
+from dataclasses import asdict
 from fractions import Fraction
 
-from .criteria import CriteriaReport, criteria_report, table2_conflict
+from .criteria import criteria_report, table2_conflict
 from .derivations import (
     TransitiveFunction,
     der_pot_from_divisors,
@@ -17,9 +18,9 @@ from .derivations import (
     relation_divisors,
 )
 from .errors import InputError, UnsupportedRingError
-from .homology import classify, homology, routes_agree
-from .linalg import Ring, _field_modulus
-from .poset import Poset, ShapeStats, canonical_form, transitive_reduction
+from .homology import classify, routes_agree
+from .linalg import Ring, _field_modulus, ring_from_string
+from .poset import Poset, canonical_form, transitive_reduction
 
 
 def _identifier_ok(value) -> bool:
@@ -73,14 +74,12 @@ def _parse_value(ring: Ring, raw):
     raise InputError(f"bad ring value {raw!r}")
 
 
-def function_values_from_json(obj, P: Poset):
+def function_values_from_json(obj):
     """Parse {"ring": ..., "cover_values": [[lo, hi, value], ...]}.
 
-    Every cover edge of P must be assigned exactly once; a missing edge
-    is a parse error, never a silent zero.
+    Checks the JSON shape only and rejects an edge assigned twice;
+    derivations.from_cover_values rejects a missing or non-cover edge.
     """
-    from .linalg import ring_from_string
-
     if not isinstance(obj, dict):
         raise InputError("function JSON must be an object")
     ring_text = obj.get("ring")
@@ -100,13 +99,6 @@ def function_values_from_json(obj, P: Poset):
         if (lo, hi) in values:
             raise InputError(f"cover edge ({lo!r}, {hi!r}) assigned twice")
         values[(lo, hi)] = _parse_value(ring, raw)
-    cover_set = set(P.covers)
-    for edge in values:
-        if edge not in cover_set:
-            raise InputError(f"pair {edge!r} is not a cover edge of the poset")
-    for edge in P.covers:
-        if edge not in values:
-            raise InputError(f"cover edge {edge!r} has no assigned value")
     return ring, values
 
 
@@ -123,31 +115,6 @@ def function_json(f: TransitiveFunction) -> dict:
             [lo, hi, encode_value(f.ring, f.values[(lo, hi)])]
             for lo, hi in f.poset.covers
         ],
-    }
-
-
-def stats_json(stats: ShapeStats) -> dict:
-    return {
-        "vertex_count": stats.vertex_count,
-        "edge_count": stats.edge_count,
-        "component_count": stats.component_count,
-        "height": stats.height,
-        "minimal_count": stats.minimal_count,
-        "maximal_count": stats.maximal_count,
-        "middle_count": stats.middle_count,
-    }
-
-
-def criteria_json(rep: CriteriaReport) -> dict:
-    return {
-        "beat_point_free": rep.beat_point_free,
-        "co18": {"applicable": rep.co18.applicable, "satisfied": rep.co18.satisfied},
-        "size_bound_ok": rep.size_bound_ok,
-        "table2_case": rep.table2_case,
-        "crowns": {
-            "crowns_found": rep.crowns.crowns_found,
-            "all_have_join_or_meet": rep.crowns.all_have_join_or_meet,
-        },
     }
 
 
@@ -182,9 +149,10 @@ def analysis_report(P: Poset, rings, include_witness: bool = False) -> dict:
     verdict = classify(P)
     divisors = relation_divisors(P)
 
-    crit = criteria_report(P)
+    criteria = asdict(criteria_report(P))
+    stats = criteria.pop("stats")
     conflicts = []
-    message = table2_conflict(crit.table2_case, verdict.torsion1)
+    message = table2_conflict(criteria["table2_case"], verdict.torsion1)
     if message:
         conflicts.append(message)
 
@@ -219,7 +187,7 @@ def analysis_report(P: Poset, rings, include_witness: bool = False) -> dict:
 
     return {
         "poset": {
-            "stats": stats_json(crit.stats),
+            "stats": stats,
             "canonical_sha256": canonical_sha256(P),
         },
         "homology": {
@@ -233,25 +201,11 @@ def analysis_report(P: Poset, rings, include_witness: bool = False) -> dict:
             "defective_uct": verdict.defective_uct,
             "conclusive_torsion_free": verdict.conclusive_torsion_free,
         },
-        "criteria": criteria_json(crit),
+        "criteria": criteria,
         "conflicts": conflicts,
         "witness": witness,
     }
 
 
-def homology_json(P: Poset, dim: int) -> dict:
-    h = homology(P, dim)
-    return {"dim": h.dim, "betti": h.betti, "torsion": list(h.torsion)}
-
-
 def sweep_json(report) -> dict:
-    return {
-        "max_n": report.max_n,
-        "counts_by_n": [list(t) for t in report.counts_by_n],
-        "defective_by_n": [list(t) for t in report.defective_by_n],
-        "soluble_by_n": [list(t) for t in report.soluble_by_n],
-        "inconclusive_found": list(report.inconclusive_found),
-        "identity_failures": list(report.identity_failures),
-        "elapsed_ms": report.elapsed_ms,
-        "ok": report.ok,
-    }
+    return {**asdict(report), "ok": report.ok}

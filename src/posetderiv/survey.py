@@ -8,11 +8,12 @@ way: deleting a maximal element leaves a smaller poset and a down-set.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from dataclasses import dataclass
 
-from .errors import SizeLimitError
+from .errors import InputError, SizeLimitError
 from .homology import classify, routes_agree
 from .derivations import der_pot_from_divisors, relation_divisors
 from .linalg import RATIONALS, prime_field
@@ -103,12 +104,17 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
     route to homology: for each test field, (E - rank) - (V - C) must
     equal betti1 plus the number of torsion coefficients killed by the
     field characteristic.
-    Report content does not depend on parallelism.  With ``progress``,
+    Report content does not depend on parallelism, which must be at
+    least 1; at most ``os.cpu_count()`` worker processes start, since a
+    forked pool starts every worker up front.  With ``progress``,
     each level prints its class count, the seconds since the sweep
     started and the level's classes per second to stderr.
     """
     if not 1 <= max_n <= SIZE_CAP:
         raise SizeLimitError(f"sweep supports 1 <= max_n <= {SIZE_CAP}, got {max_n}")
+    if parallelism < 1:
+        raise InputError(f"sweep needs at least 1 job, got {parallelism}")
+    workers = min(parallelism, os.cpu_count() or 1)
     start = time.monotonic()
     counts = []
     defective = []
@@ -116,16 +122,16 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
     inconclusive: list[str] = []
     failures: list[str] = []
     pool = None
-    if parallelism > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=parallelism)
+        pool = ProcessPoolExecutor(max_workers=workers)
     try:
         for n in range(1, max_n + 1):
             level_start = time.monotonic()
             posets = list(enumerate_posets(n))
             if pool is not None and len(posets) > 1:
-                chunk = max(1, len(posets) // (parallelism * 4))
+                chunk = max(1, len(posets) // (workers * 4))
                 records = list(pool.map(_analyze_payload, posets, chunksize=chunk))
             else:
                 records = [_analyze_payload(P) for P in posets]

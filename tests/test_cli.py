@@ -1,3 +1,4 @@
+import importlib
 import json
 import random
 import time
@@ -8,6 +9,9 @@ from posetderiv.cli import main
 from posetderiv.fixtures import fixture_json
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR
+
+# the package's `homology` attribute is the function, not the module
+HOMOLOGY = importlib.import_module("posetderiv.homology")
 
 
 def run_cli(capsys, *argv):
@@ -243,6 +247,30 @@ def test_analyze_witness_flag(capsys):
     assert len(witness["cover_values"]) == 24
 
 
+def test_main_carries_no_options_between_calls(capsys, tmp_path):
+    import posetderiv.cli as cli
+
+    rp2 = str(FIXTURE_DIR / "rp2.json")
+    _, report = run_cli(capsys, "analyze", rp2, "--ring", "gf:5")
+    assert [r["ring"] for r in report["rings"]] == ["gf:5"]
+    _, report = run_cli(capsys, "analyze", rp2)
+    assert [r["ring"] for r in report["rings"]] == ["q", "gf:2", "gf:3"]
+
+    unreduced = tmp_path / "p.json"
+    unreduced.write_text(
+        json.dumps({"elements": ["x", "y", "z"], "covers": [["x", "y"], ["y", "z"], ["x", "z"]]})
+    )
+    assert run_cli(capsys, "analyze", str(unreduced), "--reduce")[0] == 0
+    assert run_cli(capsys, "analyze", str(unreduced))[0] == 2
+
+    _, report = run_cli(capsys, "analyze", rp2, "--witness")
+    assert report["witness"] is not None
+    _, report = run_cli(capsys, "analyze", rp2)
+    assert report["witness"] is None
+    # every call in this process shares one parser
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_analyze_reports_table2_conflict_for_rp2(capsys):
     code, report = run_cli(capsys, "analyze", str(FIXTURE_DIR / "rp2.json"))
     assert code == 0
@@ -307,6 +335,22 @@ def test_derivation_verify_missing_edge(capsys, tmp_path):
     assert "error" in payload
 
 
+def test_derivation_verify_ring_override_needs_an_object(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps([1, 2]))
+    code, payload = run_cli(
+        capsys,
+        "derivation",
+        "verify",
+        str(FIXTURE_DIR / "diamond.json"),
+        str(path),
+        "--ring",
+        "q",
+    )
+    assert code == 2
+    assert payload == {"error": "function JSON must be an object"}
+
+
 def test_derivation_witness_rp2(capsys):
     code, payload = run_cli(
         capsys, "derivation", "witness", str(FIXTURE_DIR / "rp2.json"), "--prime", "2"
@@ -359,22 +403,33 @@ def test_core_command_removes_first_beat_point(capsys, tmp_path):
     assert payload["covers"] == [["x1", "y2"], ["x1", "t"], ["x2", "y2"], ["x2", "t"]]
 
 
-def test_homology_euler_runs_on_the_core(capsys, tmp_path, monkeypatch):
-    import posetderiv.cli as cli
+def _sphere(k):
+    # ordinal sum of k two-element antichains: the minimal model of S^(k-1)
+    elements = [f"{c}{i}" for i in range(k) for c in "xy"]
+    covers = [[f"{a}{i}", f"{b}{i + 1}"] for i in range(k - 1) for a in "xy" for b in "xy"]
+    return {"elements": elements, "covers": covers}
 
-    real = cli.full_order_complex
 
-    def spy(P):
-        # the complex of the 40-chain itself has 2**40 - 1 simplices
-        assert P.n == 1
-        return real(P)
+@pytest.mark.parametrize(
+    "poset, dim, euler",
+    [(fixture_json("chain:40"), 1, 1), (_sphere(40), 0, 0)],
+    ids=["chain:40", "sphere:40"],
+)
+def test_homology_euler_builds_no_complex(capsys, tmp_path, monkeypatch, poset, dim, euler):
+    real = HOMOLOGY.order_complex
 
-    monkeypatch.setattr(cli, "full_order_complex", spy)
-    path = tmp_path / "chain40.json"
-    path.write_text(json.dumps(run_cli(capsys, "fixture", "chain:40")[1]))
-    code, payload = run_cli(capsys, "homology", str(path), "--euler")
+    def spy(P, max_dim):
+        # the full complexes have 2**40 - 1 and 3**40 - 1 simplices; only
+        # H_dim may build one, up to dimension dim + 1
+        assert max_dim <= dim + 1
+        return real(P, max_dim)
+
+    monkeypatch.setattr(HOMOLOGY, "order_complex", spy)
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(poset))
+    code, payload = run_cli(capsys, "homology", str(path), "--dim", str(dim), "--euler")
     assert code == 0
-    assert payload["euler_characteristic"] == 1
+    assert payload["euler_characteristic"] == euler
 
 
 def test_crowns_command(capsys):
@@ -434,6 +489,38 @@ def test_sweep_size_guard(capsys):
     assert "error" in payload
 
 
+def test_sweep_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-1"):
+        code, payload = run_cli(capsys, "sweep", "--max-n", "2", "--jobs", jobs)
+        assert code == 2
+        assert "at least 1 job" in payload["error"]
+
+
+def test_sweep_starts_at_most_cpu_count_workers(capsys, monkeypatch):
+    import concurrent.futures
+    import os
+
+    started = []
+
+    class FakePool:
+        # runs in this process, so no worker starts whatever --jobs asks for
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    code, payload = run_cli(capsys, "sweep", "--max-n", "4", "--jobs", str(10**6))
+    assert code == 0
+    assert started == [3]
+    assert payload["counts_by_n"] == [[1, 1], [2, 2], [3, 5], [4, 16]]
+
+
 def test_sweep_exit_code_on_identity_failure(capsys, monkeypatch):
     import posetderiv.survey as survey
 
@@ -477,6 +564,18 @@ def test_homology_command_other_dims(capsys):
     )
     assert code == 0
     assert payload["homology"]["dim"] == 2
+
+
+def test_homology_command_above_the_core_size_builds_nothing(capsys, monkeypatch):
+    def refuse(P, max_dim):
+        raise AssertionError(f"order complex built up to dimension {max_dim}")
+
+    monkeypatch.setattr(HOMOLOGY, "order_complex", refuse)
+    code, payload = run_cli(
+        capsys, "homology", str(FIXTURE_DIR / "rp2.json"), "--dim", str(10**15)
+    )
+    assert code == 0
+    assert payload["homology"] == {"dim": 10**15, "betti": 0, "torsion": []}
 
 
 def test_homology_command_rejects_negative_dim(capsys):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetderiv import (
     DimensionError,
@@ -20,6 +22,7 @@ from posetderiv import (
     shape_stats,
 )
 from posetderiv import fixtures as fx
+from posetderiv.homology import euler_by_moebius
 
 from oracles import random_poset_covers, uncored_homology
 
@@ -180,6 +183,21 @@ def test_euler_crown2():
 
 def test_euler_s5(s5):
     assert euler_characteristic(full_order_complex(s5)) == 0
+
+
+def test_euler_by_moebius_matches_full_complex_on_small_classes():
+    named = [fx.rp2(), fx.s5(), fx.crown(5), fx.chain(10), fx.antichain(4), fx.fence(7)]
+    for P in list(all_posets_up_to(6)) + named:
+        assert euler_by_moebius(P) == euler_characteristic(full_order_complex(P)), P
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=True))
+def test_euler_by_moebius_matches_full_complex(rng):
+    elements, covers = random_poset_covers(rng, 11)
+    rng.shuffle(elements)
+    P = Poset(elements, covers)
+    assert euler_by_moebius(P) == euler_characteristic(full_order_complex(P))
 
 
 # -- classification ----------------------------------------------------------

@@ -542,6 +542,33 @@ def test_canonical_form_where_refinement_mixes_orbits():
             assert canonical_form(_relabeled(P, rng)) == form
 
 
+def _incidence_poset(adjacent):
+    # the vertices of a graph on Z4 x Z4 below its edges
+    vertices = [(i, j) for i in range(4) for j in range(4)]
+    edges = [(u, v) for u in vertices for v in vertices if u < v and adjacent(u, v)]
+    elements = [str(w) for w in vertices] + [f"{u}-{v}" for u, v in edges]
+    covers = [(str(w), f"{u}-{v}") for u, v in edges for w in (u, v)]
+    return Poset(elements, covers)
+
+
+def test_canonical_form_prunes_only_by_automorphisms_fixing_the_prefix():
+    # the 4x4 rook's graph and the Shrikhande graph are both SRG(16, 6, 2, 2),
+    # so refinement cannot tell their incidence posets apart; pruning by
+    # orbits of automorphisms that move the prefix gives several forms here
+    def rook(u, v):
+        return u[0] == v[0] or u[1] == v[1]
+
+    def shrikhande(u, v):
+        d = ((v[0] - u[0]) % 4, (v[1] - u[1]) % 4)
+        return d in {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+
+    P = _disjoint_union(_incidence_poset(rook), _incidence_poset(shrikhande))
+    assert P.n == 128
+    rng = random.Random(11)
+    form = canonical_form(P)
+    assert {canonical_form(_relabeled(P, rng)) for _ in range(30)} == {form}
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(
     symmetric_posets(),
