@@ -15,7 +15,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .criteria import criteria_report, crown_bounds
+from .criteria import CrownReport, criteria_report, crown_bounds
 from .derivations import from_cover_values, is_potential, outer_witness
 from .errors import InputError, PosetderivError
 from .fixtures import fixture_json
@@ -185,6 +185,7 @@ def _cmd_core(args) -> tuple[dict, int]:
 
 
 def _cmd_crowns(args) -> tuple[dict, int]:
+    bounds = crown_bounds(_load_poset(args), args.max_n)
     crowns = [
         {
             "n": crown.n,
@@ -193,18 +194,9 @@ def _cmd_crowns(args) -> tuple[dict, int]:
             "join": join,
             "meet": meet,
         }
-        for crown, join, meet in crown_bounds(_load_poset(args), args.max_n)
+        for crown, join, meet in bounds
     ]
-    return (
-        {
-            "crowns_found": len(crowns),
-            "all_have_join_or_meet": all(
-                c["join"] is not None or c["meet"] is not None for c in crowns
-            ),
-            "crowns": crowns,
-        },
-        0,
-    )
+    return {**asdict(CrownReport.from_bounds(bounds)), "crowns": crowns}, 0
 
 
 def _cmd_criteria(args) -> tuple[dict, int]:

@@ -27,6 +27,11 @@ class CrownReport:
     crowns_found: int
     all_have_join_or_meet: bool
 
+    @classmethod
+    def from_bounds(cls, bounds) -> "CrownReport":
+        """Summary of crown_bounds output."""
+        return cls(len(bounds), not any(_bare(j, m) for _, j, m in bounds))
+
 
 @dataclass(frozen=True)
 class CriteriaReport:
@@ -46,18 +51,22 @@ def co18_threshold(minimal: int, maximal: int, height: int) -> Fraction:
     return Fraction(minimal * maximal, (minimal - 2) * (maximal - 2)) + delta
 
 
-def co18_bound(P: Poset) -> Co18Result:
-    """Middle-layer bound certifying conclusiveness for beat-point-free posets."""
-    stats = shape_stats(P)
-    applicable = (
-        not beat_points(P)
-        and stats.minimal_count > 2
-        and stats.maximal_count > 2
-    )
-    if not applicable:
+def _co18(stats: ShapeStats, beat_point_free: bool) -> Co18Result:
+    if not (beat_point_free and stats.minimal_count > 2 and stats.maximal_count > 2):
         return Co18Result(applicable=False, satisfied=None)
     bound = co18_threshold(stats.minimal_count, stats.maximal_count, stats.height)
     return Co18Result(applicable=True, satisfied=Fraction(stats.middle_count) < bound)
+
+
+def _size_bound(stats: ShapeStats, beat_point_free: bool) -> bool | None:
+    if stats.vertex_count <= 1 or not beat_point_free:
+        return None
+    return stats.vertex_count >= 2 * stats.height
+
+
+def co18_bound(P: Poset) -> Co18Result:
+    """Middle-layer bound certifying conclusiveness for beat-point-free posets."""
+    return _co18(shape_stats(P), not beat_points(P))
 
 
 def size_bound_check(P: Poset):
@@ -67,9 +76,7 @@ def size_bound_check(P: Poset):
     indicate an internal bug, since the bound is a theorem; it is used
     as a self-test on cores.
     """
-    if P.n <= 1 or beat_points(P):
-        return None
-    return P.n >= 2 * shape_stats(P).height
+    return _size_bound(shape_stats(P), not beat_points(P))
 
 
 # One row per case: (case, d_lo, d_hi, e_lo, e_hi, l_lo, l_hi, h_lo, h_hi),
@@ -135,6 +142,11 @@ def crown_bounds(P: Poset, max_n: int = 6) -> list[tuple[Crown, str | None, str 
     ]
 
 
+def _bare(join, meet) -> bool:
+    """A crown whose element set has neither a join nor a meet."""
+    return join is None and meet is None
+
+
 def crown_obstruction_report(P: Poset) -> CrownReport:
     """Count crowns (n <= 6) and check each one's element set for a join or meet.
 
@@ -143,16 +155,12 @@ def crown_obstruction_report(P: Poset) -> CrownReport:
     cycle, which is a crown, and a join or meet telescopes that
     circulation to zero.
     """
-    bounds = crown_bounds(P)
-    return CrownReport(
-        crowns_found=len(bounds),
-        all_have_join_or_meet=all(j is not None or m is not None for _, j, m in bounds),
-    )
+    return CrownReport.from_bounds(crown_bounds(P))
 
 
 def crowns_without_bounds(P: Poset) -> list[Crown]:
     """The crowns whose element set has neither a join nor a meet."""
-    return [c for c, j, m in crown_bounds(P) if j is None and m is None]
+    return [c for c, j, m in crown_bounds(P) if _bare(j, m)]
 
 
 def criteria_report(P: Poset) -> CriteriaReport:
@@ -161,8 +169,8 @@ def criteria_report(P: Poset) -> CriteriaReport:
     return CriteriaReport(
         stats=stats,
         beat_point_free=bpf,
-        co18=co18_bound(P),
-        size_bound_ok=size_bound_check(P),
+        co18=_co18(stats, bpf),
+        size_bound_ok=_size_bound(stats, bpf),
         table2_case=table2_lookup(stats, bpf),
         crowns=crown_obstruction_report(P),
     )

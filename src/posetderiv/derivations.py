@@ -14,8 +14,6 @@ function) or outer derivations exist: der = E - rank_k, pot = V - C.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from .errors import InputError, NotComparableError, UnsupportedRingError
 from .linalg import (
@@ -256,17 +254,9 @@ def is_potential(f: TransitiveFunction):
         rhs.append(f.values[(lo, hi)])
     a = IntegerMatrix(ncov, n, tuple(entries))
 
-    if ring.tag == "rationals":
-        scale = lcm(*(Fraction(v).denominator for v in rhs)) if rhs else 1
-        b = [int(Fraction(v) * scale) for v in rhs]
-        sol = solve_linear(a, b, ring)
-        if sol is None:
-            return None
-        sol = [v / scale for v in sol]
-    else:
-        sol = solve_linear(a, [int(v) for v in rhs], ring)
-        if sol is None:
-            return None
+    sol = solve_linear(a, rhs, ring)
+    if sol is None:
+        return None
 
     comp = P.component_ids
     first: dict[int, int] = {}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .derivations import der_pot_from_divisors
 from .errors import DimensionError
 from .linalg import IntegerMatrix, Ring, _field_modulus, smith_divisors
 from .poset import Poset, _bits, core, shape_stats
@@ -61,7 +62,10 @@ class ConclusiveVerdict:
 
 
 def order_complex(P: Poset, max_dim: int) -> OrderComplex:
-    """All chains of P with at most max_dim + 1 elements, by dimension."""
+    """All chains of P with at most max_dim + 1 elements, by dimension.
+
+    The walk takes starts and children in ascending order, so each
+    dimension comes out sorted lexicographically."""
     if max_dim < 1:
         raise ValueError("max_dim must be >= 1")
     by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(max_dim + 1)]
@@ -79,7 +83,7 @@ def order_complex(P: Poset, max_dim: int) -> OrderComplex:
         extend(start)
     return OrderComplex(
         elements=P.elements,
-        simplices_by_dim=tuple(tuple(sorted(lst)) for lst in by_dim),
+        simplices_by_dim=tuple(map(tuple, by_dim)),
     )
 
 
@@ -184,3 +188,13 @@ def routes_agree(verdict: ConclusiveVerdict, der: int, pot: int, k: Ring) -> boo
     p = _field_modulus(k)
     killed = 0 if p is None else sum(1 for t in verdict.torsion1 if t % p == 0)
     return der - pot == verdict.betti1 + killed
+
+
+def identity_checks(P: Poset, verdict: ConclusiveVerdict, divisors, rings):
+    """(ring, der, pot, agrees) for each ring: der and pot from the relation
+    divisors, agrees by routes_agree against the homology verdict."""
+    out = []
+    for ring in rings:
+        der, pot = der_pot_from_divisors(P, divisors, ring)
+        out.append((ring, der, pot, routes_agree(verdict, der, pot, ring)))
+    return out

@@ -294,7 +294,8 @@ def _smith_loop(s: list[list[int]], rows: int, cols: int, u=None, v=None):
         if dirty:
             continue
 
-        off = next(
+        # a unit pivot divides everything, so only a larger one needs the scan
+        off = None if pivot == 1 else next(
             (
                 i
                 for i in range(t + 1, rows)
@@ -467,13 +468,14 @@ def _scalar_solve(d: int, c: int, k: Ring):
 def solve_linear(a: IntegerMatrix, b, k: Ring):
     """One solution vector of a * x = b in k, or None when unsolvable.
 
-    b is a vector of integers.  Entries of the result are reduced:
-    fractions in lowest terms, modular values in [0, n).
+    b holds values of k (integers, or fractions over the rationals).
+    Entries of the result are reduced: fractions in lowest terms,
+    modular values in [0, n).
     """
     if len(b) != a.rows:
         raise ValueError("right-hand side has wrong length")
     dec = smith_normal_form(a)
-    c = dec.u.mul_vector([int(x) for x in b])
+    c = dec.u.mul_vector([k.normalize(x) for x in b])
     r = len(dec.divisors)
     y = [0] * a.cols
     for i in range(a.rows):

@@ -112,37 +112,10 @@ class Poset:
     )
 
     def __init__(self, elements, covers):
-        elems = tuple(elements)
-        index: dict[str, int] = {}
-        for e in elems:
-            if e in index:
-                raise DuplicateError(f"duplicate element {e!r}")
-            index[e] = len(index)
+        elems, index, pairs, up, down = _index_covers(elements, covers, True)
         n = len(elems)
-
-        pairs = []
-        seen: set[tuple[int, int]] = set()
-        up: list[list[int]] = [[] for _ in range(n)]
-        down: list[list[int]] = [[] for _ in range(n)]
-        for pair in covers:
-            lo, hi = pair
-            if lo not in index:
-                raise UnknownElementError(f"unknown element {lo!r} in covers")
-            if hi not in index:
-                raise UnknownElementError(f"unknown element {hi!r} in covers")
-            if lo == hi:
-                raise CycleError(f"self-cover on {lo!r}")
-            key = (index[lo], index[hi])
-            if key in seen:
-                raise DuplicateError(f"duplicate cover pair ({lo!r}, {hi!r})")
-            seen.add(key)
-            pairs.append((lo, hi))
-            up[key[0]].append(key[1])
-            down[key[1]].append(key[0])
-        for lst in up:
-            lst.sort()
-        for lst in down:
-            lst.sort()
+        up = [sorted(s) for s in up]
+        down = [sorted(s) for s in down]
 
         topo, above, below = _closure(up, down)
 
@@ -230,6 +203,39 @@ class Poset:
         return f"Poset({self.n} elements, {len(self.covers)} covers)"
 
 
+def _index_covers(elements, covers, reject_repeats: bool):
+    """Index elements and cover pairs in one pass over the pairs.
+
+    Returns the elements as a tuple, their index, the pairs as given and
+    the sets of upper and lower neighbours of each element.  Raises
+    DuplicateError on a repeated element (and, with reject_repeats, on a
+    repeated pair), UnknownElementError and CycleError on a self-pair.
+    """
+    elems = tuple(elements)
+    index: dict[str, int] = {}
+    for e in elems:
+        if e in index:
+            raise DuplicateError(f"duplicate element {e!r}")
+        index[e] = len(index)
+    pairs = []
+    up: list[set[int]] = [set() for _ in elems]
+    down: list[set[int]] = [set() for _ in elems]
+    for lo, hi in covers:
+        if lo not in index:
+            raise UnknownElementError(f"unknown element {lo!r} in covers")
+        if hi not in index:
+            raise UnknownElementError(f"unknown element {hi!r} in covers")
+        if lo == hi:
+            raise CycleError(f"self-pair on {lo!r}")
+        i, j = index[lo], index[hi]
+        if reject_repeats and j in up[i]:
+            raise DuplicateError(f"duplicate cover pair ({lo!r}, {hi!r})")
+        pairs.append((lo, hi))
+        up[i].add(j)
+        down[j].add(i)
+    return elems, index, pairs, up, down
+
+
 def _closure(up, down) -> tuple[list[int], list[int], list[int]]:
     """Topological order and strict above/below bitmasks of a cover DAG.
 
@@ -278,22 +284,8 @@ def transitive_reduction(elements, pairs) -> list[tuple[str, str]]:
     transitively, and returns the covers of the resulting order in
     element-index order.  Raises CycleError on cyclic input.
     """
-    elems = tuple(elements)
-    index = {e: i for i, e in enumerate(elems)}
-    if len(index) != len(elems):
-        raise DuplicateError("duplicate element identifier")
+    elems, _, _, up, down = _index_covers(elements, pairs, False)
     n = len(elems)
-    up = [set() for _ in range(n)]
-    down = [set() for _ in range(n)]
-    for lo, hi in pairs:
-        if lo not in index:
-            raise UnknownElementError(f"unknown element {lo!r}")
-        if hi not in index:
-            raise UnknownElementError(f"unknown element {hi!r}")
-        if lo == hi:
-            raise CycleError(f"self-pair on {lo!r}")
-        up[index[lo]].add(index[hi])
-        down[index[hi]].add(index[lo])
     _, above, below = _closure(up, down)
     return [(elems[i], elems[j]) for i in range(n) for j in _minimal(above[i], below)]
 

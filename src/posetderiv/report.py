@@ -11,14 +11,9 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from .criteria import criteria_report, table2_conflict
-from .derivations import (
-    TransitiveFunction,
-    der_pot_from_divisors,
-    outer_witness,
-    relation_divisors,
-)
+from .derivations import TransitiveFunction, outer_witness, relation_divisors
 from .errors import InputError, UnsupportedRingError
-from .homology import classify, routes_agree
+from .homology import classify, identity_checks
 from .linalg import Ring, _field_modulus, ring_from_string
 from .poset import Poset, canonical_form, transitive_reduction
 
@@ -141,7 +136,7 @@ def analysis_report(P: Poset, rings, include_witness: bool = False) -> dict:
     """Full per-poset report: homology, per-ring dimensions, criteria.
 
     Both routes run on every report, so each requested field is
-    cross-checked (homology.routes_agree); a failure becomes a
+    cross-checked (homology.identity_checks); a failure becomes a
     `conflicts` entry starting with IDENTITY_CONFLICT.
     """
     for ring in rings:
@@ -156,28 +151,27 @@ def analysis_report(P: Poset, rings, include_witness: bool = False) -> dict:
     if message:
         conflicts.append(message)
 
+    checks = identity_checks(P, verdict, divisors, rings)
     rings_out = []
-    witness_prime = None
-    for ring in rings:
-        der, pot = der_pot_from_divisors(P, divisors, ring)
-        if not routes_agree(verdict, der, pot, ring):
+    for ring, der, pot, agrees in checks:
+        if not agrees:
             conflicts.append(
                 f"{IDENTITY_CONFLICT} {ring.label()}: der - pot = {der - pot}, "
                 f"but H1 has betti {verdict.betti1} and torsion "
                 f"{list(verdict.torsion1)}"
             )
-        outer = der > pot
         rings_out.append(
             {
                 "ring": ring.label(),
                 "der_dim": der,
                 "pot_dim": pot,
-                "outer_exists": outer,
+                "outer_exists": der > pot,
             }
         )
-        p = _field_modulus(ring)
-        if outer and p is not None and witness_prime is None:
-            witness_prime = p
+    # require_rank_ring admitted only q and prime moduli: n is the characteristic
+    witness_prime = next(
+        (r.n for r, der, pot, _ in checks if der > pot and r.n is not None), None
+    )
 
     witness = None
     if include_witness and witness_prime is not None:

@@ -14,8 +14,8 @@ import time
 from dataclasses import dataclass
 
 from .errors import InputError, SizeLimitError
-from .homology import classify, routes_agree
-from .derivations import der_pot_from_divisors, relation_divisors
+from .derivations import relation_divisors
+from .homology import classify, identity_checks
 from .linalg import RATIONALS, prime_field
 from .poset import Poset, _minimal, canonical_form
 
@@ -82,28 +82,24 @@ def enumerate_posets(n: int):
 def _analyze_payload(P: Poset):
     """Per-poset sweep record; module-level so process pools can pickle it."""
     verdict = classify(P)
-    divisors = relation_divisors(P)
-    identity_ok = all(
-        routes_agree(verdict, *der_pot_from_divisors(P, divisors, field), field)
-        for field in _SWEEP_FIELDS
-    )
+    checks = identity_checks(P, verdict, relation_divisors(P), _SWEEP_FIELDS)
     return {
         "n": P.n,
         "betti1": verdict.betti1,
         "torsion": list(verdict.torsion1),
         "soluble": verdict.soluble,
         "defective": verdict.defective_uct,
-        "identity_ok": identity_ok,
+        "identity_ok": all(agrees for *_, agrees in checks),
     }
 
 
 def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepReport:
     """Classify every poset class up to max_n elements and cross-check.
 
-    The cross-check (homology.routes_agree) ties the consistency-matrix
-    route to homology: for each test field, (E - rank) - (V - C) must
-    equal betti1 plus the number of torsion coefficients killed by the
-    field characteristic.
+    The cross-check (homology.identity_checks, as in analyze) ties the
+    consistency-matrix route to homology: for each test field,
+    (E - rank) - (V - C) must equal betti1 plus the number of torsion
+    coefficients killed by the field characteristic.
     Report content does not depend on parallelism, which must be at
     least 1; at most ``os.cpu_count()`` worker processes start, since a
     forked pool starts every worker up front.  With ``progress``,

@@ -456,6 +456,42 @@ def test_criteria_command(capsys):
     assert payload["stats"]["vertex_count"] == 13
 
 
+
+POSET_FIXTURES = sorted(
+    p.name for p in FIXTURE_DIR.glob("*.json") if "elements" in json.loads(p.read_text())
+)
+
+
+def grid_json(a, b):
+    elements = [f"{i}.{j}" for i in range(a) for j in range(b)]
+    covers = [[f"{i}.{j}", f"{i + 1}.{j}"] for i in range(a - 1) for j in range(b)]
+    covers += [[f"{i}.{j}", f"{i}.{j + 1}"] for i in range(a) for j in range(b - 1)]
+    return {"elements": elements, "covers": covers}
+
+
+@pytest.mark.parametrize(
+    "source", POSET_FIXTURES + [f"crown:{n}" for n in range(2, 7)] + ["grid:3x3"]
+)
+def test_crowns_and_criteria_report_the_same_crown_summary(capsys, tmp_path, source):
+    if source in POSET_FIXTURES:
+        path = FIXTURE_DIR / source
+    else:
+        path = tmp_path / "poset.json"
+        poset = grid_json(3, 3) if source == "grid:3x3" else fixture_json(source)
+        path.write_text(json.dumps(poset))
+    code, crowns = run_cli(capsys, "crowns", str(path))
+    assert code == 0
+    code, criteria = run_cli(capsys, "criteria", str(path))
+    assert code == 0
+    assert criteria["criteria"]["crowns"] == {
+        "crowns_found": crowns["crowns_found"],
+        "all_have_join_or_meet": crowns["all_have_join_or_meet"],
+    }
+    assert crowns["crowns_found"] == len(crowns["crowns"])
+    if source.startswith("crown:"):
+        assert crowns["crowns_found"] >= 1 and not crowns["all_have_join_or_meet"]
+
+
 def test_sweep_command(capsys, tmp_path):
     out = tmp_path / "sweep.json"
     code, payload = run_cli(capsys, "sweep", "--max-n", "4", "--out", str(out))

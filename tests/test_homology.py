@@ -200,6 +200,17 @@ def test_euler_by_moebius_matches_full_complex(rng):
     assert euler_by_moebius(P) == euler_characteristic(full_order_complex(P))
 
 
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=True), st.integers(1, 3))
+def test_order_complex_lists_each_dimension_in_increasing_order(rng, max_dim):
+    elements, covers = random_poset_covers(rng, 12)
+    rng.shuffle(elements)
+    K = order_complex(Poset(elements, covers), max_dim)
+    for simplices in K.simplices_by_dim:
+        assert all(a < b for a, b in zip(simplices, simplices[1:]))
+
+
 # -- classification ----------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -200,6 +201,26 @@ def test_solve_soundness_random():
                     aug = [row + [v] for row, v in zip(mat, b)]
                     assert bareiss_rank(aug) > bareiss_rank(mat)
     assert solved and unsolved
+
+
+
+def test_solve_rationals_takes_fractions_like_the_rescaled_route():
+    # b with fractions gives what scaling b to integers and back gives
+    rng = random.Random(2718)
+    checked = 0
+    for _ in range(100):
+        mat = random_integer_matrix(rng, 5, 6)
+        if not mat or not mat[0]:
+            continue
+        a = IntegerMatrix.from_rows(mat)
+        x0 = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(a.cols)]
+        b = a.mul_vector(x0)
+        scale = lcm(*(Fraction(v).denominator for v in b))
+        scaled = solve_linear(a, [int(v * scale) for v in b], RATIONALS)
+        assert scaled is not None
+        assert solve_linear(a, b, RATIONALS) == [v / scale for v in scaled]
+        checked += 1
+    assert checked > 50
 
 
 # -- kernels ---------------------------------------------------------------

@@ -90,6 +90,25 @@ def test_transitive_reduction_utility():
         transitive_reduction(["x", "y"], [("x", "y"), ("y", "x")])
 
 
+
+@pytest.mark.parametrize(
+    "elements, covers, error, message",
+    [
+        (["x", "x"], [], DuplicateError, "duplicate element 'x'"),
+        (["x"], [("q", "x")], UnknownElementError, "unknown element 'q' in covers"),
+        (["x"], [("x", "q")], UnknownElementError, "unknown element 'q' in covers"),
+        (["x"], [("x", "x")], CycleError, "self-pair on 'x'"),
+    ],
+)
+def test_poset_and_transitive_reduction_check_cover_lists_alike(
+    elements, covers, error, message
+):
+    for build in (from_covers, transitive_reduction):
+        with pytest.raises(error) as info:
+            build(elements, covers)
+        assert str(info.value) == message
+
+
 # -- order queries ----------------------------------------------------------
 
 

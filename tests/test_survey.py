@@ -1,12 +1,17 @@
 import pytest
 
+import posetderiv.report as report
+import posetderiv.survey as survey
 from posetderiv import (
+    RATIONALS,
     Poset,
     SizeLimitError,
     canonical_form,
     enumerate_posets,
+    prime_field,
     sweep,
 )
+from posetderiv.derivations import relation_divisors
 from posetderiv.report import sweep_json
 
 from oracles import all_labeled_strict_orders
@@ -82,3 +87,25 @@ def test_sweep_independent_of_parallelism():
     serial.pop("elapsed_ms")
     parallel.pop("elapsed_ms")
     assert serial == parallel
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_analyze_and_sweep_give_the_same_identity_verdict_per_ring(monkeypatch, broken):
+    if broken:
+        # an extra divisor 2 raises the rank over q and gf:3, not over gf:2
+        divisors = lambda P: (2,) + relation_divisors(P)
+        monkeypatch.setattr(report, "relation_divisors", divisors)
+        monkeypatch.setattr(survey, "relation_divisors", divisors)
+    classes = [P for n in range(1, 6) for P in enumerate_posets(n)]
+    failures = {}
+    for ring in (RATIONALS, prime_field(2), prime_field(3)):
+        monkeypatch.setattr(survey, "_SWEEP_FIELDS", (ring,))
+        failures[ring.label()] = 0
+        for P in classes:
+            conflicts = report.analysis_report(P, [ring])["conflicts"]
+            analyze_ok = not any(c.startswith(report.IDENTITY_CONFLICT) for c in conflicts)
+            assert analyze_ok == survey._analyze_payload(P)["identity_ok"], (ring, P.covers)
+            failures[ring.label()] += not analyze_ok
+    assert len(classes) == 87
+    expected = 87 if broken else 0
+    assert failures == {"q": expected, "gf:2": 0, "gf:3": expected}
