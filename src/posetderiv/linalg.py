@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd
 
@@ -331,15 +330,14 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
 def smith_divisors(a: IntegerMatrix) -> tuple[int, ...]:
     """Smith divisors of a, without transforms.
 
-    Sparse step: rows are kept as {column: value} dicts, and a pivot of
-    absolute value 1 with the least Markowitz cost
-    (row nonzeros - 1) * (column nonzeros - 1) is eliminated from the
-    other rows of its column until none is left.  A unit pivot
-    contributes the divisor 1 and splits off as a 1 x 1 block: clearing
-    its row by column operations would change nothing else, so the row
-    is simply dropped.  Dense step: the rows that remain go through the
-    dense Smith loop.  See Dumas, Saunders and Villard, J. Symb. Comput.
-    32 (2001).
+    Sparse step: rows are kept as {column: value} dicts and visited once
+    in index order.  A row that still holds an entry of absolute value 1
+    pivots on its first such entry, which is eliminated from the other
+    rows of its column.  A unit pivot contributes the divisor 1 and
+    splits off as a 1 x 1 block: clearing its row by column operations
+    would change nothing else, so the row is simply dropped.  Dense
+    step: the rows left without a unit pivot go through the dense Smith
+    loop.  See Dumas, Saunders and Villard, J. Symb. Comput. 32 (2001).
     """
     n = a.cols
     e = a.entries
@@ -353,35 +351,20 @@ def smith_divisors(a: IntegerMatrix) -> tuple[int, ...]:
             for j in row:
                 cols.setdefault(j, set()).add(i)
 
-    # Lazy heap of (cost, row, column) over unit entries.  Every unit
-    # entry whose cost may have dropped is pushed again, so the heap
-    # always holds a cost no higher than each entry's current one; a
-    # popped item whose cost has changed is pushed back at its current
-    # cost, and the first one that still holds is a least-cost pivot.
-    heap = [
-        ((len(row) - 1) * (len(cols[j]) - 1), i, j)
-        for i, row in rows.items()
-        for j, x in row.items()
-        if x == 1 or x == -1
-    ]
-    heapify(heap)
     units = 0
-    while heap:
-        cost, pi, pj = heappop(heap)
-        prow = rows.get(pi)
-        if prow is None or prow.get(pj) not in (1, -1):
+    for pi in list(rows):
+        prow = rows.get(pi)  # None once an earlier pivot emptied the row
+        if prow is None:
             continue
-        now = (len(prow) - 1) * (len(cols[pj]) - 1)
-        if now != cost:
-            heappush(heap, (now, pi, pj))
+        pj = next((j for j, x in prow.items() if x == 1 or x == -1), None)
+        if pj is None:
             continue
         del rows[pi]
         units += 1
         for j in prow:
             cols[j].discard(pi)
         sign = prow[pj]
-        updated = [(i, len(rows[i])) for i in cols[pj]]
-        for i, _ in updated:
+        for i in list(cols[pj]):
             row = rows[i]
             q = row[pj] * sign
             for j, x in prow.items():
@@ -395,26 +378,8 @@ def smith_divisors(a: IntegerMatrix) -> tuple[int, ...]:
                     cols[j].discard(i)
             if not row:
                 del rows[i]
-        # Costs can drop only in the columns of the pivot row, whose
-        # values and counts changed, and along updated rows that shrank.
-        for j in prow:
-            members = cols[j]
-            if not members:
-                del cols[j]
-                continue
-            cj = len(members) - 1
-            for i in members:
-                if rows[i][j] in (1, -1):
-                    heappush(heap, ((len(rows[i]) - 1) * cj, i, j))
-        for i, before in updated:
-            row = rows.get(i)
-            if row and len(row) < before:
-                ri = len(row) - 1
-                for j, x in row.items():
-                    if (x == 1 or x == -1) and j not in prow:
-                        heappush(heap, (ri * (len(cols[j]) - 1), i, j))
 
-    order = sorted(cols)
+    order = sorted(j for j, members in cols.items() if members)
     rest = [[row.get(j, 0) for j in order] for row in rows.values()]
     return (1,) * units + _smith_loop(rest, len(rest), len(order))
 

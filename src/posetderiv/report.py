@@ -42,12 +42,15 @@ def poset_from_json(obj, reduce: bool = False) -> Poset:
         )
     if not isinstance(covers, list):
         raise InputError("'covers' must be a list of [lower, upper] pairs")
+    # A cover name only has to be a string here: Poset rejects every name
+    # that is not one of the elements checked above.
     pairs = []
     for item in covers:
         if (
             not isinstance(item, (list, tuple))
             or len(item) != 2
-            or not all(_identifier_ok(x) for x in item)
+            or not isinstance(item[0], str)
+            or not isinstance(item[1], str)
         ):
             raise InputError(f"bad cover pair {item!r}")
         pairs.append((item[0], item[1]))

@@ -634,6 +634,25 @@ def test_identifier_validation(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["", "b\x01"])
+@pytest.mark.parametrize("flags", [[], ["--reduce"]])
+def test_cover_naming_a_bad_identifier_is_an_unknown_element(capsys, tmp_path, name, flags):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"elements": ["a", "b"], "covers": [["a", name]]}))
+    code, payload = run_cli(capsys, "analyze", str(path), *flags)
+    assert code == 2
+    assert payload["error"] == f"unknown element {name!r} in covers"
+
+
+@pytest.mark.parametrize("pair", [["a", ["b"]], [{"x": 1}, "b"], ["a", 2]])
+def test_cover_pair_of_non_strings_is_rejected(capsys, tmp_path, pair):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"elements": ["a", "b"], "covers": [pair]}))
+    code, payload = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert payload["error"].startswith("bad cover pair")
+
+
 # -- golden reports -----------------------------------------------------------
 
 

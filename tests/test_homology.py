@@ -8,6 +8,7 @@ from posetderiv import (
     DimensionError,
     Poset,
     RATIONALS,
+    beat_points,
     boundary_matrix,
     classify,
     consistency_matrix,
@@ -104,6 +105,26 @@ def test_homology_crown2():
 def test_homology_rp2(rp2):
     h = homology(rp2, 1)
     assert (h.betti, h.torsion) == (0, (2,))
+
+
+def test_homology_of_rp2_ordinal_sum_rp2():
+    # The order complex of an ordinal sum is the join of the two order
+    # complexes, here RP^2 * RP^2.  With H~_1(RP^2) = Z/2 and no other
+    # reduced homology, the join formula gives H~_3 = Z/2 (x) Z/2 = Z/2,
+    # H~_4 = Tor(Z/2, Z/2) = Z/2 and nothing else.  The 26 elements have
+    # no beat point, so the whole complex reaches the kernel.
+    A = fx.rp2()
+    lowers, uppers = {a for a, _ in A.covers}, {b for _, b in A.covers}
+    tops = [e for e in A.elements if e not in lowers]
+    bottoms = [e for e in A.elements if e not in uppers]
+    P = Poset(
+        [f"lo:{e}" for e in A.elements] + [f"hi:{e}" for e in A.elements],
+        [(f"{side}:{a}", f"{side}:{b}") for side in ("lo", "hi") for a, b in A.covers]
+        + [(f"lo:{a}", f"hi:{b}") for a in tops for b in bottoms],
+    )
+    assert (P.n, beat_points(P)) == (26, [])
+    groups = [(h.betti, h.torsion) for h in (homology(P, n) for n in range(1, 5))]
+    assert groups == [(0, ()), (0, ()), (0, (2,)), (0, (2,))]
 
 
 def test_homology_chain3():

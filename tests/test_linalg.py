@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
 
 from posetderiv import (
     INTEGERS,
@@ -12,8 +13,11 @@ from posetderiv import (
     Ring,
     UnsupportedRingError,
     InputError,
+    boundary_matrix,
+    consistency_matrix,
     kernel_basis,
     mod_ring,
+    order_complex,
     prime_field,
     rank_over,
     ring_from_string,
@@ -23,6 +27,7 @@ from posetderiv import (
 )
 
 from oracles import bareiss_rank, det_int, minor_gcd_divisors, modp_rank, random_integer_matrix
+from test_poset import random_posets
 
 
 def snf_invariants_hold(mat):
@@ -122,6 +127,16 @@ def test_smith_divisors_match_oracles():
         assert smith_divisors(IntegerMatrix.zeros(rows, cols)) == ()
     assert smith_divisors(IntegerMatrix.from_rows([[2, 4], [2, 2]])) == (2, 2)
     assert smith_divisors(IntegerMatrix.from_rows([[1, 2], [3, 4], [0, 6]])) == (1, 2)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(random_posets(max_size=12))
+def test_smith_divisors_match_on_relation_and_boundary_matrices(P):
+    # the matrices the kernel really sees: sparse, mostly unit entries,
+    # with fill-in and cancellation during elimination
+    K = order_complex(P, 3)
+    for a in [consistency_matrix(P).matrix] + [boundary_matrix(K, d) for d in (1, 2, 3)]:
+        assert smith_divisors(a) == smith_normal_form(a).divisors
 
 
 # -- rank ------------------------------------------------------------------
