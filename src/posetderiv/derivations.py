@@ -155,16 +155,14 @@ def parallel_pairs(P: Poset) -> list[ParallelPair]:
 def consistency_matrix(P: Poset) -> ConsistencyMatrix:
     pairs = parallel_pairs(P)
     col = {edge: c for c, edge in enumerate(P.covers)}
-    ncols = len(P.covers)
-    entries = [0] * (len(pairs) * ncols)
-    for r, pair in enumerate(pairs):
-        base = r * ncols
-        for edge in pair.path_a:
-            entries[base + col[edge]] += 1
+    rows = []
+    for pair in pairs:
+        acc = {col[edge]: 1 for edge in pair.path_a}
         for edge in pair.path_b:
-            entries[base + col[edge]] -= 1
+            acc[col[edge]] = acc.get(col[edge], 0) - 1
+        rows.append(tuple(sorted((c, x) for c, x in acc.items() if x)))
     return ConsistencyMatrix(
-        matrix=IntegerMatrix(len(pairs), ncols, tuple(entries)),
+        matrix=IntegerMatrix(len(pairs), len(col), tuple(rows)),
         column_edges=P.covers,
         row_pairs=tuple(pairs),
     )
@@ -242,17 +240,14 @@ def is_potential(f: TransitiveFunction):
     P = f.poset
     ring = f.ring
     n = P.n
-    ncov = len(P.covers)
-    if ncov == 0:
+    if not P.covers:
         return {x: ring.zero for x in P.elements}
 
-    entries = [0] * (ncov * n)
-    rhs = []
-    for r, (lo, hi) in enumerate(P.covers):
-        entries[r * n + P.index(lo)] = -1
-        entries[r * n + P.index(hi)] = 1
-        rhs.append(f.values[(lo, hi)])
-    a = IntegerMatrix(ncov, n, tuple(entries))
+    rows = tuple(
+        tuple(sorted(((P.index(lo), -1), (P.index(hi), 1)))) for lo, hi in P.covers
+    )
+    rhs = [f.values[edge] for edge in P.covers]
+    a = IntegerMatrix(len(P.covers), n, rows)
 
     sol = solve_linear(a, rhs, ring)
     if sol is None:

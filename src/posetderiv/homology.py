@@ -97,20 +97,19 @@ def boundary_matrix(K: OrderComplex, d: int) -> IntegerMatrix:
     """Signed boundary map from d-simplices to (d-1)-simplices.
 
     Rows follow the stored (d-1)-simplex order, columns the d-simplex
-    order; omitting the i-th vertex contributes (-1)**i.
+    order; omitting the i-th vertex contributes (-1)**i.  The cells are
+    walked in column order, so each face's row comes out sorted.
     """
     if d < 1 or d > K.max_dim:
         raise DimensionError(f"no boundary in dimension {d}")
     faces = K.simplices_by_dim[d - 1]
     cells = K.simplices_by_dim[d]
-    row_index = {s: i for i, s in enumerate(faces)}
-    ncols = len(cells)
-    entries = [0] * (len(faces) * ncols)
+    rows: list[list[tuple[int, int]]] = [[] for _ in faces]
+    row_of = dict(zip(faces, rows))
     for cidx, simplex in enumerate(cells):
         for i in range(d + 1):
-            face = simplex[:i] + simplex[i + 1 :]
-            entries[row_index[face] * ncols + cidx] = -1 if i % 2 else 1
-    return IntegerMatrix(len(faces), ncols, tuple(entries))
+            row_of[simplex[:i] + simplex[i + 1 :]].append((cidx, -1 if i % 2 else 1))
+    return IntegerMatrix(len(faces), len(cells), tuple(map(tuple, rows)))
 
 
 def homology(P: Poset, n: int) -> HomologySummary:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from math import gcd
 
 from .errors import InputError, UnsupportedRingError
@@ -18,19 +17,24 @@ from .errors import InputError, UnsupportedRingError
 
 @dataclass(frozen=True)
 class IntegerMatrix:
-    """Dense row-major integer matrix."""
+    """Integer matrix as sparse rows: ``sparse_rows[i]`` holds row i as
+    (column, value) pairs, columns ascending, no zero values."""
 
     rows: int
     cols: int
-    entries: tuple[int, ...]
+    sparse_rows: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(self.sparse_rows) != self.rows:
+            raise ValueError(f"expected {self.rows} rows, got {len(self.sparse_rows)}")
+        for row in self.sparse_rows:
+            last = -1
+            for j, x in row:
+                if not (last < j < self.cols and x):
+                    raise ValueError(f"bad sparse row {row!r} for {self.cols} columns")
+                last = j
 
     @classmethod
     def from_rows(cls, data, cols: int | None = None) -> "IntegerMatrix":
@@ -41,25 +45,31 @@ class IntegerMatrix:
                 raise ValueError("ragged rows")
         elif cols is None:
             cols = 0
-        flat = tuple(int(v) for row in data for v in row)
-        return cls(len(data), cols, flat)
+        sparse = (tuple((j, int(v)) for j, v in enumerate(row) if v) for row in data)
+        return cls(len(data), cols, tuple(sparse))
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
+        return cls(n, n, tuple(((i, 1),) for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
+        return cls(rows, cols, ((),) * rows)
+
+    @property
+    def entries(self) -> tuple[int, ...]:
+        """The dense row-major view."""
+        return tuple(x for i in range(self.rows) for x in self.row(i))
 
     def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        return dict(self.sparse_rows[i]).get(j, 0)
 
     def row(self, i: int) -> list[int]:
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
+        nonzero = dict(self.sparse_rows[i])
+        return [nonzero.get(j, 0) for j in range(self.cols)]
 
     def column(self, j: int) -> list[int]:
-        return [self.entries[i * self.cols + j] for i in range(self.rows)]
+        return [self.entry(i, j) for i in range(self.rows)]
 
     def to_rows(self) -> list[list[int]]:
         return [self.row(i) for i in range(self.rows)]
@@ -68,19 +78,18 @@ class IntegerMatrix:
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
         out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[t] * other.entry(t, j) for t in range(self.cols)))
+        for row in self.sparse_rows:
+            acc: dict[int, int] = {}
+            for t, x in row:
+                for j, y in other.sparse_rows[t]:
+                    acc[j] = acc.get(j, 0) + x * y
+            out.append(tuple(sorted((j, v) for j, v in acc.items() if v)))
         return IntegerMatrix(self.rows, other.cols, tuple(out))
 
     def mul_vector(self, vec) -> list:
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")
-        return [
-            sum(self.entry(i, j) * vec[j] for j in range(self.cols))
-            for i in range(self.rows)
-        ]
+        return [sum(x * vec[j] for j, x in row) for row in self.sparse_rows]
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -330,25 +339,21 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
 def smith_divisors(a: IntegerMatrix) -> tuple[int, ...]:
     """Smith divisors of a, without transforms.
 
-    Sparse step: rows are kept as {column: value} dicts and visited once
-    in index order.  A row that still holds an entry of absolute value 1
-    pivots on its first such entry, which is eliminated from the other
-    rows of its column.  A unit pivot contributes the divisor 1 and
-    splits off as a 1 x 1 block: clearing its row by column operations
-    would change nothing else, so the row is simply dropped.  Dense
-    step: the rows left without a unit pivot go through the dense Smith
-    loop.  See Dumas, Saunders and Villard, J. Symb. Comput. 32 (2001).
+    Sparse step: the rows are read as given into {column: value} dicts and
+    visited once in index order.  A row that still holds an entry of
+    absolute value 1 pivots on its first such entry, which is eliminated
+    from the other rows of its column.  A unit pivot contributes the divisor
+    1 and splits off as a 1 x 1 block: clearing its row by column operations
+    would change nothing else, so the row is dropped.  Dense step: the rows
+    left without a unit pivot go through the dense Smith loop (Dumas,
+    Saunders and Villard, J. Symb. Comput. 32, 2001).
     """
-    n = a.cols
-    e = a.entries
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    for i in range(a.rows):
-        vals = e[i * n : (i + 1) * n]
-        row = {j: vals[j] for j in compress(range(n), vals)}
-        if row:
-            rows[i] = row
-            for j in row:
+    for i, pairs in enumerate(a.sparse_rows):
+        if pairs:
+            rows[i] = dict(pairs)
+            for j, _ in pairs:
                 cols.setdefault(j, set()).add(i)
 
     units = 0
@@ -469,10 +474,10 @@ def kernel_basis(a: IntegerMatrix, k: Ring) -> list[list[int]]:
         for i in range(a.cols)
         if i >= r or (p is not None and dec.divisors[i] % p == 0)
     ]
-    basis = []
-    for i in idxs:
-        col = dec.v.column(i)
-        if p is not None:
-            col = [x % p for x in col]
-        basis.append(col)
+    slot = {i: s for s, i in enumerate(idxs)}
+    basis = [[0] * a.cols for _ in idxs]
+    for t, row in enumerate(dec.v.sparse_rows):
+        for j, x in row:
+            if j in slot:
+                basis[slot[j]][t] = x if p is None else x % p
     return basis

@@ -76,7 +76,7 @@ def function_values_from_json(obj):
     """Parse {"ring": ..., "cover_values": [[lo, hi, value], ...]}.
 
     Checks the JSON shape only and rejects an edge assigned twice;
-    derivations.from_cover_values rejects a missing or non-cover edge.
+    from_cover_values rejects a missing or non-cover edge or element.
     """
     if not isinstance(obj, dict):
         raise InputError("function JSON must be an object")
@@ -92,7 +92,7 @@ def function_values_from_json(obj):
         if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise InputError(f"bad cover value triple {item!r}")
         lo, hi, raw = item
-        if not (_identifier_ok(lo) and _identifier_ok(hi)):
+        if not (isinstance(lo, str) and isinstance(hi, str)):
             raise InputError(f"bad cover value triple {item!r}")
         if (lo, hi) in values:
             raise InputError(f"cover edge ({lo!r}, {hi!r}) assigned twice")

@@ -5,7 +5,8 @@ kernel and enumeration code paths: rank via fraction-free (Bareiss)
 elimination, modular rank via straightforward Gaussian elimination, Smith
 divisors via gcds of k x k minors, determinants via Bareiss, labeled
 posets via brute force over all antisymmetric transitive relations,
-parallel-path relations by listing every cover path, homology of the
+parallel-path relations by listing every cover path, relation, boundary
+and incidence matrices by filling dense row-major buffers, homology of the
 whole order complex, never its core, through the dense Smith form with
 transforms, induced crowns by testing every subset of elements, beat
 points by counting cover pairs, cores by rebuilding the poset after each
@@ -272,6 +273,49 @@ def path_relation_rows(elements, covers):
                     row[col[edge]] -= 1
                 rows.append(row)
     return rows
+
+
+def dense_relation_entries(P) -> tuple[int, ...]:
+    """The consistency matrix of P as a dense row-major tuple, filled by
+    r * cols + c arithmetic from the parallel pairs."""
+    from posetderiv.derivations import parallel_pairs
+
+    col = {edge: c for c, edge in enumerate(P.covers)}
+    ncols = len(P.covers)
+    pairs = parallel_pairs(P)
+    entries = [0] * (len(pairs) * ncols)
+    for r, pair in enumerate(pairs):
+        for edge in pair.path_a:
+            entries[r * ncols + col[edge]] += 1
+        for edge in pair.path_b:
+            entries[r * ncols + col[edge]] -= 1
+    return tuple(entries)
+
+
+def dense_boundary_entries(K, d: int) -> tuple[int, ...]:
+    """The boundary map d of the order complex K as a dense row-major tuple:
+    one row per (d-1)-simplex, one column per d-simplex."""
+    faces = K.simplices_by_dim[d - 1]
+    cells = K.simplices_by_dim[d]
+    row_index = {s: i for i, s in enumerate(faces)}
+    ncols = len(cells)
+    entries = [0] * (len(faces) * ncols)
+    for c, simplex in enumerate(cells):
+        for i in range(d + 1):
+            face = simplex[:i] + simplex[i + 1 :]
+            entries[row_index[face] * ncols + c] = -1 if i % 2 else 1
+    return tuple(entries)
+
+
+def dense_incidence_entries(P) -> tuple[int, ...]:
+    """Signed incidence of the cover edges of P as a dense row-major tuple:
+    one row per cover, -1 at its lower and +1 at its upper element."""
+    n = P.n
+    entries = [0] * (len(P.covers) * n)
+    for r, (lo, hi) in enumerate(P.covers):
+        entries[r * n + P.index(lo)] = -1
+        entries[r * n + P.index(hi)] = 1
+    return tuple(entries)
 
 
 def uncored_homology(P, n: int):

@@ -653,6 +653,32 @@ def test_cover_pair_of_non_strings_is_rejected(capsys, tmp_path, pair):
     assert payload["error"].startswith("bad cover pair")
 
 
+DIAMOND_ZEROS = [["x", "a", 0], ["x", "b", 0], ["a", "y", 0], ["b", "y", 0]]
+
+
+@pytest.mark.parametrize("name", ["", "b\x01"])
+def test_cover_value_naming_a_bad_identifier_is_an_unknown_element(capsys, tmp_path, name):
+    path = tmp_path / "f.json"
+    func = {"ring": "mod:2", "cover_values": DIAMOND_ZEROS + [["x", name, 1]]}
+    path.write_text(json.dumps(func))
+    code, payload = run_cli(
+        capsys, "derivation", "verify", str(FIXTURE_DIR / "diamond.json"), str(path)
+    )
+    assert code == 2
+    assert payload["error"] == f"unknown element {name!r}"
+
+
+@pytest.mark.parametrize("triple", [["x", ["a"], 1], [{"x": 1}, "a", 1], ["x", 2, 1]])
+def test_cover_value_triple_of_non_strings_is_rejected(capsys, tmp_path, triple):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"ring": "mod:2", "cover_values": DIAMOND_ZEROS + [triple]}))
+    code, payload = run_cli(
+        capsys, "derivation", "verify", str(FIXTURE_DIR / "diamond.json"), str(path)
+    )
+    assert code == 2
+    assert payload["error"].startswith("bad cover value triple")
+
+
 # -- golden reports -----------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -125,6 +126,15 @@ def test_homology_of_rp2_ordinal_sum_rp2():
     assert (P.n, beat_points(P)) == (26, [])
     groups = [(h.betti, h.torsion) for h in (homology(P, n) for n in range(1, 5))]
     assert groups == [(0, ()), (0, ()), (0, (2,)), (0, (2,))]
+    # d4 is 1920 x 1728 with 8640 nonzeros: a dense build holds 3.3M
+    # cells, the sparse rows only the nonzeros
+    tracemalloc.start()
+    try:
+        homology(P, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_homology_chain3():

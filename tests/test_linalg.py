@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -15,9 +16,11 @@ from posetderiv import (
     InputError,
     boundary_matrix,
     consistency_matrix,
+    derivations,
     kernel_basis,
     mod_ring,
     order_complex,
+    poset_from_json,
     prime_field,
     rank_over,
     ring_from_string,
@@ -26,8 +29,19 @@ from posetderiv import (
     solve_linear,
 )
 
-from oracles import bareiss_rank, det_int, minor_gcd_divisors, modp_rank, random_integer_matrix
-from test_poset import random_posets
+from oracles import (
+    bareiss_rank,
+    dense_boundary_entries,
+    dense_incidence_entries,
+    dense_relation_entries,
+    det_int,
+    minor_gcd_divisors,
+    modp_rank,
+    random_integer_matrix,
+)
+from test_poset import all_posets_up_to, random_posets
+
+from conftest import FIXTURE_DIR
 
 
 def snf_invariants_hold(mat):
@@ -257,6 +271,40 @@ def test_kernel_size_and_membership():
             for vec in basis:
                 assert all(k.is_zero(v) for v in a.mul_vector(vec))
                 assert any(not k.is_zero(v) for v in vec)
+
+
+# -- sparse rows -----------------------------------------------------------
+
+
+def test_producers_emit_the_dense_reference_matrices(monkeypatch):
+    incidence = []
+    solve = derivations.solve_linear
+
+    def spy(a, b, k):
+        incidence.append(a)
+        return solve(a, b, k)
+
+    monkeypatch.setattr(derivations, "solve_linear", spy)
+    files = [json.loads(path.read_text()) for path in sorted(FIXTURE_DIR.glob("*.json"))]
+    posets = list(all_posets_up_to(6)) + [
+        poset_from_json(obj) for obj in files if "elements" in obj
+    ]
+    for P in posets:
+        assert consistency_matrix(P).matrix.entries == dense_relation_entries(P)
+        K = order_complex(P, 3)
+        for d in (1, 2, 3):
+            assert boundary_matrix(K, d).entries == dense_boundary_entries(K, d)
+        if P.covers:
+            f = derivations.from_cover_values(P, RATIONALS, dict.fromkeys(P.covers, 0))
+            derivations.is_potential(f)
+            assert incidence.pop().entries == dense_incidence_entries(P)
+
+    dense = IntegerMatrix.from_rows([[0, 2, 0], [-1, 0, 3]])
+    sparse = IntegerMatrix(2, 3, (((1, 2),), ((0, -1), (2, 3))))
+    assert dense == sparse and hash(dense) == hash(sparse)
+    for bad in (((2, 3), (0, -1)), ((1, 1), (1, 2)), ((0, 0),), ((3, 1),), ((-1, 1),)):
+        with pytest.raises(ValueError):
+            IntegerMatrix(1, 3, (bad,))
 
 
 # -- rings -------------------------------------------------------------------
