@@ -124,6 +124,10 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path!r} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path!r} is not UTF-8 text: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path!r} is nested too deeply") from None
 
 
 def _load_poset(args):

@@ -8,11 +8,12 @@ posets via brute force over all antisymmetric transitive relations,
 parallel-path relations by listing every cover path, relation, boundary
 and incidence matrices by filling dense row-major buffers, homology of the
 whole order complex, never its core, through the dense Smith form with
-transforms, induced crowns by testing every subset of elements, beat
-points by counting cover pairs, cores by rebuilding the poset after each
-deletion, joins and meets by comparing every pair of bounds, and
-canonical forms by one round of colour refinement and then a brute-force
-search over every cell-respecting element order.
+transforms, linear systems through the explicit transforms u and v,
+induced crowns by testing every subset of elements, beat points by
+counting cover pairs, cores by rebuilding the poset after each deletion,
+joins and meets by comparing every pair of bounds, and canonical forms by
+one round of colour refinement and then a brute-force search over every
+cell-respecting element order.
 """
 
 from __future__ import annotations
@@ -331,6 +332,30 @@ def uncored_homology(P, n: int):
     rank_n = 0 if n == 0 else len(smith_normal_form(boundary_matrix(K, n)).divisors)
     divisors = smith_normal_form(boundary_matrix(K, n + 1)).divisors
     return K.count(n) - rank_n - len(divisors), tuple(d for d in divisors if d > 1)
+
+
+def transform_solve(a, b, k):
+    """One solution of a * x = b in k, or None, through explicit transforms.
+
+    Takes u and v from `smith_normal_form`, forms c = u * b, solves
+    d_i * y_i = c_i one divisor at a time (c_i = 0 beyond the rank) and
+    returns v * y, so it builds the m x m transform that
+    `posetderiv.solve_linear` never materializes.
+    """
+    from posetderiv import smith_normal_form
+    from posetderiv.linalg import _scalar_solve
+
+    dec = smith_normal_form(a)
+    c = dec.u.mul_vector([k.normalize(x) for x in b])
+    y = [0] * a.cols
+    for i, ci in enumerate(c):
+        if i < len(dec.divisors):
+            y[i] = _scalar_solve(dec.divisors[i], ci, k)
+            if y[i] is None:
+                return None
+        elif not k.is_zero(ci):
+            return None
+    return [k.normalize(v) for v in dec.v.mul_vector(y)]
 
 
 def brute_force_crowns(P, max_n: int) -> list[frozenset]:

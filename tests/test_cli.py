@@ -125,6 +125,24 @@ def test_analyze_broken_file(capsys, tmp_path):
     assert "error" in payload
 
 
+def test_non_utf8_input_exits_2(capsys, tmp_path):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    rp2 = str(FIXTURE_DIR / "rp2.json")
+    for argv in (["analyze", str(bad)], ["derivation", "verify", rp2, str(bad)]):
+        code, payload = run_cli(capsys, *argv)
+        assert code == 2
+        assert "UTF-8" in payload["error"]
+
+
+def test_too_deeply_nested_input_exits_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    code, payload = run_cli(capsys, "analyze", str(deep))
+    assert code == 2
+    assert "nested too deeply" in payload["error"]
+
+
 def test_analyze_missing_file(capsys):
     code, payload = run_cli(capsys, "analyze", "no-such-file.json")
     assert code == 2

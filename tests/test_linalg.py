@@ -38,6 +38,7 @@ from oracles import (
     minor_gcd_divisors,
     modp_rank,
     random_integer_matrix,
+    transform_solve,
 )
 from test_poset import all_posets_up_to, random_posets
 
@@ -231,6 +232,39 @@ def test_solve_soundness_random():
                     assert bareiss_rank(aug) > bareiss_rank(mat)
     assert solved and unsolved
 
+
+
+def test_solve_matches_the_transform_route():
+    # solve_linear carries b as an extra column and never builds u
+    rng = random.Random(4242)
+    rings = [RATIONALS, INTEGERS, prime_field(2), prime_field(3)]
+    rings += [mod_ring(4), mod_ring(6)]
+    outcomes = {(k.label(), solved) for k in rings for solved in (True, False)}
+    shapes = [(0, 0), (0, 3), (3, 0)] + [
+        (rng.randint(1, 5), rng.randint(1, 5)) for _ in range(120)
+    ]
+    for rows, cols in shapes:
+        mat = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        a = IntegerMatrix.from_rows(mat, cols=cols)
+        x0 = [rng.randint(-5, 5) for _ in range(cols)]
+        for b in (a.mul_vector(x0), [rng.randint(-9, 9) for _ in range(rows)]):
+            for k in rings:
+                x = solve_linear(a, b, k)
+                assert x == transform_solve(a, b, k)
+                outcomes.discard((k.label(), x is not None))
+                if x is not None:
+                    residual = a.mul_vector(x)
+                    assert all(k.is_zero(k.sub(r, t)) for r, t in zip(residual, b))
+        # fractions on the right-hand side over the rationals
+        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rows)]
+        assert solve_linear(a, b, RATIONALS) == transform_solve(a, b, RATIONALS)
+    for rows, cols in ((0, 0), (0, 3), (3, 0)):
+        a = IntegerMatrix.zeros(rows, cols)
+        assert solve_linear(a, [0] * rows, RATIONALS) == [0] * cols
+        if rows:
+            assert solve_linear(a, [1] * rows, RATIONALS) is None
+    # every ring saw both a consistent and an inconsistent system
+    assert not outcomes
 
 
 def test_solve_rationals_takes_fractions_like_the_rescaled_route():
