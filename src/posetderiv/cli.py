@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -242,7 +243,12 @@ def main(argv=None) -> int:
         payload, code = _COMMANDS[args.command](args)
     except (PosetderivError, OSError) as exc:
         payload, code = {"error": str(exc)}, 2
-    print(json.dumps(payload, indent=2))
+    try:
+        print(json.dumps(payload, indent=2), flush=True)
+    except BrokenPipeError:
+        # the reader left early (`| grep -q`); keep the flush at exit quiet
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
     return code
 
 

@@ -8,6 +8,7 @@ computations downstream.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -224,139 +225,37 @@ class SmithDecomposition:
     divisors: tuple[int, ...]
 
 
-def _smith_loop(s: list[list[int]], rows: int, cols: int):
-    """Diagonalize the leading rows x cols block of s in place.
+def _smith(rows: list[dict[int, int]], m: int, n: int) -> list[tuple[int, int]]:
+    """Diagonalize the block rows[:m] x columns < n of the {column: value}
+    rows in place; return the pivots (row, column) in order.
 
-    Each step moves an entry of least absolute value to the pivot, clears
-    its row and column by division with remainder, and when a remainder
-    survives repeats; when the pivot fails to divide some later entry,
-    that row is added to the pivot row first.  Rows and columns before
-    the pivot are already clear, so every operation starts at the pivot
-    index.  Pivots come from the block only, but row operations run over
-    whole rows and column operations over every row of s: columns right
-    of the block and rows below it (which need only cols entries) follow
-    the elimination.  Returns the nonzero diagonal, each entry dividing
-    the next.
+    A first pass visits the block rows once in index order, and a row that
+    still holds an entry of absolute value 1 pivots on its first such
+    entry.  Then each step takes an entry of least absolute value and
+    clears its column and row by division with remainder.  The step is
+    repeated while a remainder survives, or while the pivot fails to
+    divide some other entry, whose row is then added to the pivot row
+    (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001).  Pivots come
+    from the block only, but row operations carry whole rows and column
+    operations reach every row, so columns >= n and rows >= m ride along.
+    For each pivot (i, j), rows[i][j] ends as a Smith divisor, each
+    dividing the next.  A finished pivot row leaves the elimination: when
+    column operations would change no other row, its other entries below
+    column n are left as they are instead of being zeroed.
     """
-    lim = min(rows, cols)
-    t = 0
-    while t < lim:
-        pos = None
-        val = 0
-        for i in range(t, rows):
-            row = s[i]
-            for j in range(t, cols):
-                x = row[j]
-                if x and (not val or abs(x) < val):
-                    pos = (i, j)
-                    val = abs(x)
-                    if val == 1:
-                        break
-            if val == 1:
-                break
-        if not val:
-            break
-        pi, pj = pos
-        if pi != t:
-            s[t], s[pi] = s[pi], s[t]
-        if pj != t:
-            for row in s:
-                row[t], row[pj] = row[pj], row[t]
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
+    cols: dict[int, set[int]] = defaultdict(set)
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
 
-        top = s[t]
-        pivot = top[t]
-        dirty = False
-        for i in range(t + 1, rows):
-            ri = s[i]
-            if ri[t]:
-                q = ri[t] // pivot
-                if q:
-                    for c in range(t, len(ri)):
-                        ri[c] -= q * top[c]
-                if ri[t]:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if top[j]:
-                q = top[j] // pivot
-                if q:
-                    for i in range(t, len(s)):
-                        row = s[i]
-                        row[j] -= q * row[t]
-                if top[j]:
-                    dirty = True
-        if dirty:
-            continue
-
-        # a unit pivot divides everything, so only a larger one needs the scan
-        off = 0 if pivot == 1 else next(
-            (
-                i
-                for i in range(t + 1, rows)
-                if any(x % pivot for x in s[i][t + 1 : cols])
-            ),
-            0,
-        )
-        if off:
-            s[t] = [x + y for x, y in zip(top, s[off])]
-            continue
-        t += 1
-    return tuple(s[i][i] for i in range(lim) if s[i][i] != 0)
-
-
-def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
-    """Smith form with its unimodular transforms; see smith_divisors when
-    only the divisors are needed.  One loop runs on [a | I_m] over I_n:
-    the right block ends as u and the bottom rows as v."""
-    m, n = a.rows, a.cols
-    s = [x + e for x, e in zip(a.to_rows(), IntegerMatrix.identity(m).to_rows())]
-    s += IntegerMatrix.identity(n).to_rows()
-    divisors = _smith_loop(s, m, n)
-    return SmithDecomposition(
-        u=IntegerMatrix.from_rows([row[n:] for row in s[:m]], cols=m),
-        s=IntegerMatrix.from_rows([row[:n] for row in s[:m]], cols=n),
-        v=IntegerMatrix.from_rows(s[m:], cols=n),
-        divisors=divisors,
-    )
-
-
-def smith_divisors(a: IntegerMatrix) -> tuple[int, ...]:
-    """Smith divisors of a, without transforms.
-
-    Sparse step: the rows are read as given into {column: value} dicts and
-    visited once in index order.  A row that still holds an entry of
-    absolute value 1 pivots on its first such entry, which is eliminated
-    from the other rows of its column.  A unit pivot contributes the divisor
-    1 and splits off as a 1 x 1 block: clearing its row by column operations
-    would change nothing else, so the row is dropped.  Dense step: the rows
-    left without a unit pivot go through the dense Smith loop (Dumas,
-    Saunders and Villard, J. Symb. Comput. 32, 2001).
-    """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for i, pairs in enumerate(a.sparse_rows):
-        if pairs:
-            rows[i] = dict(pairs)
-            for j, _ in pairs:
-                cols.setdefault(j, set()).add(i)
-
-    units = 0
-    for pi in list(rows):
-        prow = rows.get(pi)  # None once an earlier pivot emptied the row
-        if prow is None:
-            continue
-        pj = next((j for j, x in prow.items() if x == 1 or x == -1), None)
-        if pj is None:
-            continue
-        del rows[pi]
-        units += 1
-        for j in prow:
+    def step(pi, pj):  # True when the step must be repeated
+        prow = rows[pi]
+        pivot = prow[pj]
+        for j in prow:  # the pivot row leaves the index
             cols[j].discard(pi)
-        sign = prow[pj]
-        for i in list(cols[pj]):
+        for i in [i for i in cols[pj] if i < m]:  # row i -= q * pivot row
             row = rows[i]
-            q = row[pj] * sign
+            q = row[pj] // pivot
             for j, x in prow.items():
                 y = row.get(j, 0) - q * x
                 if y:
@@ -366,12 +265,106 @@ def smith_divisors(a: IntegerMatrix) -> tuple[int, ...]:
                 else:
                     del row[j]
                     cols[j].discard(i)
-            if not row:
-                del rows[i]
+        if not cols[pj] and (pivot == 1 or pivot == -1):
+            prow[pj] = 1  # negating column pj changes no other row
+            return False
+        block = [(j, x // pivot) for j, x in prow.items() if j < n and j != pj]
+        for i in cols[pj]:  # column j -= q * column pj
+            row = rows[i]
+            c = row[pj]
+            for j, q in block:
+                y = row.get(j, 0) - q * c
+                if y:
+                    if j not in row:
+                        cols[j].add(i)
+                    row[j] = y
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        again = min(cols[pj], default=m) < m  # a block row kept a remainder
+        for j, q in block:
+            x = prow[j] - q * pivot
+            if x:
+                prow[j] = x
+                again = True
+            else:
+                del prow[j]
+        if not again and pivot != 1 and pivot != -1:
+            for i in rest:  # add a row that the pivot fails to divide
+                if any(j < n and x % pivot for j, x in rows[i].items()):
+                    for j, x in rows[i].items():
+                        y = prow.get(j, 0) + x
+                        if y:
+                            prow[j] = y
+                        else:
+                            del prow[j]
+                    again = True
+                    break
+        if again:  # the pivot row comes back
+            for j in prow:
+                cols[j].add(pi)
+        elif pivot < 0:
+            for j in prow:
+                prow[j] = -prow[j]
+        return again
 
-    order = sorted(j for j, members in cols.items() if members)
-    rest = [[row.get(j, 0) for j in order] for row in rows.values()]
-    return (1,) * units + _smith_loop(rest, len(rest), len(order))
+    pivots = []
+    for pi in range(m):
+        for j, x in rows[pi].items():
+            if (x == 1 or x == -1) and j < n:
+                step(pi, j)
+                pivots.append((pi, j))
+                break
+    rest = sorted(set(range(m)).difference(i for i, _ in pivots))
+    while True:
+        pivot = 0
+        for i in rest:
+            for j, x in rows[i].items():
+                if j < n and (not pivot or abs(x) < pivot):
+                    pi, pj, pivot = i, j, abs(x)
+        if not pivot:
+            break
+        if not step(pi, pj):
+            pivots.append((pi, pj))
+            rest.remove(pi)
+    return pivots
+
+
+def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
+    """Smith form with its unimodular transforms; see smith_divisors when
+    only the divisors are needed.  One loop runs on [a | I_m] over I_n:
+    the extra columns end as u and the extra rows as v, taken in pivot
+    order and then the unpivoted rows and columns in index order."""
+    m, n = a.rows, a.cols
+    rows = [{**dict(pairs), n + i: 1} for i, pairs in enumerate(a.sparse_rows)]
+    rows += [{j: 1} for j in range(n)]
+    pivots = _smith(rows, m, n)
+    order = [i for i, _ in pivots]
+    order += sorted(set(range(m)).difference(order))
+    slot = {j: t for t, (_, j) in enumerate(pivots)}
+    for j in range(n):
+        slot.setdefault(j, len(slot))
+    divisors = tuple(rows[i][j] for i, j in pivots)
+    u = [sorted((j - n, x) for j, x in rows[i].items() if j >= n) for i in order]
+    s = [((t, d),) for t, d in enumerate(divisors)] + [()] * (m - len(divisors))
+    v = [sorted((slot[j], x) for j, x in row.items()) for row in rows[m:]]
+    return SmithDecomposition(
+        u=IntegerMatrix(m, m, tuple(map(tuple, u))),
+        s=IntegerMatrix(m, n, tuple(s)),
+        v=IntegerMatrix(n, n, tuple(map(tuple, v))),
+        divisors=divisors,
+    )
+
+
+def smith_divisors(a: IntegerMatrix) -> tuple[int, ...]:
+    """Smith divisors of a, without transforms.
+
+    The rows go as {column: value} dicts through `_smith`, the package's
+    one elimination loop, with nothing riding along: unit pivots first,
+    in row order, then pivots of least absolute value.
+    """
+    rows = [dict(pairs) for pairs in a.sparse_rows]
+    return tuple(rows[i][j] for i, j in _smith(rows, a.rows, a.cols))
 
 
 def _field_modulus(k: Ring) -> int | None:
@@ -430,22 +423,22 @@ def solve_linear(a: IntegerMatrix, b, k: Ring):
     if len(b) != a.rows:
         raise ValueError("right-hand side has wrong length")
     m, n = a.rows, a.cols
-    # one loop on [a | b] over I_n: column n ends as u * b, the bottom rows as v
-    s = [x + [k.normalize(y)] for x, y in zip(a.to_rows(), b)]
-    s += IntegerMatrix.identity(n).to_rows()
-    divisors = _smith_loop(s, m, n)
-    r = len(divisors)
-    y = [0] * n
-    for i in range(m):
-        c = s[i][n]
-        if i < r:
-            sol = _scalar_solve(divisors[i], c, k)
-            if sol is None:
-                return None
-            y[i] = sol
-        elif not k.is_zero(c):
-            return None
-    return [k.normalize(sum(x * v for x, v in zip(row, y))) for row in s[m:]]
+    # one loop on [a | b] over I_n: column n ends as u * b, the rows below as v
+    rows = [dict(pairs) for pairs in a.sparse_rows]
+    for row, c in zip(rows, map(k.normalize, b)):
+        if c:
+            row[n] = c
+    rows += [{j: 1} for j in range(n)]
+    pivots = _smith(rows, m, n)
+    y = {j: _scalar_solve(rows[i][j], rows[i].get(n, 0), k) for i, j in pivots}
+    done = {i for i, _ in pivots}
+    if None in y.values() or any(
+        not k.is_zero(rows[i].get(n, 0)) for i in range(m) if i not in done
+    ):
+        return None
+    return [
+        k.normalize(sum(x * y[j] for j, x in row.items() if j in y)) for row in rows[m:]
+    ]
 
 
 def kernel_basis(a: IntegerMatrix, k: Ring) -> list[list[int]]:

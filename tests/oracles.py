@@ -7,8 +7,9 @@ divisors via gcds of k x k minors, determinants via Bareiss, labeled
 posets via brute force over all antisymmetric transitive relations,
 parallel-path relations by listing every cover path, relation, boundary
 and incidence matrices by filling dense row-major buffers, homology of the
-whole order complex, never its core, through the dense Smith form with
-transforms, linear systems through the explicit transforms u and v,
+whole order complex, never its core, through a dense Smith form with
+transforms (the package's loop before it went sparse), linear systems
+through the explicit transforms u and v,
 induced crowns by testing every subset of elements, beat points by
 counting cover pairs, cores by rebuilding the poset after each deletion,
 joins and meets by comparing every pair of bounds, and canonical forms by
@@ -319,6 +320,104 @@ def dense_incidence_entries(P) -> tuple[int, ...]:
     return tuple(entries)
 
 
+def _dense_smith_loop(s: list[list[int]], rows: int, cols: int):
+    """Diagonalize the leading rows x cols block of s in place.
+
+    Each step moves an entry of least absolute value to the pivot, clears
+    its row and column by division with remainder, and when a remainder
+    survives repeats; when the pivot fails to divide some later entry,
+    that row is added to the pivot row first.  Rows and columns before
+    the pivot are already clear, so every operation starts at the pivot
+    index.  Pivots come from the block only, but row operations run over
+    whole rows and column operations over every row of s: columns right
+    of the block and rows below it (which need only cols entries) follow
+    the elimination.  Returns the nonzero diagonal, each entry dividing
+    the next.
+    """
+    lim = min(rows, cols)
+    t = 0
+    while t < lim:
+        pos = None
+        val = 0
+        for i in range(t, rows):
+            row = s[i]
+            for j in range(t, cols):
+                x = row[j]
+                if x and (not val or abs(x) < val):
+                    pos = (i, j)
+                    val = abs(x)
+                    if val == 1:
+                        break
+            if val == 1:
+                break
+        if not val:
+            break
+        pi, pj = pos
+        if pi != t:
+            s[t], s[pi] = s[pi], s[t]
+        if pj != t:
+            for row in s:
+                row[t], row[pj] = row[pj], row[t]
+        if s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+
+        top = s[t]
+        pivot = top[t]
+        dirty = False
+        for i in range(t + 1, rows):
+            ri = s[i]
+            if ri[t]:
+                q = ri[t] // pivot
+                if q:
+                    for c in range(t, len(ri)):
+                        ri[c] -= q * top[c]
+                if ri[t]:
+                    dirty = True
+        for j in range(t + 1, cols):
+            if top[j]:
+                q = top[j] // pivot
+                if q:
+                    for i in range(t, len(s)):
+                        row = s[i]
+                        row[j] -= q * row[t]
+                if top[j]:
+                    dirty = True
+        if dirty:
+            continue
+
+        # a unit pivot divides everything, so only a larger one needs the scan
+        off = 0 if pivot == 1 else next(
+            (
+                i
+                for i in range(t + 1, rows)
+                if any(x % pivot for x in s[i][t + 1 : cols])
+            ),
+            0,
+        )
+        if off:
+            s[t] = [x + y for x, y in zip(top, s[off])]
+            continue
+        t += 1
+    return tuple(s[i][i] for i in range(lim) if s[i][i] != 0)
+
+
+def dense_smith_normal_form(a):
+    """Smith form with its unimodular transforms by a dense loop on
+    [a | I_m] over I_n: the right block ends as u and the bottom rows as v."""
+    from posetderiv.linalg import IntegerMatrix, SmithDecomposition
+
+    m, n = a.rows, a.cols
+    s = [x + e for x, e in zip(a.to_rows(), IntegerMatrix.identity(m).to_rows())]
+    s += IntegerMatrix.identity(n).to_rows()
+    divisors = _dense_smith_loop(s, m, n)
+    return SmithDecomposition(
+        u=IntegerMatrix.from_rows([row[n:] for row in s[:m]], cols=m),
+        s=IntegerMatrix.from_rows([row[:n] for row in s[:m]], cols=n),
+        v=IntegerMatrix.from_rows(s[m:], cols=n),
+        divisors=divisors,
+    )
+
+
 def uncored_homology(P, n: int):
     """(betti, torsion) of H_n of the order complex of P itself.
 
@@ -326,26 +425,28 @@ def uncored_homology(P, n: int):
     the uncored complex, so it shares neither beat-point removal nor the
     sparse kernel with `posetderiv.homology`.
     """
-    from posetderiv import boundary_matrix, order_complex, smith_normal_form
+    from posetderiv import boundary_matrix, order_complex
 
     K = order_complex(P, n + 1)
-    rank_n = 0 if n == 0 else len(smith_normal_form(boundary_matrix(K, n)).divisors)
-    divisors = smith_normal_form(boundary_matrix(K, n + 1)).divisors
+    rank_n = 0 if n == 0 else len(dense_smith_normal_form(boundary_matrix(K, n)).divisors)
+    divisors = dense_smith_normal_form(boundary_matrix(K, n + 1)).divisors
     return K.count(n) - rank_n - len(divisors), tuple(d for d in divisors if d > 1)
 
 
-def transform_solve(a, b, k):
+def transform_solve(a, b, k, snf=dense_smith_normal_form):
     """One solution of a * x = b in k, or None, through explicit transforms.
 
-    Takes u and v from `smith_normal_form`, forms c = u * b, solves
-    d_i * y_i = c_i one divisor at a time (c_i = 0 beyond the rank) and
-    returns v * y, so it builds the m x m transform that
-    `posetderiv.solve_linear` never materializes.
+    Takes u and v from `snf` (by default the dense oracle above), forms
+    c = u * b, solves d_i * y_i = c_i one divisor at a time (c_i = 0
+    beyond the rank) and returns v * y, so it builds the m x m transform
+    that `posetderiv.solve_linear` never materializes.  Solutions are not
+    unique: with `posetderiv.smith_normal_form`, which pivots in the same
+    order as `solve_linear`, the two give the same x; with the dense
+    oracle they agree on solvability.
     """
-    from posetderiv import smith_normal_form
     from posetderiv.linalg import _scalar_solve
 
-    dec = smith_normal_form(a)
+    dec = snf(a)
     c = dec.u.mul_vector([k.normalize(x) for x in b])
     y = [0] * a.cols
     for i, ci in enumerate(c):

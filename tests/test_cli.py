@@ -1,10 +1,15 @@
 import importlib
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import posetderiv
 from posetderiv.cli import main
 from posetderiv.fixtures import fixture_json
 
@@ -141,6 +146,31 @@ def test_too_deeply_nested_input_exits_2(capsys, tmp_path):
     code, payload = run_cli(capsys, "analyze", str(deep))
     assert code == 2
     assert "nested too deeply" in payload["error"]
+
+
+def test_closed_stdout_exits_quietly_with_the_command_code(tmp_path):
+    # `posetderiv ... | grep -q` may close the pipe before the report is
+    # written; the command must neither print a traceback nor change its
+    # exit code
+    src = str(Path(posetderiv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        for argv, expected in (
+            (["fixture", "rp2"], 0),
+            (["analyze", str(tmp_path / "missing.json")], 2),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "posetderiv", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+            assert (proc.returncode, proc.stderr.decode()) == (expected, "")
+    finally:
+        os.close(write_end)
 
 
 def test_analyze_missing_file(capsys):

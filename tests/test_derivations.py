@@ -26,7 +26,13 @@ from posetderiv import (
 )
 from posetderiv import fixtures as fx
 
-from oracles import is_forest, path_relation_rows, random_poset_covers
+from oracles import (
+    dense_relation_entries,
+    is_forest,
+    modp_rank,
+    path_relation_rows,
+    random_poset_covers,
+)
 
 
 def all_posets_up_to(n):
@@ -330,6 +336,27 @@ def test_outer_witness_crown2():
     assert w is not None
     walk = CycleWalk(("x1", "y1", "x2", "y2", "x1"))
     assert circulation(w, walk) == 1
+
+
+def test_outer_witness_on_every_small_poset():
+    # a witness exists iff der > pot over GF(p), extends from its cover
+    # values and is not potential; der comes from the dense oracle rank
+    witnesses = 0
+    for P in all_posets_up_to(6):
+        entries = dense_relation_entries(P)
+        e = len(P.covers)
+        rows = [entries[r : r + e] for r in range(0, len(entries), e or 1)]
+        for p in (2, 3):
+            w = outer_witness(P, p)
+            outer = e - modp_rank(rows, p) > P.n - P.component_count
+            assert (w is not None) == outer
+            if w is None:
+                continue
+            witnesses += 1
+            covers = {edge: w.values[edge] for edge in P.covers}
+            assert from_cover_values(P, w.ring, covers).values == w.values
+            assert is_potential(w) is None
+    assert witnesses == 160
 
 
 # -- structural corollaries --------------------------------------------------

@@ -34,6 +34,7 @@ from oracles import (
     dense_boundary_entries,
     dense_incidence_entries,
     dense_relation_entries,
+    dense_smith_normal_form,
     det_int,
     minor_gcd_divisors,
     modp_rank,
@@ -138,6 +139,7 @@ def test_smith_divisors_match_oracles():
         expected = smith_normal_form(a).divisors
         assert smith_divisors(a) == expected
         assert list(expected) == minor_gcd_divisors(mat)
+        assert dense_smith_normal_form(a).divisors == expected
     for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 3)):
         assert smith_divisors(IntegerMatrix.zeros(rows, cols)) == ()
     assert smith_divisors(IntegerMatrix.from_rows([[2, 4], [2, 2]])) == (2, 2)
@@ -152,6 +154,31 @@ def test_smith_divisors_match_on_relation_and_boundary_matrices(P):
     K = order_complex(P, 3)
     for a in [consistency_matrix(P).matrix] + [boundary_matrix(K, d) for d in (1, 2, 3)]:
         assert smith_divisors(a) == smith_normal_form(a).divisors
+        assert smith_divisors(a) == dense_smith_normal_form(a).divisors
+
+
+def _incidence(P):
+    """The cover incidence matrix that is_potential solves against."""
+    entries = dense_incidence_entries(P)
+    return IntegerMatrix.from_rows(
+        [entries[r * P.n : (r + 1) * P.n] for r in range(len(P.covers))], cols=P.n
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(random_posets(max_size=8))
+def test_snf_invariants_on_producer_matrices(P):
+    # u * a * v = s with unimodular u and v on the sparse matrices the
+    # producers build, and the divisors of the dense oracle
+    K = order_complex(P, 3)
+    mats = [consistency_matrix(P).matrix, _incidence(P)]
+    mats += [boundary_matrix(K, d) for d in (1, 2, 3)]
+    for a in mats:
+        dec = smith_normal_form(a)
+        assert dec.u.mul(a).mul(dec.v) == dec.s
+        assert det_int(dec.u.to_rows()) in (1, -1)
+        assert det_int(dec.v.to_rows()) in (1, -1)
+        assert dec.divisors == dense_smith_normal_form(a).divisors
 
 
 # -- rank ------------------------------------------------------------------
@@ -235,7 +262,10 @@ def test_solve_soundness_random():
 
 
 def test_solve_matches_the_transform_route():
-    # solve_linear carries b as an extra column and never builds u
+    # solve_linear carries b as an extra column and never builds u.  With
+    # the package's transforms it gives the same x; the dense oracle
+    # pivots in another order, so it may pick another solution, but it
+    # must agree on solvability.
     rng = random.Random(4242)
     rings = [RATIONALS, INTEGERS, prime_field(2), prime_field(3)]
     rings += [mod_ring(4), mod_ring(6)]
@@ -250,14 +280,17 @@ def test_solve_matches_the_transform_route():
         for b in (a.mul_vector(x0), [rng.randint(-9, 9) for _ in range(rows)]):
             for k in rings:
                 x = solve_linear(a, b, k)
-                assert x == transform_solve(a, b, k)
+                assert x == transform_solve(a, b, k, smith_normal_form)
+                assert (x is None) == (transform_solve(a, b, k) is None)
                 outcomes.discard((k.label(), x is not None))
                 if x is not None:
                     residual = a.mul_vector(x)
                     assert all(k.is_zero(k.sub(r, t)) for r, t in zip(residual, b))
         # fractions on the right-hand side over the rationals
         b = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rows)]
-        assert solve_linear(a, b, RATIONALS) == transform_solve(a, b, RATIONALS)
+        x = solve_linear(a, b, RATIONALS)
+        assert x == transform_solve(a, b, RATIONALS, smith_normal_form)
+        assert (x is None) == (transform_solve(a, b, RATIONALS) is None)
     for rows, cols in ((0, 0), (0, 3), (3, 0)):
         a = IntegerMatrix.zeros(rows, cols)
         assert solve_linear(a, [0] * rows, RATIONALS) == [0] * cols
