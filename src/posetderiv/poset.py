@@ -520,50 +520,41 @@ def _refine(part: list[int], cells: int, queue: list[int], above, below) -> int:
     return cells
 
 
-def _orbits(perms) -> dict[int, int]:
-    """Orbit bitmask of each element that some permutation in ``perms`` moves.
+def _merge_orbits(orbit: dict[int, int], g, moved: int) -> None:
+    """Join in ``orbit`` (element -> orbit bitmask) the cycles of permutation g.
 
-    Each permutation is a pair (image list, bitmask of moved elements);
-    elements missing from the result are fixed by all of them.
+    ``g`` is an image list and ``moved`` the bitmask of the elements it
+    moves; elements missing from ``orbit`` are alone in their orbit.
     """
-    root: dict[int, int] = {}
-
-    def find(x):
-        while root.setdefault(x, x) != x:
-            x = root[x]
-        return x
-
-    for g, moved in perms:
-        for x in _bits(moved):
-            a, b = find(x), find(g[x])
-            if a != b:
-                root[max(a, b)] = min(a, b)
-    masks: dict[int, int] = {}
-    for x in root:
-        r = find(x)
-        masks[r] = masks.get(r, 0) | (1 << x)
-    return {x: masks[find(x)] for x in root}
+    for x in _bits(moved):
+        a = orbit.get(x, 1 << x)
+        if not a >> g[x] & 1:
+            a |= orbit.get(g[x], 1 << g[x])
+            for y in _bits(a):
+                orbit[y] = a
 
 
-def canonical_form(P: Poset) -> bytes:
-    """Byte string equal for two posets iff they are order-isomorphic.
+def _canonical_search(above, below):
+    """Least leaf certificate, its labeling and automorphism generators.
 
     Individualization-refinement search (McKay and Piperno, *Practical
-    graph isomorphism, II*, 2014).  Each node of the search tree is an
-    equitable ordered cell partition (``_refine``); its children
-    individualize each element of its first non-singleton cell and refine
-    again.  A leaf orders every element, and its certificate is the list
-    of ``above`` bitmasks relabeled to that order; the form is
-    ``f"{n}:"`` followed by the least certificate, comma-separated, in
-    ASCII.  A leaf whose certificate equals the first or the best one
-    gives an automorphism.  Automorphisms prune each node's children to
-    one per orbit of those that fix the node's prefix pointwise, and the
-    search jumps back to the common ancestor of the two leaves.
+    graph isomorphism, II*, 2014) on the order given by the ``above`` and
+    ``below`` bitmasks of at least one element.  Each node of the search
+    tree is an equitable ordered cell partition (``_refine``); its
+    children individualize each element of its first non-singleton cell
+    and refine again.  A leaf orders every element, and its certificate
+    is the list of ``above`` bitmasks relabeled to that order.  A leaf
+    whose certificate equals the first or the best one gives an
+    automorphism.  Automorphisms prune each node's children to one per
+    orbit of those that fix the node's prefix pointwise, and the search
+    jumps back to the common ancestor of the two leaves.
+
+    Returns the least certificate, the labeling ``lab`` of its leaf
+    (``lab[k]`` is the element at position k) and the automorphisms found,
+    each a pair (image list, bitmask of moved elements); they generate
+    the full automorphism group.
     """
-    n = P.n
-    if n == 0:
-        return b"0:"
-    above, below = P._above, P._below
+    n = len(above)
     root = [0] * n
     root[0] = (1 << n) - 1
     first = best = None
@@ -620,11 +611,15 @@ def canonical_form(P: Poset) -> bytes:
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            if explored and len(gens) > seen:
+            if explored:
+                # generators found since the last look; those that move
+                # the prefix never fix it later
+                for g, moved in gens[seen:]:
+                    if not fixed & moved:
+                        _merge_orbits(orbit, g, moved)
                 seen = len(gens)
-                orbit = _orbits([gm for gm in gens if not fixed & gm[1]])
-            if orbit.get(v, 0) & explored:
-                continue
+                if orbit.get(v, 0) & explored:
+                    continue
             child = part[:]
             child[s] = low
             child[s + 1] = C ^ low
@@ -639,4 +634,17 @@ def canonical_form(P: Poset) -> bytes:
         return depth
 
     search(root, _refine(root, 1 if n > 1 else 0, [0], above, below), 0)
-    return (f"{n}:" + ",".join(map(str, best[0]))).encode("ascii")
+    return best[0], best[1], gens
+
+
+def canonical_form(P: Poset) -> bytes:
+    """Byte string equal for two posets iff they are order-isomorphic.
+
+    The form is ``f"{n}:"`` followed by the least leaf certificate of
+    ``_canonical_search`` (the ``above`` bitmasks relabeled to the
+    canonical order), comma-separated, in ASCII.
+    """
+    if P.n == 0:
+        return b"0:"
+    cert = _canonical_search(P._above, P._below)[0]
+    return (f"{P.n}:" + ",".join(map(str, cert))).encode("ascii")

@@ -1,9 +1,15 @@
 """Enumeration of small posets up to isomorphism and the conclusiveness sweep.
 
-Posets on n elements are generated by extending every representative on
-n - 1 elements with a new maximal element placed above each down-closed
-subset, then deduplicating by canonical form.  Every poset arises this
-way: deleting a maximal element leaves a smaller poset and a down-set.
+Posets on n elements are generated by canonical augmentation (McKay,
+*Isomorph-free exhaustive generation*, 1998): every representative on
+n - 1 elements gets a new maximal element above one down-set per orbit
+of its automorphism group, and a child is kept only if the new element
+lies in the child's canonical orbit of maximal elements.  Every poset
+arises this way, since deleting a maximal element leaves a smaller poset
+and a down-set, and only once: an isomorphism between two kept children
+can be made to send new element to new element, so it restricts to an
+automorphism of their common parent that carries one down-set to the
+other.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from .errors import InputError, SizeLimitError
 from .derivations import relation_divisors
 from .homology import classify, identity_checks
 from .linalg import RATIONALS, prime_field
-from .poset import Poset, _minimal, canonical_form
+from .poset import Poset, _bits, _canonical_search, _merge_orbits, _minimal, canonical_form
 
 SIZE_CAP = 8
 
@@ -39,21 +45,33 @@ class SweepReport:
         return not self.identity_failures
 
 
-def _down_sets(P: Poset) -> list[int]:
-    """All down-closed subsets of P as bitmasks (the empty set included)."""
+def _down_sets(P: Poset, gens) -> list[int]:
+    """One down-closed subset of P per orbit of the group ``gens`` generates.
+
+    Down-sets are bitmasks (the empty set included), built over the
+    elements in topological order; the first of each orbit is kept.
+    """
+    below = P._below
+    downs = [0]
+    for i in P.topological_order():
+        downs += [d | 1 << i for d in downs if not below[i] & ~d]
     out = []
-    for mask in range(1 << P.n):
-        good = True
-        rest = mask
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
-            if P.below_mask(j) & ~mask:
-                good = False
-                break
-        if good:
-            out.append(mask)
+    seen = set()
+    for d in downs:
+        if d in seen:
+            continue
+        out.append(d)
+        seen.add(d)
+        stack = [d]
+        while stack:
+            x = stack.pop()
+            for g, moved in gens:
+                y = x & ~moved
+                for j in _bits(x & moved):
+                    y |= 1 << g[j]
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
     return out
 
 
@@ -63,20 +81,55 @@ def _extend(P: Poset, down_set: int) -> Poset:
     return Poset(P.elements + (new,), P.covers + tuple(tops))
 
 
+def _top_key(down_set: int, above, below) -> tuple:
+    """Invariant of a maximal element with this down-set: its size, the
+    number of down-covers and the sorted down-set sizes of those."""
+    covers = sorted(below[j].bit_count() for j in _minimal(down_set, above))
+    return (down_set.bit_count(), len(covers), covers)
+
+
+def _children(P: Poset) -> list[Poset]:
+    """The children of P accepted by canonical deletion of a maximal element.
+
+    The child on ``P.n + 1`` elements puts its new top t above a down-set
+    of P.  It is kept iff t lies in the child's canonical orbit of maximal
+    elements: those with the greatest ``_top_key``, and among them the
+    orbit of the one that comes first in the child's canonical labeling.
+    """
+    n = P.n
+    above, below = P._above, P._below
+    gens = _canonical_search(above, below)[2]
+    maximal = [(i, _top_key(below[i], above, below)) for i in range(n) if not above[i]]
+    kids = []
+    for d in _down_sets(P, gens):
+        key = _top_key(d, above, below)
+        others = [(i, k) for i, k in maximal if not d >> i & 1]
+        if any(k > key for _, k in others):
+            continue
+        rivals = [i for i, k in others if k == key]
+        if rivals:
+            # a tie: only the child's canonical search can decide
+            up = [a | 1 << n if d >> j & 1 else a for j, a in enumerate(above)]
+            _, lab, child_gens = _canonical_search(up + [0], below + (d,))
+            orbit: dict[int, int] = {}
+            for g, moved in child_gens:
+                _merge_orbits(orbit, g, moved)
+            rivals.append(n)
+            first = min(rivals, key=lab.index)
+            if not orbit.get(n, 1 << n) >> first & 1:
+                continue
+        kids.append(_extend(P, d))
+    return kids
+
+
 def enumerate_posets(n: int):
     """Yield one representative per isomorphism class of posets on n elements."""
     if not 1 <= n <= SIZE_CAP:
         raise SizeLimitError(f"enumeration supports 1 <= n <= {SIZE_CAP}, got {n}")
-    level: dict[bytes, Poset] = {b"1:0": Poset(["x0"], [])}
+    level = [Poset(["x0"], [])]
     for _ in range(n - 1):
-        nxt: dict[bytes, Poset] = {}
-        for rep in level.values():
-            for mask in _down_sets(rep):
-                cand = _extend(rep, mask)
-                nxt.setdefault(canonical_form(cand), cand)
-        level = nxt
-    for form in sorted(level):
-        yield level[form]
+        level = [child for P in level for child in _children(P)]
+    yield from level
 
 
 def _analyze_payload(P: Poset):

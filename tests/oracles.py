@@ -12,9 +12,12 @@ transforms (the package's loop before it went sparse), linear systems
 through the explicit transforms u and v,
 induced crowns by testing every subset of elements, beat points by
 counting cover pairs, cores by rebuilding the poset after each deletion,
-joins and meets by comparing every pair of bounds, and canonical forms by
+joins and meets by comparing every pair of bounds, canonical forms by
 one round of colour refinement and then a brute-force search over every
-cell-respecting element order.
+cell-respecting element order, automorphisms by trying every element
+order that keeps the relation, and poset classes by extending every
+class with a new top above each down-set and keeping one poset per
+canonical form.
 """
 
 from __future__ import annotations
@@ -621,3 +624,61 @@ def brute_force_canonical_form(P) -> bytes:
 
     rec(0)
     return (f"{n}:" + ",".join(map(str, best))).encode("ascii")
+
+
+def brute_force_automorphisms(P) -> list[tuple[int, ...]]:
+    """Every automorphism of P as an image tuple, by backtracking over all
+    element orders that keep the strict order among the elements placed."""
+    n = P.n
+    above = [P.above_mask(i) for i in range(n)]
+    out = []
+    image: list[int] = []
+
+    def rec(i):
+        if i == n:
+            out.append(tuple(image))
+            return
+        for v in range(n):
+            if v in image:
+                continue
+            if all(
+                ((above[i] >> j) & 1) == ((above[v] >> w) & 1)
+                and ((above[j] >> i) & 1) == ((above[w] >> v) & 1)
+                for j, w in enumerate(image)
+            ):
+                image.append(v)
+                rec(i + 1)
+                image.pop()
+
+    rec(0)
+    return out
+
+
+def dedup_enumerate_posets(n: int):
+    """One poset per class on n elements, sorted by canonical form.
+
+    Every class on k - 1 elements gets a new top above each down-set,
+    every candidate gets a canonical form, and the first candidate of
+    each form is kept.  The package's generator before it deduplicated
+    by canonical augmentation.
+    """
+    from posetderiv import Poset, canonical_form
+
+    level = {b"1:0": Poset(["x0"], [])}
+    for k in range(1, n):
+        nxt = {}
+        for P in level.values():
+            for mask in range(1 << k):
+                if any(P.below_mask(j) & ~mask for j in range(k) if (mask >> j) & 1):
+                    continue
+                new = f"x{k}"
+                tops = [
+                    (P.elements[j], new)
+                    for j in range(k)
+                    if (mask >> j) & 1 and not P.above_mask(j) & mask
+                ]
+                Q = Poset(P.elements + (new,), P.covers + tuple(tops))
+                nxt.setdefault(canonical_form(Q), Q)
+        level = nxt
+    for form in sorted(level):
+        yield level[form]

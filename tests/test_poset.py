@@ -23,9 +23,11 @@ from posetderiv import (
     transitive_reduction,
 )
 from posetderiv import fixtures as fx
+from posetderiv.poset import _canonical_search
 
 from oracles import (
     all_labeled_strict_orders,
+    brute_force_automorphisms,
     brute_force_canonical_form,
     brute_force_crowns,
     brute_force_join_meet,
@@ -586,6 +588,70 @@ def test_canonical_form_prunes_only_by_automorphisms_fixing_the_prefix():
     rng = random.Random(11)
     form = canonical_form(P)
     assert {canonical_form(_relabeled(P, rng)) for _ in range(30)} == {form}
+
+
+def _orbit_partition(items, gens, act):
+    # the orbits of ``items`` under the group the permutations generate
+    orbit_of = {}
+    for x in items:
+        if x in orbit_of:
+            continue
+        orbit = {x}
+        stack = [x]
+        while stack:
+            y = stack.pop()
+            for g in gens:
+                z = act(g, y)
+                if z not in orbit:
+                    orbit.add(z)
+                    stack.append(z)
+        orbit_of.update(dict.fromkeys(orbit, frozenset(orbit)))
+    return set(orbit_of.values())
+
+
+def _group_orbits(items, group, act):
+    # the orbits of ``items`` under a group given by all its elements
+    orbit_of = {}
+    for x in items:
+        if x not in orbit_of:
+            orbit = frozenset(act(g, x) for g in group)
+            orbit_of.update(dict.fromkeys(orbit, orbit))
+    return set(orbit_of.values())
+
+
+def _image(g, mask):
+    return sum(1 << g[j] for j in range(len(g)) if (mask >> j) & 1)
+
+
+def _assert_generators_complete(P):
+    # the search's generators are automorphisms, and they move elements
+    # and down-sets exactly as far as the whole automorphism group does
+    n = P.n
+    above = [P.above_mask(i) for i in range(n)]
+    gens = [g for g, _ in _canonical_search(above, [P.below_mask(i) for i in range(n)])[2]]
+    auts = brute_force_automorphisms(P)
+    assert set(map(tuple, gens)) <= set(auts)
+    point = lambda g, x: g[x]
+    assert _orbit_partition(range(n), gens, point) == _group_orbits(range(n), auts, point)
+    down_sets = [
+        d
+        for d in range(1 << n)
+        if all(not P.below_mask(j) & ~d for j in range(n) if (d >> j) & 1)
+    ]
+    assert _orbit_partition(down_sets, gens, _image) == _group_orbits(down_sets, auts, _image)
+
+
+def test_search_generators_complete_on_small_classes():
+    for P in all_posets_up_to(5):
+        _assert_generators_complete(P)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["diamond", "crown:2", "crown:3", "crown:4", "chain:8", "antichain:8", "fence:7", "fence:8"],
+)
+def test_search_generators_complete_on_fixtures(name):
+    _assert_generators_complete(fx.fixture_poset(name))
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)

@@ -14,7 +14,7 @@ from posetderiv import (
 from posetderiv.derivations import relation_divisors
 from posetderiv.report import sweep_json
 
-from oracles import all_labeled_strict_orders
+from oracles import all_labeled_strict_orders, dedup_enumerate_posets
 
 # unlabeled posets on 1..7 points
 CLASS_COUNTS = (1, 2, 5, 16, 63, 318, 2045)
@@ -53,6 +53,20 @@ def test_generator_complete_against_brute_force():
             seen.add(form)
         assert labeled == LABELED_COUNTS[n - 1]
         assert seen == class_forms
+
+
+def test_augmentation_matches_dedup_by_canonical_form():
+    for n in range(1, 8):
+        posets = list(enumerate_posets(n))
+        assert all(P.n == n for P in posets)
+        forms = [canonical_form(P) for P in posets]
+        assert len(set(forms)) == len(forms)
+        assert set(forms) == {canonical_form(P) for P in dedup_enumerate_posets(n)}
+
+
+def test_level_eight_count():
+    # OEIS A000112
+    assert sum(1 for _ in enumerate_posets(8)) == 16999
 
 
 def test_size_limits():
