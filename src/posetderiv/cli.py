@@ -16,13 +16,13 @@ import os
 import sys
 from dataclasses import asdict
 
-from .criteria import CrownReport, criteria_report, crown_bounds
+from .criteria import CrownReport, criteria_report
 from .derivations import from_cover_values, is_potential, outer_witness
 from .errors import InputError, PosetderivError
 from .fixtures import fixture_json
 from .homology import euler_by_moebius, homology
 from .linalg import ring_from_string
-from .poset import core
+from .poset import core, find_crowns
 from .report import (
     IDENTITY_CONFLICT,
     analysis_report,
@@ -190,18 +190,9 @@ def _cmd_core(args) -> tuple[dict, int]:
 
 
 def _cmd_crowns(args) -> tuple[dict, int]:
-    bounds = crown_bounds(_load_poset(args), args.max_n)
-    crowns = [
-        {
-            "n": crown.n,
-            "lower": list(crown.lower),
-            "upper": list(crown.upper),
-            "join": join,
-            "meet": meet,
-        }
-        for crown, join, meet in bounds
-    ]
-    return {**asdict(CrownReport.from_bounds(bounds)), "crowns": crowns}, 0
+    crowns = find_crowns(_load_poset(args), args.max_n)
+    listing = [{"n": c.n, **vars(c)} for c in crowns]  # n, lower, upper, join, meet
+    return {**asdict(CrownReport.from_crowns(crowns)), "crowns": listing}, 0
 
 
 def _cmd_criteria(args) -> tuple[dict, int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poset import Crown, Poset, ShapeStats, _join_meet, beat_points, find_crowns, shape_stats
+from .poset import Crown, Poset, ShapeStats, beat_points, find_crowns, shape_stats
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,9 @@ class CrownReport:
     all_have_join_or_meet: bool
 
     @classmethod
-    def from_bounds(cls, bounds) -> "CrownReport":
-        """Summary of crown_bounds output."""
-        return cls(len(bounds), not any(_bare(j, m) for _, j, m in bounds))
+    def from_crowns(cls, crowns: list[Crown]) -> "CrownReport":
+        """Summary of find_crowns output."""
+        return cls(len(crowns), not any(map(_bare, crowns)))
 
 
 @dataclass(frozen=True)
@@ -132,35 +132,26 @@ def table2_lookup(stats: ShapeStats, beat_point_free: bool) -> int | None:
     return None
 
 
-def crown_bounds(P: Poset, max_n: int = 6) -> list[tuple[Crown, str | None, str | None]]:
-    """Each induced crown with 2 <= n <= max_n, paired with the join and
-    the meet of its element set (None where there is none)."""
-    index = P._index
-    return [
-        (c, *_join_meet(P, map(index.__getitem__, c.lower + c.upper)))
-        for c in find_crowns(P, max_n)
-    ]
-
-
-def _bare(join, meet) -> bool:
+def _bare(crown: Crown) -> bool:
     """A crown whose element set has neither a join nor a meet."""
-    return join is None and meet is None
+    return crown.join is None and crown.meet is None
 
 
 def crown_obstruction_report(P: Poset) -> CrownReport:
-    """Count crowns (n <= 6) and check each one's element set for a join or meet.
+    """Count crowns (n <= 6) and check each one for a join or a meet.
 
     If every crown has a join or a meet, the poset cannot be defective:
     an outer derivation would have nonzero circulation on some minimal
     cycle, which is a crown, and a join or meet telescopes that
-    circulation to zero.
+    circulation to zero.  ``find_crowns`` finds each crown once, with its
+    join and meet, so this only counts.
     """
-    return CrownReport.from_bounds(crown_bounds(P))
+    return CrownReport.from_crowns(find_crowns(P))
 
 
 def crowns_without_bounds(P: Poset) -> list[Crown]:
     """The crowns whose element set has neither a join nor a meet."""
-    return [c for c, j, m in crown_bounds(P) if _bare(j, m)]
+    return [c for c in find_crowns(P) if _bare(c)]
 
 
 def criteria_report(P: Poset) -> CriteriaReport:

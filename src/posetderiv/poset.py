@@ -22,7 +22,7 @@ finds by walking down to one minimal element and checking it against S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import (
@@ -65,11 +65,14 @@ class Crown:
     """A two-level cyclic subposet on ``2n`` elements, ``n >= 2``.
 
     The only comparabilities among the elements are ``lower[i] < upper[i]``
-    and ``lower[i] < upper[(i + 1) % n]``.
+    and ``lower[i] < upper[(i + 1) % n]``.  ``join`` and ``meet`` are the
+    join and meet of the element set in the poset, or None; equality ignores them.
     """
 
     lower: tuple[str, ...]
     upper: tuple[str, ...]
+    join: str | None = field(compare=False)
+    meet: str | None = field(compare=False)
 
     @property
     def n(self) -> int:
@@ -370,50 +373,77 @@ def core(P: Poset) -> Poset:
 
 
 def find_crowns(P: Poset, max_n: int = 6) -> list[Crown]:
-    """All induced crown subposets with 2 <= n <= max_n.
+    """All induced crown subposets with 2 <= n <= max_n, with their joins and meets.
 
-    Each crown is reported once, up to rotation and reflection of its
-    indices.  Backtracking search over alternating lower/upper walks,
-    anchored at the smallest lower element, on the order bitmasks.
+    A backtracking walk on the order bitmasks goes up and down from the anchor,
+    the smallest lower, until an upper above the anchor closes the cycle.  Only
+    the direction whose first upper is smaller than its closing upper counts, so
+    each crown is found once, up to rotation and reflection, and a walk stops
+    once no such closing upper is left.  Crowns come sorted by n, then by the
+    indices of their lowers and uppers.  Every lower lies below an upper, so a
+    crown's join is the join of its uppers and its meet the meet of its lowers;
+    ``_Bounds`` caches both by bitmask.
     """
     if max_n < 2:
         raise InputError(f"crown size must be >= 2, got {max_n}")
-    above, below = P._above, P._below
+    above, below, names = P._above, P._below, P.elements
+    joins, meets = _Bounds(above, below, names), _Bounds(below, above, names)
+    # near[i]: i and everything comparable to it
+    near = [up | down | 1 << i for i, (up, down) in enumerate(zip(above, below))]
     walks = []
 
-    def add_upper(lowers, uppers, block):
-        # block: the placed elements and everything below a lower, above a
-        # middle lower or comparable to an upper
-        last = lowers[-1]
-        closing = above[lowers[0]] if len(lowers) > 1 else 0
-        middle = above[last] if len(lowers) > 1 else 0
-        # a new lower comes after the anchor in index order and does not lie
-        # above the last lower; it lies below a non-closing upper, so not
-        # above the anchor either
-        lower_ok = ~(block | above[last]) & -(2 << lowers[0])
-        for v in _bits(above[last] & ~block):
-            if (closing >> v) & 1:
-                # skip the mirror-image walk; (v,) + uppers puts lower[i]
-                # below upper[i] and upper[i + 1]
-                if uppers[0] < v:
-                    walks.append((len(lowers), lowers, (v,) + uppers))
-            elif len(lowers) < max_n:
-                vblock = block | middle | above[v] | below[v] | (1 << v)
+    def extend(lowers, uppers, lnames, unames, lmask, umask, block, closers):
+        # block: the placed elements and all below a lower, above an earlier middle
+        # lower or comparable to an upper; closers: the rest above the anchor after uppers[0]
+        up = above[lowers[-1]]
+        if found := up & closers:
+            n, meet = len(lowers), meets[lmask]
+            for v in _bits(found):
+                # (v,) + uppers puts lower[i] below upper[i] and upper[i + 1]
+                uppers_v, unames_v = (v,) + uppers, (names[v],) + unames
+                walks.append((n, lowers, uppers_v, lnames, unames_v, joins[umask | 1 << v], meet))
+        # lowers[-1] turns into a middle lower: nothing above it closes the crown,
+        # and a middle upper is not above the anchor, so neither is its new lower
+        if len(lowers) == max_n or not (closers := closers & ~up):
+            return
+        middle = up & ~(block | above[lowers[0]])
+        block |= up
+        lower_ok = ~block & -(2 << lowers[0])  # free and after the anchor
+        for v in _bits(middle):
+            if vclosers := closers & ~near[v]:
+                uppers_v, unames_v = uppers + (v,), unames + (names[v],)
                 for u in _bits(below[v] & lower_ok):
-                    add_upper(lowers + (u,), uppers + (v,), vblock)
+                    extend(lowers + (u,), uppers_v, lnames + (names[u],), unames_v,
+                           lmask | 1 << u, umask | 1 << v, block | near[v], vclosers)
 
-    for start in range(P.n):
-        add_upper((start,), (), (1 << start) | below[start])
-
+    for a in range(P.n):
+        lower_ok = ~near[a] & -(2 << a)
+        for v in _bits(above[a]):
+            if closers := above[a] & -(2 << v) & ~near[v]:
+                for u in _bits(below[v] & lower_ok):
+                    extend((a, u), (v,), (names[a], names[u]), (names[v],),
+                           1 << a | 1 << u, 1 << v, near[v], closers)  # near[v] has a, below[a]
+    del extend  # it holds itself: free the walk's state now, not at a later collection
+    # walks differ in their lowers or uppers, so sorting compares only indices
     walks.sort()
-    names = P.elements
-    return [
-        Crown(
-            lower=tuple(names[i] for i in lower),
-            upper=tuple(names[i] for i in upper),
-        )
-        for _, lower, upper in walks
-    ]
+    return [Crown(*walk[3:]) for walk in walks]
+
+
+class _Bounds(dict):
+    """Joins of nonempty bitmask sets, each computed on its first lookup;
+    ``(below, above)`` gives meets."""
+
+    def __init__(self, above, below, names):
+        self.order = above, below, names
+
+    def __missing__(self, mask: int) -> str | None:
+        above, below, names = self.order
+        bounds = -1
+        for i in _bits(mask):
+            bounds &= above[i] | (1 << i)
+        least = _least(bounds, below, above)
+        bound = self[mask] = None if least is None else names[least]
+        return bound
 
 
 def _least(mask: int, below, above) -> int | None:
@@ -427,27 +457,15 @@ def _least(mask: int, below, above) -> int | None:
     return None if mask & ~(above[i] | (1 << i)) else i
 
 
-def _join_meet(P: Poset, idxs) -> tuple[str | None, str | None]:
-    """Join and meet of a nonempty collection of element indices, or None each."""
-    above, below = P._above, P._below
-    ub = lb = (1 << P.n) - 1
-    for i in idxs:
-        ub &= above[i] | (1 << i)
-        lb &= below[i] | (1 << i)
-    join, meet = _least(ub, below, above), _least(lb, above, below)
-    names = P.elements
-    return (
-        None if join is None else names[join],
-        None if meet is None else names[meet],
-    )
-
-
 def join_meet(P: Poset, subset) -> tuple[str | None, str | None]:
     """Least upper bound and greatest lower bound of a set, or None each."""
-    idxs = [P.index(x) for x in subset]
-    if not idxs:
+    mask = 0
+    for x in subset:
+        mask |= 1 << P.index(x)
+    if not mask:
         raise ValueError("subset must be nonempty")
-    return _join_meet(P, idxs)
+    above, below, names = P._above, P._below, P.elements
+    return _Bounds(above, below, names)[mask], _Bounds(below, above, names)[mask]
 
 
 def _refine(part: list[int], cells: int, queue: list[int], above, below) -> int:

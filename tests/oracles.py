@@ -12,12 +12,13 @@ transforms (the package's loop before it went sparse), linear systems
 through the explicit transforms u and v,
 induced crowns by testing every subset of elements, beat points by
 counting cover pairs, cores by rebuilding the poset after each deletion,
-joins and meets by comparing every pair of bounds, canonical forms by
-one round of colour refinement and then a brute-force search over every
-cell-respecting element order, automorphisms by trying every element
-order that keeps the relation, and poset classes by extending every
-class with a new top above each down-set and keeping one poset per
-canonical form.
+joins and meets by comparing every pair of bounds, a crown's join and
+meet from the bounds of all its elements (not of its uppers or lowers
+alone), canonical forms by one round of colour refinement and then a
+brute-force search over every cell-respecting element order,
+automorphisms by trying every element order that keeps the relation,
+and poset classes by extending every class with a new top above each
+down-set and keeping one poset per canonical form.
 """
 
 from __future__ import annotations
@@ -492,6 +493,26 @@ def brute_force_crowns(P, max_n: int) -> list[frozenset]:
             if len(seen) == 2 * k:
                 found.append(frozenset(P.elements[x] for x in subset))
     return found
+
+
+def crown_bounds(P, crowns) -> list[tuple[str | None, str | None]]:
+    """(join, meet) of each crown's whole element set, or None each.
+
+    The route ``find_crowns`` replaced: intersect the upper (lower) bounds
+    of all 2n elements, then keep the bound that lies below (above) every
+    other one.
+    """
+    out = []
+    for c in crowns:
+        ub = lb = (1 << P.n) - 1
+        for x in c.lower + c.upper:
+            i = P.index(x)
+            ub &= P.above_mask(i) | 1 << i
+            lb &= P.below_mask(i) | 1 << i
+        least = [i for i in range(P.n) if ub >> i & 1 and not ub & ~(P.above_mask(i) | 1 << i)]
+        most = [i for i in range(P.n) if lb >> i & 1 and not lb & ~(P.below_mask(i) | 1 << i)]
+        out.append(tuple(P.elements[b[0]] if b else None for b in (least, most)))
+    return out
 
 
 def cover_count_beat_points(P) -> list[str]:

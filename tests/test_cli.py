@@ -736,3 +736,14 @@ def test_golden_analyze_reports(capsys, name):
     assert code == 0
     expected = json.loads((GOLDEN_DIR / f"{name}.analyze.json").read_text())
     assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "command, name, extra", [("crowns", "rp2", ["--max-n", "6"]), ("criteria", "s5", [])]
+)
+def test_golden_crowns_and_criteria_reports(capsys, command, name, extra):
+    # pins crown order and the join/meet of each crown, which analyze leaves out
+    code, report = run_cli(capsys, command, str(FIXTURE_DIR / f"{name}.json"), *extra)
+    assert code == 0
+    expected = json.loads((GOLDEN_DIR / f"{name}.{command}.json").read_text())
+    assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from posetderiv import (
+    CrownReport,
     Poset,
     ShapeStats,
     beat_points,
@@ -21,6 +22,8 @@ from posetderiv import (
     table2_lookup,
 )
 from posetderiv import fixtures as fx
+
+from test_homology import chain_product
 
 
 def beat_free_posets_up_to(n):
@@ -187,6 +190,17 @@ def test_crown_report_rp2(rp2):
     rep = crown_obstruction_report(rp2)
     assert rep.crowns_found == 54
     assert rep.all_have_join_or_meet is False  # regression record
+
+
+@pytest.mark.parametrize(
+    "lengths, found",
+    [((2, 2, 2, 2), 78), ((4, 5), 75), ((5, 5), 225), ((2, 2, 2, 2, 2), 5191)],
+    ids=["B4", "grid4x5", "grid5x5", "B5"],
+)
+def test_crown_counts_on_lattices(lengths, found):
+    # regression: every crown with n <= 6 of a lattice has a join and a meet
+    rep = crown_obstruction_report(chain_product(*lengths))
+    assert rep == CrownReport(crowns_found=found, all_have_join_or_meet=True)
 
 
 def test_crown_theorem_contrapositive_small():

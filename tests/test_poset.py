@@ -32,6 +32,7 @@ from oracles import (
     brute_force_crowns,
     brute_force_join_meet,
     cover_count_beat_points,
+    crown_bounds,
     is_forest,
     iterated_core,
     random_poset_covers,
@@ -335,6 +336,26 @@ def test_find_crowns_matches_brute_force(P):
         found = [c.element_set() for c in find_crowns(P, max_n)]
         assert len(set(found)) == len(found)
         assert set(found) == set(brute_force_crowns(P, max_n))
+
+
+def test_crown_join_and_meet_on_small_posets():
+    # a crown's join is the join of its uppers and its meet the meet of its
+    # lowers, since every lower lies below an upper
+    bounded = 0
+    for P in all_posets_up_to(6):
+        for c in find_crowns(P):
+            assert (c.join, c.meet) == brute_force_join_meet(P, c.element_set())
+            bounded += c.join is not None or c.meet is not None
+    assert bounded > 0  # some crowns do have a join or a meet
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(random_posets())
+def test_crown_join_and_meet_match_oracles(P):
+    crowns = find_crowns(P)
+    assert [(c.join, c.meet) for c in crowns] == crown_bounds(P, crowns)
+    for c in crowns:
+        assert (c.join, c.meet) == brute_force_join_meet(P, c.element_set())
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
