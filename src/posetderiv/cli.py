@@ -14,18 +14,15 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
 
-from .criteria import CrownReport, criteria_report
 from .derivations import from_cover_values, is_potential, outer_witness
 from .errors import InputError, PosetderivError
-from .fixtures import fixture_json
-from .homology import euler_by_moebius, homology
 from .linalg import ring_from_string
 from .poset import core, find_crowns
 from .report import (
     IDENTITY_CONFLICT,
     analysis_report,
+    as_dict,
     canonical_sha256,
     encode_value,
     function_json,
@@ -33,7 +30,9 @@ from .report import (
     poset_from_json,
     sweep_json,
 )
-from .survey import sweep
+
+# Parsing a poset loads the modules above; a command that needs one more
+# imports it inside the command, so no call loads what it does not use.
 
 
 @functools.cache
@@ -170,8 +169,10 @@ def _cmd_derivation(args) -> tuple[dict, int]:
 
 
 def _cmd_homology(args) -> tuple[dict, int]:
+    from .homology import euler_by_moebius, homology
+
     P = _load_poset(args)
-    out = {"homology": asdict(homology(P, args.dim))}
+    out = {"homology": as_dict(homology(P, args.dim))}
     if args.euler:
         out["euler_characteristic"] = euler_by_moebius(P)
     return out, 0
@@ -190,17 +191,23 @@ def _cmd_core(args) -> tuple[dict, int]:
 
 
 def _cmd_crowns(args) -> tuple[dict, int]:
+    from .criteria import CrownReport
+
     crowns = find_crowns(_load_poset(args), args.max_n)
-    listing = [{"n": c.n, **vars(c)} for c in crowns]  # n, lower, upper, join, meet
-    return {**asdict(CrownReport.from_crowns(crowns)), "crowns": listing}, 0
+    listing = [{"n": c.n, **c._asdict()} for c in crowns]  # n, lower, upper, join, meet
+    return {**as_dict(CrownReport.from_crowns(crowns)), "crowns": listing}, 0
 
 
 def _cmd_criteria(args) -> tuple[dict, int]:
-    criteria = asdict(criteria_report(_load_poset(args)))
+    from .criteria import criteria_report
+
+    criteria = as_dict(criteria_report(_load_poset(args)))
     return {"stats": criteria.pop("stats"), "criteria": criteria}, 0
 
 
 def _cmd_sweep(args) -> tuple[dict, int]:
+    from .survey import sweep
+
     report = sweep(args.max_n, parallelism=args.jobs, progress=True)
     payload = sweep_json(report)
     code = 0 if report.ok else 4
@@ -213,6 +220,8 @@ def _cmd_sweep(args) -> tuple[dict, int]:
 
 
 def _cmd_fixture(args) -> tuple[dict, int]:
+    from .fixtures import fixture_json
+
     return fixture_json(args.name), 0
 
 

@@ -10,22 +10,20 @@ instead of silently editing the table (see table2_conflict).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 
-from .poset import Crown, Poset, ShapeStats, beat_points, find_crowns, shape_stats
-
-
-@dataclass(frozen=True)
-class Co18Result:
-    applicable: bool
-    satisfied: bool | None
+# poset.find_crowns is looked up at each call: this module may first load
+# while bench/tracing.py has it wrapped, and a name bound then keeps the wrapper.
+from . import poset
+from .poset import Crown, Poset, ShapeStats, beat_points, shape_stats
 
 
-@dataclass(frozen=True)
-class CrownReport:
-    crowns_found: int
-    all_have_join_or_meet: bool
+class Co18Result(namedtuple("Co18Result", "applicable satisfied")):
+    __slots__ = ()
+
+
+class CrownReport(namedtuple("CrownReport", "crowns_found all_have_join_or_meet")):
+    __slots__ = ()
 
     @classmethod
     def from_crowns(cls, crowns: list[Crown]) -> "CrownReport":
@@ -33,18 +31,20 @@ class CrownReport:
         return cls(len(crowns), not any(map(_bare, crowns)))
 
 
-@dataclass(frozen=True)
-class CriteriaReport:
-    stats: ShapeStats
-    beat_point_free: bool
-    co18: Co18Result
-    size_bound_ok: bool | None
-    table2_case: int | None
-    crowns: CrownReport
+class CriteriaReport(
+    namedtuple(
+        "CriteriaReport",
+        "stats beat_point_free co18 size_bound_ok table2_case crowns",
+    )
+):
+    __slots__ = ()
 
 
-def co18_threshold(minimal: int, maximal: int, height: int) -> Fraction:
-    """Exact middle-layer bound: n*m / ((n-2)(m-2)) plus 1 when height > 3."""
+def co18_threshold(minimal: int, maximal: int, height: int):
+    """Exact middle-layer bound as a Fraction: n*m / ((n-2)(m-2)), plus 1
+    when height > 3."""
+    from fractions import Fraction
+
     if minimal <= 2 or maximal <= 2:
         raise ValueError("bound needs more than two minimal and maximal elements")
     delta = 1 if height > 3 else 0
@@ -55,7 +55,7 @@ def _co18(stats: ShapeStats, beat_point_free: bool) -> Co18Result:
     if not (beat_point_free and stats.minimal_count > 2 and stats.maximal_count > 2):
         return Co18Result(applicable=False, satisfied=None)
     bound = co18_threshold(stats.minimal_count, stats.maximal_count, stats.height)
-    return Co18Result(applicable=True, satisfied=Fraction(stats.middle_count) < bound)
+    return Co18Result(applicable=True, satisfied=stats.middle_count < bound)
 
 
 def _size_bound(stats: ShapeStats, beat_point_free: bool) -> bool | None:
@@ -146,12 +146,12 @@ def crown_obstruction_report(P: Poset) -> CrownReport:
     circulation to zero.  ``find_crowns`` finds each crown once, with its
     join and meet, so this only counts.
     """
-    return CrownReport.from_crowns(find_crowns(P))
+    return CrownReport.from_crowns(poset.find_crowns(P))
 
 
 def crowns_without_bounds(P: Poset) -> list[Crown]:
     """The crowns whose element set has neither a join nor a meet."""
-    return [c for c in find_crowns(P) if _bare(c)]
+    return [c for c in poset.find_crowns(P) if _bare(c)]
 
 
 def criteria_report(P: Poset) -> CriteriaReport:

@@ -13,7 +13,7 @@ function) or outer derivations exist: der = E - rank_k, pot = V - C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InputError, NotComparableError, UnsupportedRingError
 from .linalg import (
@@ -31,38 +31,31 @@ from .poset import Poset, _bits
 Edge = tuple[str, str]
 
 
-@dataclass(frozen=True)
-class ParallelPair:
+class ParallelPair(namedtuple("ParallelPair", "source target path_a path_b")):
     """Two distinct upward cover paths sharing endpoints."""
 
-    source: str
-    target: str
-    path_a: tuple[Edge, ...]
-    path_b: tuple[Edge, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConsistencyMatrix:
+class ConsistencyMatrix(
+    namedtuple("ConsistencyMatrix", "matrix column_edges row_pairs")
+):
     """Signed incidence of parallel-path relations over the cover edges.
 
     Row i carries +1 on the edges of ``row_pairs[i].path_a`` and -1 on
     the edges of ``path_b``; an edge on both paths nets 0.
     """
 
-    matrix: IntegerMatrix
-    column_edges: tuple[Edge, ...]
-    row_pairs: tuple[ParallelPair, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CycleWalk:
+class CycleWalk(namedtuple("CycleWalk", "vertices")):
     """Closed walk of pairwise-comparable consecutive elements."""
 
-    vertices: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = tuple(self.vertices)
-        object.__setattr__(self, "vertices", v)
+    def __new__(cls, vertices):
+        v = tuple(vertices)
         if len(v) < 2:
             raise ValueError("a cycle walk needs at least two entries")
         if v[0] != v[-1]:
@@ -70,6 +63,7 @@ class CycleWalk:
         for a, b in zip(v, v[1:]):
             if a == b:
                 raise ValueError("consecutive walk elements must differ")
+        return super().__new__(cls, v)
 
 
 class TransitiveFunction:
@@ -162,7 +156,7 @@ def consistency_matrix(P: Poset) -> ConsistencyMatrix:
             acc[col[edge]] = acc.get(col[edge], 0) - 1
         rows.append(tuple(sorted((c, x) for c, x in acc.items() if x)))
     return ConsistencyMatrix(
-        matrix=IntegerMatrix(len(pairs), len(col), tuple(rows)),
+        matrix=IntegerMatrix._make((len(pairs), len(col), tuple(rows))),
         column_edges=P.covers,
         row_pairs=tuple(pairs),
     )
@@ -247,7 +241,7 @@ def is_potential(f: TransitiveFunction):
         tuple(sorted(((P.index(lo), -1), (P.index(hi), 1)))) for lo, hi in P.covers
     )
     rhs = [f.values[edge] for edge in P.covers]
-    a = IntegerMatrix(len(P.covers), n, rows)
+    a = IntegerMatrix._make((len(P.covers), n, rows))
 
     sol = solve_linear(a, rhs, ring)
     if sol is None:

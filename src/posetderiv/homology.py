@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
+# poset.core is looked up at each call: this module may first load while
+# bench/tracing.py has it wrapped, and a name bound then keeps the wrapper.
+from . import poset
 from .derivations import der_pot_from_divisors
 from .errors import DimensionError
 from .linalg import IntegerMatrix, Ring, _field_modulus, smith_divisors
-from .poset import Poset, _bits, core, shape_stats
+from .poset import Poset, _bits, shape_stats
 
 
-@dataclass(frozen=True)
-class OrderComplex:
+class OrderComplex(namedtuple("OrderComplex", "elements simplices_by_dim")):
     """Chains of a poset grouped by dimension.
 
     ``simplices_by_dim[d]`` lists the (d+1)-element chains as tuples of
@@ -20,8 +22,7 @@ class OrderComplex:
     ``max_dim + 1`` slots; slots beyond the top dimension are empty.
     """
 
-    elements: tuple[str, ...]
-    simplices_by_dim: tuple[tuple[tuple[int, ...], ...], ...]
+    __slots__ = ()
 
     @property
     def max_dim(self) -> int:
@@ -33,17 +34,18 @@ class OrderComplex:
         return 0
 
 
-@dataclass(frozen=True)
-class HomologySummary:
+class HomologySummary(namedtuple("HomologySummary", "dim betti torsion")):
     """Free rank and torsion of one integral homology group."""
 
-    dim: int
-    betti: int
-    torsion: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConclusiveVerdict:
+class ConclusiveVerdict(
+    namedtuple(
+        "ConclusiveVerdict",
+        "betti1 torsion1 soluble defective_uct conclusive_torsion_free",
+    )
+):
     """Degree-1 homology classification of a poset.
 
     ``soluble`` means H1 vanishes entirely; ``defective_uct`` means the
@@ -54,11 +56,7 @@ class ConclusiveVerdict:
     torsion can coexist when the free rank is positive.
     """
 
-    betti1: int
-    torsion1: tuple[int, ...]
-    soluble: bool
-    defective_uct: bool
-    conclusive_torsion_free: bool
+    __slots__ = ()
 
 
 def order_complex(P: Poset, max_dim: int) -> OrderComplex:
@@ -81,6 +79,7 @@ def order_complex(P: Poset, max_dim: int) -> OrderComplex:
 
     for start in range(P.n):
         extend(start)
+    del extend  # it holds itself: free the walk's state now, not at a later collection
     return OrderComplex(
         elements=P.elements,
         simplices_by_dim=tuple(map(tuple, by_dim)),
@@ -109,7 +108,7 @@ def boundary_matrix(K: OrderComplex, d: int) -> IntegerMatrix:
     for cidx, simplex in enumerate(cells):
         for i in range(d + 1):
             row_of[simplex[:i] + simplex[i + 1 :]].append((cidx, -1 if i % 2 else 1))
-    return IntegerMatrix(len(faces), len(cells), tuple(map(tuple, rows)))
+    return IntegerMatrix._make((len(faces), len(cells), tuple(map(tuple, rows))))
 
 
 def homology(P: Poset, n: int) -> HomologySummary:
@@ -126,7 +125,7 @@ def homology(P: Poset, n: int) -> HomologySummary:
     """
     if n < 0:
         raise DimensionError(f"homology dimension must be >= 0, got {n}")
-    C = core(P)
+    C = poset.core(P)
     if n >= C.n:
         return HomologySummary(dim=n, betti=0, torsion=())
     K = order_complex(C, n + 1)

@@ -8,34 +8,34 @@ computations downstream.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import defaultdict, namedtuple
 from math import gcd
 
 from .errors import InputError, UnsupportedRingError
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
+class IntegerMatrix(namedtuple("IntegerMatrix", "rows cols sparse_rows")):
     """Integer matrix as sparse rows: ``sparse_rows[i]`` holds row i as
-    (column, value) pairs, columns ascending, no zero values."""
+    (column, value) pairs, columns ascending, no zero values.
 
-    rows: int
-    cols: int
-    sparse_rows: tuple[tuple[tuple[int, int], ...], ...]
+    The constructor checks every row.  ``IntegerMatrix._make((rows, cols,
+    sparse_rows))`` skips the check; the package uses it only for rows it
+    has just built in that form."""
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, sparse_rows):
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.sparse_rows) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(self.sparse_rows)}")
-        for row in self.sparse_rows:
+        if len(sparse_rows) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(sparse_rows)}")
+        for row in sparse_rows:
             last = -1
             for j, x in row:
-                if not (last < j < self.cols and x):
-                    raise ValueError(f"bad sparse row {row!r} for {self.cols} columns")
+                if not (last < j < cols and x):
+                    raise ValueError(f"bad sparse row {row!r} for {cols} columns")
                 last = j
+        return super().__new__(cls, rows, cols, sparse_rows)
 
     @classmethod
     def from_rows(cls, data, cols: int | None = None) -> "IntegerMatrix":
@@ -125,34 +125,38 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Ring:
-    """Coefficient ring: the rationals, the integers, GF(p) or Z/n."""
+class Ring(namedtuple("Ring", "tag n", defaults=(None,))):
+    """Coefficient ring: the rationals, the integers, GF(p) or Z/n.
 
-    tag: str
-    n: int | None = None
+    Values of the rationals are Fractions; ``fractions`` loads when the
+    first one is made."""
 
-    def __post_init__(self):
-        if self.tag in ("rationals", "integers"):
-            if self.n is not None:
-                raise ValueError(f"{self.tag} takes no modulus")
-        elif self.tag == "prime_field":
-            if self.n is None or not _is_prime(self.n):
-                raise UnsupportedRingError(f"{self.n!r} is not prime")
-        elif self.tag == "mod_ring":
-            if self.n is None or self.n < 2:
+    __slots__ = ()
+
+    def __new__(cls, tag: str, n: int | None = None):
+        if tag in ("rationals", "integers"):
+            if n is not None:
+                raise ValueError(f"{tag} takes no modulus")
+        elif tag == "prime_field":
+            if n is None or not _is_prime(n):
+                raise UnsupportedRingError(f"{n!r} is not prime")
+        elif tag == "mod_ring":
+            if n is None or n < 2:
                 raise UnsupportedRingError("modulus must be at least 2")
         else:
-            raise ValueError(f"unknown ring tag {self.tag!r}")
+            raise ValueError(f"unknown ring tag {tag!r}")
+        return super().__new__(cls, tag, n)
 
     # -- element arithmetic ----------------------------------------------
 
     @property
     def zero(self):
-        return Fraction(0) if self.tag == "rationals" else 0
+        return self.normalize(0) if self.tag == "rationals" else 0
 
     def normalize(self, v):
         if self.tag == "rationals":
+            from fractions import Fraction
+
             return Fraction(v)
         if self.tag == "integers":
             return int(v)
@@ -211,18 +215,14 @@ def ring_from_string(text: str) -> Ring:
     raise InputError(f"bad ring string {text!r} (expected q, gf:p or mod:n)")
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(namedtuple("SmithDecomposition", "u s v divisors")):
     """Unimodular factorization s = u * a * v with diagonal s.
 
     The diagonal is ``divisors`` padded with zeros and each divisor
     divides the next.
     """
 
-    u: IntegerMatrix
-    s: IntegerMatrix
-    v: IntegerMatrix
-    divisors: tuple[int, ...]
+    __slots__ = ()
 
 
 def _smith(rows: list[dict[int, int]], m: int, n: int) -> list[tuple[int, int]]:
@@ -349,9 +349,9 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
     s = [((t, d),) for t, d in enumerate(divisors)] + [()] * (m - len(divisors))
     v = [sorted((slot[j], x) for j, x in row.items()) for row in rows[m:]]
     return SmithDecomposition(
-        u=IntegerMatrix(m, m, tuple(map(tuple, u))),
-        s=IntegerMatrix(m, n, tuple(s)),
-        v=IntegerMatrix(n, n, tuple(map(tuple, v))),
+        u=IntegerMatrix._make((m, m, tuple(map(tuple, u)))),
+        s=IntegerMatrix._make((m, n, tuple(s))),
+        v=IntegerMatrix._make((n, n, tuple(map(tuple, v)))),
         divisors=divisors,
     )
 
@@ -394,7 +394,7 @@ def rank_over(a: IntegerMatrix, k: Ring) -> int:
 def _scalar_solve(d: int, c: int, k: Ring):
     """One solution of d * y = c in k, or None.  d is a positive integer."""
     if k.tag == "rationals":
-        return Fraction(c, d)
+        return k.normalize(c) / d
     if k.tag == "integers":
         return c // d if c % d == 0 else None
     if k.tag == "prime_field":

@@ -22,7 +22,7 @@ finds by walking down to one minimal element and checking it against S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 
 from .errors import (
@@ -43,25 +43,23 @@ class Relation(Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class ShapeStats:
+class ShapeStats(
+    namedtuple(
+        "ShapeStats",
+        "vertex_count edge_count component_count height minimal_count "
+        "maximal_count middle_count",
+    )
+):
     """Basic counting invariants of a poset.
 
     ``minimal_count + maximal_count + middle_count`` exceeds
     ``vertex_count`` by exactly the number of isolated elements.
     """
 
-    vertex_count: int
-    edge_count: int
-    component_count: int
-    height: int
-    minimal_count: int
-    maximal_count: int
-    middle_count: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Crown:
+class Crown(namedtuple("Crown", "lower upper join meet")):
     """A two-level cyclic subposet on ``2n`` elements, ``n >= 2``.
 
     The only comparabilities among the elements are ``lower[i] < upper[i]``
@@ -69,10 +67,16 @@ class Crown:
     join and meet of the element set in the poset, or None; equality ignores them.
     """
 
-    lower: tuple[str, ...]
-    upper: tuple[str, ...]
-    join: str | None = field(compare=False)
-    meet: str | None = field(compare=False)
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return isinstance(other, Crown) and self[:2] == other[:2]
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:2])
 
     @property
     def n(self) -> int:
@@ -652,6 +656,7 @@ def _canonical_search(above, below):
         return depth
 
     search(root, _refine(root, 1 if n > 1 else 0, [0], above, below), 0)
+    del search  # it holds itself: free the search state now, not at a later collection
     return best[0], best[1], gens
 
 

@@ -6,16 +6,20 @@ rationals are rendered as "p/q" strings.  No floats appear anywhere.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import asdict
-from fractions import Fraction
-
-from .criteria import criteria_report, table2_conflict
 from .derivations import TransitiveFunction, outer_witness, relation_divisors
 from .errors import InputError, UnsupportedRingError
-from .homology import classify, identity_checks
 from .linalg import Ring, _field_modulus, ring_from_string
 from .poset import Poset, canonical_form, transitive_reduction
+
+
+def as_dict(value):
+    """``value`` with each record in it (a namedtuple) turned into a dict
+    of its fields, recursively; lists and tuples keep their type."""
+    if hasattr(value, "_asdict"):
+        return {k: as_dict(v) for k, v in zip(value._fields, value)}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(as_dict, value))
+    return value
 
 
 def _identifier_ok(value) -> bool:
@@ -66,7 +70,7 @@ def _parse_value(ring: Ring, raw):
         return ring.normalize(raw)
     if ring.tag == "rationals" and isinstance(raw, str):
         try:
-            return Fraction(raw)
+            return ring.normalize(raw)
         except (ValueError, ZeroDivisionError):
             raise InputError(f"bad rational value {raw!r}") from None
     raise InputError(f"bad ring value {raw!r}")
@@ -102,7 +106,7 @@ def function_values_from_json(obj):
 
 def encode_value(ring: Ring, value):
     if ring.tag == "rationals":
-        return str(Fraction(value))
+        return str(ring.normalize(value))
     return int(value)
 
 
@@ -117,6 +121,8 @@ def function_json(f: TransitiveFunction) -> dict:
 
 
 def canonical_sha256(P: Poset) -> str:
+    import hashlib
+
     return hashlib.sha256(canonical_form(P)).hexdigest()
 
 
@@ -142,12 +148,15 @@ def analysis_report(P: Poset, rings, include_witness: bool = False) -> dict:
     cross-checked (homology.identity_checks); a failure becomes a
     `conflicts` entry starting with IDENTITY_CONFLICT.
     """
+    from .criteria import criteria_report, table2_conflict
+    from .homology import classify, identity_checks
+
     for ring in rings:
         require_rank_ring(ring)
     verdict = classify(P)
     divisors = relation_divisors(P)
 
-    criteria = asdict(criteria_report(P))
+    criteria = as_dict(criteria_report(P))
     stats = criteria.pop("stats")
     conflicts = []
     message = table2_conflict(criteria["table2_case"], verdict.torsion1)
@@ -205,4 +214,4 @@ def analysis_report(P: Poset, rings, include_witness: bool = False) -> dict:
 
 
 def sweep_json(report) -> dict:
-    return {**asdict(report), "ok": report.ok}
+    return {**as_dict(report), "ok": report.ok}

@@ -17,28 +17,31 @@ from __future__ import annotations
 import os
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
+# poset.canonical_form and homology.classify are looked up at each call: this
+# module may first load while bench/tracing.py has them wrapped, and a name
+# bound then keeps the wrapper.
+from . import poset
 from .errors import InputError, SizeLimitError
 from .derivations import relation_divisors
-from .homology import classify, identity_checks
+from .homology import identity_checks
 from .linalg import RATIONALS, prime_field
-from .poset import Poset, _bits, _canonical_search, _merge_orbits, _minimal, canonical_form
+from .poset import Poset, _bits, _canonical_search, _merge_orbits, _minimal
 
 SIZE_CAP = 8
 
 _SWEEP_FIELDS = (RATIONALS, prime_field(2), prime_field(3))
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    max_n: int
-    counts_by_n: tuple[tuple[int, int], ...]
-    defective_by_n: tuple[tuple[int, int], ...]
-    soluble_by_n: tuple[tuple[int, int], ...]
-    inconclusive_found: tuple[str, ...]
-    identity_failures: tuple[str, ...]
-    elapsed_ms: int
+class SweepReport(
+    namedtuple(
+        "SweepReport",
+        "max_n counts_by_n defective_by_n soluble_by_n inconclusive_found "
+        "identity_failures elapsed_ms",
+    )
+):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -134,6 +137,8 @@ def enumerate_posets(n: int):
 
 def _analyze_payload(P: Poset):
     """Per-poset sweep record; module-level so process pools can pickle it."""
+    from .homology import classify
+
     verdict = classify(P)
     checks = identity_checks(P, verdict, relation_divisors(P), _SWEEP_FIELDS)
     return {
@@ -190,9 +195,9 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
             for P, r in zip(posets, records):
                 # a class's canonical form is needed only to name it here
                 if r["torsion"]:
-                    inconclusive.append(canonical_form(P).decode("ascii"))
+                    inconclusive.append(poset.canonical_form(P).decode("ascii"))
                 if not r["identity_ok"]:
-                    failures.append(canonical_form(P).decode("ascii"))
+                    failures.append(poset.canonical_form(P).decode("ascii"))
             if progress:
                 now = time.monotonic()
                 rate = len(records) / max(now - level_start, 1e-9)

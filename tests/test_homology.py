@@ -292,3 +292,16 @@ def test_rank_homology_identity_small():
                 0 if p is None else sum(1 for t in v.torsion1 if t % p == 0)
             )
             assert lhs == rhs
+
+
+def test_order_complex_leaves_no_reference_cycle():
+    import gc
+
+    P = chain_product(4, 5)
+    gc.collect()
+    gc.disable()
+    try:
+        order_complex(P, 8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

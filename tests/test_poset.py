@@ -694,3 +694,16 @@ def test_canonical_form_on_symmetric_posets(P, Q, R, rng):
     for i in range(len(small)):
         for j in range(i):
             assert (forms[i] == forms[j]) == (oracle[i] == oracle[j])
+
+
+@pytest.mark.parametrize("search", [canonical_form, find_crowns])
+def test_searches_leave_no_reference_cycle(rp2, search):
+    import gc
+
+    gc.collect()
+    gc.disable()
+    try:
+        search(rp2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
