@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input error, 4 internal cross-check failure
-(the relation-matrix and homology routes disagree) in `analyze` or a
-sweep.  All output is JSON on stdout; progress goes to stderr.  `main`
-may be called many times in one process: the argument parser is built
-on the first call only, and each call parses its arguments afresh.
+Exit codes: 0 success, 2 input error or size limit (a fixture above
+4096, a sweep outside 1..8, a canonical search past the recursion
+limit), 4 internal cross-check failure (the relation-matrix and homology
+routes disagree) in `analyze` or a sweep.  All output is JSON on stdout;
+progress goes to stderr.  `main` may be called many times in one
+process: the argument parser is built on the first call only, and each
+call parses its arguments afresh.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 
 from .derivations import from_cover_values, is_potential, outer_witness
 from .errors import InputError, PosetderivError
-from .linalg import ring_from_string
+from .linalg import DEFAULT_FIELDS, ring_from_string
 from .poset import core, find_crowns
 from .report import (
     IDENTITY_CONFLICT,
@@ -136,8 +138,7 @@ def _load_poset(args):
 
 def _cmd_analyze(args) -> tuple[dict, int]:
     P = _load_poset(args)
-    ring_texts = args.ring or ["q", "gf:2", "gf:3"]
-    rings = [ring_from_string(t) for t in ring_texts]
+    rings = [ring_from_string(t) for t in args.ring] if args.ring else DEFAULT_FIELDS
     report = analysis_report(P, rings, include_witness=args.witness)
     failed = any(c.startswith(IDENTITY_CONFLICT) for c in report["conflicts"])
     return report, 4 if failed else 0

@@ -37,13 +37,12 @@ class ParallelPair(namedtuple("ParallelPair", "source target path_a path_b")):
     __slots__ = ()
 
 
-class ConsistencyMatrix(
-    namedtuple("ConsistencyMatrix", "matrix column_edges row_pairs")
-):
+class ConsistencyMatrix(namedtuple("ConsistencyMatrix", "matrix column_edges")):
     """Signed incidence of parallel-path relations over the cover edges.
 
-    Row i carries +1 on the edges of ``row_pairs[i].path_a`` and -1 on
-    the edges of ``path_b``; an edge on both paths nets 0.
+    Row i carries +1 on the edges of ``path_a`` of the i-th pair of
+    ``parallel_pairs(P)`` and -1 on the edges of ``path_b``; an edge on
+    both paths nets 0.
     """
 
     __slots__ = ()
@@ -82,9 +81,6 @@ class TransitiveFunction:
         except KeyError:
             raise NotComparableError(f"{x!r} < {y!r} does not hold") from None
 
-    def cover_values(self) -> dict:
-        return {edge: self.values[edge] for edge in self.poset.covers}
-
     def __repr__(self):
         return (
             f"TransitiveFunction({self.ring.label()}, "
@@ -95,11 +91,11 @@ class TransitiveFunction:
 def _cone_walk(P: Poset, x: int):
     """Yield each z above x in topological order, with its down-covers that
     lie in {x} | cone(x), in index order."""
-    cone = P.above_mask(x)
+    cone = P.above[x]
     inside = cone | (1 << x)
-    for z in P.topological_order():
+    for z in P.topological_order:
         if (cone >> z) & 1:
-            yield z, [w for w in P.down_covers_idx(z) if (inside >> w) & 1]
+            yield z, [w for w in P.down_covers[z] if (inside >> w) & 1]
 
 
 def parallel_pairs(P: Poset) -> list[ParallelPair]:
@@ -133,7 +129,7 @@ def parallel_pairs(P: Poset) -> list[ParallelPair]:
         for z, (w0, *rest) in _cone_walk(P, x):
             ref[z] = ref[w0] + ((names[w0], names[z]),)
             extra[z] = rest
-        for z in _bits(P.above_mask(x)):
+        for z in _bits(P.above[x]):
             for w in extra[z]:
                 out.append(
                     ParallelPair(
@@ -158,7 +154,6 @@ def consistency_matrix(P: Poset) -> ConsistencyMatrix:
     return ConsistencyMatrix(
         matrix=IntegerMatrix._make((len(pairs), len(col), tuple(rows))),
         column_edges=P.covers,
-        row_pairs=tuple(pairs),
     )
 
 
@@ -264,9 +259,9 @@ def circulation(f: TransitiveFunction, C: CycleWalk):
     verts = C.vertices
     for a, b in zip(verts, verts[1:]):
         ia, ib = P.index(a), P.index(b)
-        if P.is_less_idx(ia, ib):
+        if P.above[ia] >> ib & 1:
             total = ring.add(total, f.values[(a, b)])
-        elif P.is_less_idx(ib, ia):
+        elif P.below[ia] >> ib & 1:
             total = ring.sub(total, f.values[(b, a)])
         else:
             raise NotComparableError(f"{a!r} and {b!r} are not comparable")

@@ -38,7 +38,7 @@ class NotComparableError(PosetderivError):
 
 
 class SizeLimitError(PosetderivError):
-    """Requested enumeration size is outside the supported range."""
+    """Input or requested size is outside the supported range."""
 
 
 class UnknownFixtureError(PosetderivError):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import UnknownFixtureError
+from .errors import SizeLimitError, UnknownFixtureError
 from .poset import Poset
 
 # 13-element minimal finite model of the real projective plane: three
@@ -112,6 +112,8 @@ def _parse_size(name: str, arg: str, minimum: int) -> int:
         raise UnknownFixtureError(f"bad size in fixture {name!r}") from None
     if value < minimum:
         raise UnknownFixtureError(f"fixture {name!r} needs size >= {minimum}")
+    if value > 4096:  # the order masks of chain:N hold about N * N bits
+        raise SizeLimitError(f"fixture {name!r} needs size <= 4096")
     return value
 
 

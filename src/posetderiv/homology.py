@@ -73,7 +73,7 @@ def order_complex(P: Poset, max_dim: int) -> OrderComplex:
         chain.append(vertex)
         by_dim[len(chain) - 1].append(tuple(chain))
         if len(chain) <= max_dim:
-            for nxt in _bits(P.above_mask(vertex)):
+            for nxt in _bits(P.above[vertex]):
                 extend(nxt)
         chain.pop()
 
@@ -159,8 +159,8 @@ def euler_by_moebius(P: Poset) -> int:
     over the ``below`` masks in topological order.
     """
     mu = [0] * P.n
-    for x in P.topological_order():
-        mu[x] = -1 - sum(mu[y] for y in _bits(P.below_mask(x)))
+    for x in P.topological_order:
+        mu[x] = -1 - sum(mu[y] for y in _bits(P.below[x]))
     return -sum(mu)
 
 

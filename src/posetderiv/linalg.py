@@ -192,6 +192,10 @@ def prime_field(p: int) -> Ring:
     return Ring("prime_field", p)
 
 
+# the fields analyze reports on by default and every sweep cross-checks
+DEFAULT_FIELDS = (RATIONALS, prime_field(2), prime_field(3))
+
+
 def mod_ring(n: int) -> Ring:
     return Ring("mod_ring", n)
 

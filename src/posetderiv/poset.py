@@ -30,6 +30,7 @@ from .errors import (
     DuplicateError,
     InputError,
     NotReducedError,
+    SizeLimitError,
     UnknownElementError,
 )
 
@@ -64,19 +65,10 @@ class Crown(namedtuple("Crown", "lower upper join meet")):
 
     The only comparabilities among the elements are ``lower[i] < upper[i]``
     and ``lower[i] < upper[(i + 1) % n]``.  ``join`` and ``meet`` are the
-    join and meet of the element set in the poset, or None; equality ignores them.
+    join and meet of the element set in the poset, or None.
     """
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        return isinstance(other, Crown) and self[:2] == other[:2]
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __hash__(self):
-        return hash(self[:2])
 
     @property
     def n(self) -> int:
@@ -104,18 +96,22 @@ class Poset:
 
     Construction validates the cover list completely: distinct known
     identifiers, no self-pairs or duplicates, acyclic, transitively
-    reduced.  All queries afterwards are pure and thread-safe.
+    reduced.  The order lives in read-only attributes: ``above[i]`` and
+    ``below[i]`` (bitmasks of the elements strictly above and below i),
+    ``down_covers[i]`` (ascending), ``topological_order``, ``component_ids``
+    (a component number per element) and ``component_count``.
     """
 
     __slots__ = (
         "elements",
         "covers",
         "_index",
-        "_above",
-        "_below",
-        "_down",
-        "_topo",
-        "_component",
+        "above",
+        "below",
+        "down_covers",
+        "topological_order",
+        "component_ids",
+        "component_count",
     )
 
     def __init__(self, elements, covers):
@@ -151,13 +147,12 @@ class Poset:
         self.elements = elems
         self.covers = tuple(pairs)
         self._index = index
-        self._above = tuple(above)
-        self._below = tuple(below)
-        self._down = tuple(tuple(lst) for lst in down)
-        self._topo = tuple(topo)
-        self._component = tuple(component)
-
-    # -- basic accessors ------------------------------------------------
+        self.above = tuple(above)
+        self.below = tuple(below)
+        self.down_covers = tuple(tuple(lst) for lst in down)
+        self.topological_order = tuple(topo)
+        self.component_ids = tuple(component)
+        self.component_count = next_id
 
     @property
     def n(self) -> int:
@@ -169,33 +164,10 @@ class Poset:
         except KeyError:
             raise UnknownElementError(f"unknown element {x!r}") from None
 
-    def is_less_idx(self, i: int, j: int) -> bool:
-        return bool((self._above[i] >> j) & 1)
-
-    def above_mask(self, i: int) -> int:
-        return self._above[i]
-
-    def below_mask(self, i: int) -> int:
-        return self._below[i]
-
-    def down_covers_idx(self, i: int) -> tuple[int, ...]:
-        return self._down[i]
-
-    def topological_order(self) -> tuple[int, ...]:
-        return self._topo
-
-    @property
-    def component_ids(self) -> tuple[int, ...]:
-        return self._component
-
-    @property
-    def component_count(self) -> int:
-        return max(self._component, default=-1) + 1
-
     def strict_pairs(self):
         """Yield all (x, y) with x < y, ordered by element indices."""
         for i in range(self.n):
-            for j in _bits(self._above[i]):
+            for j in _bits(self.above[i]):
                 yield (self.elements[i], self.elements[j])
 
     def __eq__(self, other):
@@ -279,11 +251,6 @@ def _closure(up, down) -> tuple[list[int], list[int], list[int]]:
     return order, above, below
 
 
-def from_covers(elements, covers) -> Poset:
-    """Build a validated poset from element identifiers and cover pairs."""
-    return Poset(elements, covers)
-
-
 def transitive_reduction(elements, pairs) -> list[tuple[str, str]]:
     """Reduce an arbitrary acyclic relation to its cover pairs.
 
@@ -302,25 +269,23 @@ def leq(P: Poset, x: str, y: str) -> Relation:
     i, j = P.index(x), P.index(y)
     if i == j:
         return Relation.EQUAL
-    if P.is_less_idx(i, j):
+    if P.above[i] >> j & 1:
         return Relation.LESS
-    if P.is_less_idx(j, i):
+    if P.below[i] >> j & 1:
         return Relation.GREATER
     return Relation.INCOMPARABLE
 
 
 def shape_stats(P: Poset) -> ShapeStats:
-    n = P.n
-    minimal = sum(1 for i in range(n) if P.below_mask(i) == 0)
-    maximal = sum(1 for i in range(n) if P.above_mask(i) == 0)
-    middle = sum(
-        1 for i in range(n) if P.below_mask(i) != 0 and P.above_mask(i) != 0
-    )
+    n, above, below = P.n, P.above, P.below
+    minimal = below.count(0)
+    maximal = above.count(0)
+    middle = sum(1 for i in range(n) if below[i] and above[i])
     height = [0] * n
     best = 0
-    for i in P.topological_order():
+    for i in P.topological_order:
         h = 1
-        for j in P.down_covers_idx(i):
+        for j in P.down_covers[i]:
             if height[j] + 1 > h:
                 h = height[j] + 1
         height[i] = h
@@ -350,7 +315,7 @@ def _beat_points(alive: int, above, below):
 def beat_points(P: Poset) -> list[str]:
     """Elements that cover exactly one element or are covered by exactly one."""
     full = (1 << P.n) - 1
-    return [P.elements[i] for i in _beat_points(full, P._above, P._below)]
+    return [P.elements[i] for i in _beat_points(full, P.above, P.below)]
 
 
 def core(P: Poset) -> Poset:
@@ -359,7 +324,7 @@ def core(P: Poset) -> Poset:
     Walks a bitmask of the surviving elements and builds one poset at the
     end, or returns P itself when it has no beat point.
     """
-    above, below = P._above, P._below
+    above, below = P.above, P.below
     full = alive = (1 << P.n) - 1
     while (beat := next(_beat_points(alive, above, below), None)) is not None:
         alive ^= 1 << beat
@@ -379,7 +344,7 @@ def core(P: Poset) -> Poset:
 def find_crowns(P: Poset, max_n: int = 6) -> list[Crown]:
     """All induced crown subposets with 2 <= n <= max_n, with their joins and meets.
 
-    A backtracking walk on the order bitmasks goes up and down from the anchor,
+    A depth-first walk on the order bitmasks goes up and down from the anchor,
     the smallest lower, until an upper above the anchor closes the cycle.  Only
     the direction whose first upper is smaller than its closing upper counts, so
     each crown is found once, up to rotation and reflection, and a walk stops
@@ -390,13 +355,21 @@ def find_crowns(P: Poset, max_n: int = 6) -> list[Crown]:
     """
     if max_n < 2:
         raise InputError(f"crown size must be >= 2, got {max_n}")
-    above, below, names = P._above, P._below, P.elements
+    above, below, names = P.above, P.below, P.elements
     joins, meets = _Bounds(above, below, names), _Bounds(below, above, names)
     # near[i]: i and everything comparable to it
     near = [up | down | 1 << i for i, (up, down) in enumerate(zip(above, below))]
     walks = []
-
-    def extend(lowers, uppers, lnames, unames, lmask, umask, block, closers):
+    stack = []  # walk states, depth first: a stack, so no depth limit applies
+    for a in range(P.n):
+        lower_ok = ~near[a] & -(2 << a)
+        for v in _bits(above[a]):
+            if closers := above[a] & -(2 << v) & ~near[v]:
+                for u in _bits(below[v] & lower_ok):  # near[v] has a, below[a]
+                    stack.append(((a, u), (v,), (names[a], names[u]), (names[v],),
+                                  1 << a | 1 << u, 1 << v, near[v], closers))
+    while stack:
+        lowers, uppers, lnames, unames, lmask, umask, block, closers = stack.pop()
         # block: the placed elements and all below a lower, above an earlier middle
         # lower or comparable to an upper; closers: the rest above the anchor after uppers[0]
         up = above[lowers[-1]]
@@ -409,7 +382,7 @@ def find_crowns(P: Poset, max_n: int = 6) -> list[Crown]:
         # lowers[-1] turns into a middle lower: nothing above it closes the crown,
         # and a middle upper is not above the anchor, so neither is its new lower
         if len(lowers) == max_n or not (closers := closers & ~up):
-            return
+            continue
         middle = up & ~(block | above[lowers[0]])
         block |= up
         lower_ok = ~block & -(2 << lowers[0])  # free and after the anchor
@@ -417,17 +390,8 @@ def find_crowns(P: Poset, max_n: int = 6) -> list[Crown]:
             if vclosers := closers & ~near[v]:
                 uppers_v, unames_v = uppers + (v,), unames + (names[v],)
                 for u in _bits(below[v] & lower_ok):
-                    extend(lowers + (u,), uppers_v, lnames + (names[u],), unames_v,
-                           lmask | 1 << u, umask | 1 << v, block | near[v], vclosers)
-
-    for a in range(P.n):
-        lower_ok = ~near[a] & -(2 << a)
-        for v in _bits(above[a]):
-            if closers := above[a] & -(2 << v) & ~near[v]:
-                for u in _bits(below[v] & lower_ok):
-                    extend((a, u), (v,), (names[a], names[u]), (names[v],),
-                           1 << a | 1 << u, 1 << v, near[v], closers)  # near[v] has a, below[a]
-    del extend  # it holds itself: free the walk's state now, not at a later collection
+                    stack.append((lowers + (u,), uppers_v, lnames + (names[u],), unames_v,
+                                  lmask | 1 << u, umask | 1 << v, block | near[v], vclosers))
     # walks differ in their lowers or uppers, so sorting compares only indices
     walks.sort()
     return [Crown(*walk[3:]) for walk in walks]
@@ -468,7 +432,7 @@ def join_meet(P: Poset, subset) -> tuple[str | None, str | None]:
         mask |= 1 << P.index(x)
     if not mask:
         raise ValueError("subset must be nonempty")
-    above, below, names = P._above, P._below, P.elements
+    above, below, names = P.above, P.below, P.elements
     return _Bounds(above, below, names)[mask], _Bounds(below, above, names)[mask]
 
 
@@ -655,8 +619,10 @@ def _canonical_search(above, below):
                 return back
         return depth
 
-    search(root, _refine(root, 1 if n > 1 else 0, [0], above, below), 0)
-    del search  # it holds itself: free the search state now, not at a later collection
+    try:
+        search(root, _refine(root, 1 if n > 1 else 0, [0], above, below), 0)
+    finally:
+        del search  # it holds itself: free the search state now, not at a later collection
     return best[0], best[1], gens
 
 
@@ -665,9 +631,17 @@ def canonical_form(P: Poset) -> bytes:
 
     The form is ``f"{n}:"`` followed by the least leaf certificate of
     ``_canonical_search`` (the ``above`` bitmasks relabeled to the
-    canonical order), comma-separated, in ASCII.
+    canonical order), comma-separated, in ASCII.  The search recurses
+    once per individualized element, so a poset whose search goes deeper
+    than the interpreter's recursion limit raises SizeLimitError.
     """
     if P.n == 0:
         return b"0:"
-    cert = _canonical_search(P._above, P._below)[0]
+    try:
+        cert = _canonical_search(P.above, P.below)[0]
+    except RecursionError:
+        raise SizeLimitError(
+            f"canonical form of this {P.n}-element poset needs a search deeper "
+            "than the recursion limit"
+        ) from None
     return (f"{P.n}:" + ",".join(map(str, cert))).encode("ascii")

@@ -26,12 +26,10 @@ from . import poset
 from .errors import InputError, SizeLimitError
 from .derivations import relation_divisors
 from .homology import identity_checks
-from .linalg import RATIONALS, prime_field
+from .linalg import DEFAULT_FIELDS
 from .poset import Poset, _bits, _canonical_search, _merge_orbits, _minimal
 
 SIZE_CAP = 8
-
-_SWEEP_FIELDS = (RATIONALS, prime_field(2), prime_field(3))
 
 
 class SweepReport(
@@ -54,9 +52,9 @@ def _down_sets(P: Poset, gens) -> list[int]:
     Down-sets are bitmasks (the empty set included), built over the
     elements in topological order; the first of each orbit is kept.
     """
-    below = P._below
+    below = P.below
     downs = [0]
-    for i in P.topological_order():
+    for i in P.topological_order:
         downs += [d | 1 << i for d in downs if not below[i] & ~d]
     out = []
     seen = set()
@@ -80,7 +78,7 @@ def _down_sets(P: Poset, gens) -> list[int]:
 
 def _extend(P: Poset, down_set: int) -> Poset:
     new = f"x{P.n}"
-    tops = [(P.elements[j], new) for j in _minimal(down_set, P._above)]
+    tops = [(P.elements[j], new) for j in _minimal(down_set, P.above)]
     return Poset(P.elements + (new,), P.covers + tuple(tops))
 
 
@@ -100,7 +98,7 @@ def _children(P: Poset) -> list[Poset]:
     orbit of the one that comes first in the child's canonical labeling.
     """
     n = P.n
-    above, below = P._above, P._below
+    above, below = P.above, P.below
     gens = _canonical_search(above, below)[2]
     maximal = [(i, _top_key(below[i], above, below)) for i in range(n) if not above[i]]
     kids = []
@@ -140,10 +138,8 @@ def _analyze_payload(P: Poset):
     from .homology import classify
 
     verdict = classify(P)
-    checks = identity_checks(P, verdict, relation_divisors(P), _SWEEP_FIELDS)
+    checks = identity_checks(P, verdict, relation_divisors(P), DEFAULT_FIELDS)
     return {
-        "n": P.n,
-        "betti1": verdict.betti1,
         "torsion": list(verdict.torsion1),
         "soluble": verdict.soluble,
         "defective": verdict.defective_uct,

@@ -472,7 +472,7 @@ def brute_force_crowns(P, max_n: int) -> list[frozenset]:
     element comparable to exactly two others, and the comparability graph
     connected.
     """
-    lt = P.is_less_idx
+    lt = lambda i, j: P.above[i] >> j & 1
     found = []
     for k in range(2, max_n + 1):
         for subset in combinations(range(P.n), 2 * k):
@@ -507,10 +507,10 @@ def crown_bounds(P, crowns) -> list[tuple[str | None, str | None]]:
         ub = lb = (1 << P.n) - 1
         for x in c.lower + c.upper:
             i = P.index(x)
-            ub &= P.above_mask(i) | 1 << i
-            lb &= P.below_mask(i) | 1 << i
-        least = [i for i in range(P.n) if ub >> i & 1 and not ub & ~(P.above_mask(i) | 1 << i)]
-        most = [i for i in range(P.n) if lb >> i & 1 and not lb & ~(P.below_mask(i) | 1 << i)]
+            ub &= P.above[i] | 1 << i
+            lb &= P.below[i] | 1 << i
+        least = [i for i in range(P.n) if ub >> i & 1 and not ub & ~(P.above[i] | 1 << i)]
+        most = [i for i in range(P.n) if lb >> i & 1 and not lb & ~(P.below[i] | 1 << i)]
         out.append(tuple(P.elements[b[0]] if b else None for b in (least, most)))
     return out
 
@@ -539,7 +539,7 @@ def iterated_core(P):
         if not beats:
             return P
         keep = [P.index(x) for x in P.elements if x != beats[0]]
-        lt = P.is_less_idx
+        lt = lambda i, j: P.above[i] >> j & 1
         covers = [
             (P.elements[a], P.elements[b])
             for a in keep
@@ -555,7 +555,7 @@ def brute_force_join_meet(P, subset):
     idxs = [P.index(x) for x in subset]
 
     def le(a, b):
-        return a == b or P.is_less_idx(a, b)
+        return a == b or bool(P.above[a] >> b & 1)
 
     ubs = [u for u in range(P.n) if all(le(s, u) for s in idxs)]
     lbs = [u for u in range(P.n) if all(le(u, s) for s in idxs)]
@@ -580,8 +580,8 @@ def brute_force_canonical_form(P) -> bytes:
     n = P.n
     if n == 0:
         return b"0:"
-    above = [P.above_mask(i) for i in range(n)]
-    below = [P.below_mask(i) for i in range(n)]
+    above = [P.above[i] for i in range(n)]
+    below = [P.below[i] for i in range(n)]
 
     def bits(mask):
         return [i for i in range(n) if (mask >> i) & 1]
@@ -651,7 +651,7 @@ def brute_force_automorphisms(P) -> list[tuple[int, ...]]:
     """Every automorphism of P as an image tuple, by backtracking over all
     element orders that keep the strict order among the elements placed."""
     n = P.n
-    above = [P.above_mask(i) for i in range(n)]
+    above = [P.above[i] for i in range(n)]
     out = []
     image: list[int] = []
 
@@ -690,13 +690,13 @@ def dedup_enumerate_posets(n: int):
         nxt = {}
         for P in level.values():
             for mask in range(1 << k):
-                if any(P.below_mask(j) & ~mask for j in range(k) if (mask >> j) & 1):
+                if any(P.below[j] & ~mask for j in range(k) if (mask >> j) & 1):
                     continue
                 new = f"x{k}"
                 tops = [
                     (P.elements[j], new)
                     for j in range(k)
-                    if (mask >> j) & 1 and not P.above_mask(j) & mask
+                    if (mask >> j) & 1 and not P.above[j] & mask
                 ]
                 Q = Poset(P.elements + (new,), P.covers + tuple(tops))
                 nxt.setdefault(canonical_form(Q), Q)

@@ -90,6 +90,14 @@ def test_fixture_unknown(capsys):
     assert "error" in payload
 
 
+@pytest.mark.parametrize("family", ["crown", "chain", "antichain", "fence"])
+def test_fixture_sizes_above_4096_exit_2(capsys, family):
+    # chain:N alone holds about N * N bits of order masks
+    code, payload = run_cli(capsys, "fixture", f"{family}:4097")
+    assert code == 2
+    assert payload == {"error": f"fixture '{family}:4097' needs size <= 4096"}
+
+
 def test_fixture_is_deterministic(capsys):
     _, first = run_cli(capsys, "fixture", "rp2")
     _, second = run_cli(capsys, "fixture", "rp2")
@@ -495,6 +503,27 @@ def test_crowns_command_rejects_size_below_two(capsys):
     )
     assert code == 2
     assert "crown size" in payload["error"]
+
+
+def test_crowns_walk_has_no_depth_limit(capsys, tmp_path):
+    # one crown of 2200 elements: the walk goes 1100 lowers deep
+    path = tmp_path / "crown.json"
+    path.write_text(json.dumps(fixture_json("crown:1100")))
+    code, payload = run_cli(capsys, "crowns", str(path), "--max-n", "1100")
+    assert code == 0
+    assert payload["crowns_found"] == 1
+    assert payload["crowns"][0]["n"] == 1100
+
+
+@pytest.mark.parametrize("command", ["core", "analyze"])
+def test_too_deep_canonical_search_exits_2(capsys, tmp_path, command):
+    # the search individualizes 1199 of the 1200 elements, one level each
+    path = tmp_path / "antichain.json"
+    path.write_text(json.dumps(fixture_json("antichain:1200")))
+    code, payload = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert "1200-element poset" in payload["error"]
+    assert "recursion limit" in payload["error"]
 
 
 def test_criteria_command(capsys):

@@ -71,7 +71,7 @@ def test_rp2_rows_are_the_displayed_relations(rp2):
     # each row compares the two length-2 routes n_i -> a_k -> m_j, k < l
     cm = consistency_matrix(rp2)
     col = {edge: c for c, edge in enumerate(cm.column_edges)}
-    for pair, row_start in zip(cm.row_pairs, range(0, 12 * 24, 24)):
+    for pair, row_start in zip(parallel_pairs(rp2), range(0, 12 * 24, 24)):
         row = cm.matrix.entries[row_start : row_start + 24]
         a_k = pair.path_a[0][1]
         a_l = pair.path_b[0][1]

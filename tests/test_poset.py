@@ -11,12 +11,12 @@ from posetderiv import (
     NotReducedError,
     Poset,
     Relation,
+    SizeLimitError,
     UnknownElementError,
     beat_points,
     canonical_form,
     core,
     find_crowns,
-    from_covers,
     join_meet,
     leq,
     shape_stats,
@@ -50,7 +50,7 @@ def all_posets_up_to(n):
 
 
 def test_single_point():
-    P = from_covers(["a"], [])
+    P = Poset(["a"], [])
     assert P.n == 1
     assert P.covers == ()
 
@@ -62,26 +62,26 @@ def test_rp2_counts(rp2):
 
 def test_redundant_cover_rejected():
     with pytest.raises(NotReducedError):
-        from_covers(["x", "y", "z"], [("x", "y"), ("y", "z"), ("x", "z")])
+        Poset(["x", "y", "z"], [("x", "y"), ("y", "z"), ("x", "z")])
 
 
 def test_cycle_rejected():
     with pytest.raises(CycleError):
-        from_covers(["x", "y"], [("x", "y"), ("y", "x")])
+        Poset(["x", "y"], [("x", "y"), ("y", "x")])
     with pytest.raises(CycleError):
-        from_covers(["x"], [("x", "x")])
+        Poset(["x"], [("x", "x")])
 
 
 def test_duplicates_rejected():
     with pytest.raises(DuplicateError):
-        from_covers(["x", "x"], [])
+        Poset(["x", "x"], [])
     with pytest.raises(DuplicateError):
-        from_covers(["x", "y"], [("x", "y"), ("x", "y")])
+        Poset(["x", "y"], [("x", "y"), ("x", "y")])
 
 
 def test_unknown_element_rejected():
     with pytest.raises(UnknownElementError):
-        from_covers(["x"], [("x", "q")])
+        Poset(["x"], [("x", "q")])
 
 
 def test_transitive_reduction_utility():
@@ -106,7 +106,7 @@ def test_transitive_reduction_utility():
 def test_poset_and_transitive_reduction_check_cover_lists_alike(
     elements, covers, error, message
 ):
-    for build in (from_covers, transitive_reduction):
+    for build in (Poset, transitive_reduction):
         with pytest.raises(error) as info:
             build(elements, covers)
         assert str(info.value) == message
@@ -434,13 +434,13 @@ def test_join_is_least_upper_bound():
 
 
 def test_canonical_form_isomorphic_chains():
-    a = from_covers(["x", "y"], [("x", "y")])
-    b = from_covers(["p", "q"], [("p", "q")])
+    a = Poset(["x", "y"], [("x", "y")])
+    b = Poset(["p", "q"], [("p", "q")])
     assert canonical_form(a) == canonical_form(b)
 
 
 def test_canonical_form_distinguishes():
-    two_chain = from_covers(["x", "y"], [("x", "y")])
+    two_chain = Poset(["x", "y"], [("x", "y")])
     assert canonical_form(two_chain) != canonical_form(fx.antichain(2))
 
 
@@ -648,8 +648,8 @@ def _assert_generators_complete(P):
     # the search's generators are automorphisms, and they move elements
     # and down-sets exactly as far as the whole automorphism group does
     n = P.n
-    above = [P.above_mask(i) for i in range(n)]
-    gens = [g for g, _ in _canonical_search(above, [P.below_mask(i) for i in range(n)])[2]]
+    above = [P.above[i] for i in range(n)]
+    gens = [g for g, _ in _canonical_search(above, [P.below[i] for i in range(n)])[2]]
     auts = brute_force_automorphisms(P)
     assert set(map(tuple, gens)) <= set(auts)
     point = lambda g, x: g[x]
@@ -657,7 +657,7 @@ def _assert_generators_complete(P):
     down_sets = [
         d
         for d in range(1 << n)
-        if all(not P.below_mask(j) & ~d for j in range(n) if (d >> j) & 1)
+        if all(not P.below[j] & ~d for j in range(n) if (d >> j) & 1)
     ]
     assert _orbit_partition(down_sets, gens, _image) == _group_orbits(down_sets, auts, _image)
 
@@ -694,6 +694,20 @@ def test_canonical_form_on_symmetric_posets(P, Q, R, rng):
     for i in range(len(small)):
         for j in range(i):
             assert (forms[i] == forms[j]) == (oracle[i] == oracle[j])
+
+
+def test_too_deep_canonical_search_raises_size_limit_and_leaves_no_cycle():
+    import gc
+
+    P = fx.antichain(1200)
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(SizeLimitError, match="1200-element poset"):
+            canonical_form(P)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("search", [canonical_form, find_crowns])

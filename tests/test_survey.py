@@ -113,7 +113,7 @@ def test_analyze_and_sweep_give_the_same_identity_verdict_per_ring(monkeypatch, 
     classes = [P for n in range(1, 6) for P in enumerate_posets(n)]
     failures = {}
     for ring in (RATIONALS, prime_field(2), prime_field(3)):
-        monkeypatch.setattr(survey, "_SWEEP_FIELDS", (ring,))
+        monkeypatch.setattr(survey, "DEFAULT_FIELDS", (ring,))
         failures[ring.label()] = 0
         for P in classes:
             conflicts = report.analysis_report(P, [ring])["conflicts"]
