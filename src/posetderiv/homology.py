@@ -8,7 +8,7 @@ from collections import namedtuple
 # bench/tracing.py has it wrapped, and a name bound then keeps the wrapper.
 from . import poset
 from .derivations import der_pot_from_divisors
-from .errors import DimensionError
+from .errors import DimensionError, SizeLimitError
 from .linalg import IntegerMatrix, Ring, _field_modulus, smith_divisors
 from .poset import Poset, _bits, shape_stats
 
@@ -63,7 +63,9 @@ def order_complex(P: Poset, max_dim: int) -> OrderComplex:
     """All chains of P with at most max_dim + 1 elements, by dimension.
 
     The walk takes starts and children in ascending order, so each
-    dimension comes out sorted lexicographically."""
+    dimension comes out sorted lexicographically.  It recurses once per
+    chain element, so chains longer than the interpreter's recursion
+    limit raise SizeLimitError."""
     if max_dim < 1:
         raise ValueError("max_dim must be >= 1")
     by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(max_dim + 1)]
@@ -77,9 +79,13 @@ def order_complex(P: Poset, max_dim: int) -> OrderComplex:
                 extend(nxt)
         chain.pop()
 
-    for start in range(P.n):
-        extend(start)
-    del extend  # it holds itself: free the walk's state now, not at a later collection
+    try:
+        for start in range(P.n):
+            extend(start)
+    except RecursionError:
+        raise SizeLimitError(f"chains up to dimension {max_dim} exceed the recursion limit") from None
+    finally:
+        del extend  # it holds itself: free the walk's state now, not at a later collection
     return OrderComplex(
         elements=P.elements,
         simplices_by_dim=tuple(map(tuple, by_dim)),

@@ -116,7 +116,6 @@ class Poset:
 
     def __init__(self, elements, covers):
         elems, index, pairs, up, down = _index_covers(elements, covers, True)
-        n = len(elems)
         up = [sorted(s) for s in up]
         down = [sorted(s) for s in down]
 
@@ -128,31 +127,30 @@ class Poset:
                 raise NotReducedError(
                     f"cover pair ({lo!r}, {hi!r}) is implied by a longer chain"
                 )
+        self._fill(elems, tuple(pairs), index, above, below, up, down, topo)
 
-        component = [-1] * n
-        next_id = 0
-        for start in range(n):
-            if component[start] >= 0:
-                continue
-            stack = [start]
-            component[start] = next_id
-            while stack:
-                cur = stack.pop()
-                for nb in up[cur] + down[cur]:
-                    if component[nb] < 0:
-                        component[nb] = next_id
-                        stack.append(nb)
-            next_id += 1
+    @classmethod
+    def _from_masks(cls, elements, covers, above, below, down_covers):
+        """Trusted construction from the masks and the ascending lower covers
+        of a valid order: checks nothing, equals ``Poset(elements, covers)``."""
+        up = [[] for _ in elements]
+        for j, lows in enumerate(down_covers):
+            for i in lows:
+                up[i].append(j)
+        P = cls.__new__(cls)
+        index = dict(zip(elements, range(len(elements))))
+        P._fill(elements, covers, index, above, below, up, down_covers, _kahn(up, down_covers))
+        return P
 
-        self.elements = elems
-        self.covers = tuple(pairs)
+    def _fill(self, elements, covers, index, above, below, up, down, topo):
+        self.elements = elements
+        self.covers = covers
         self._index = index
         self.above = tuple(above)
         self.below = tuple(below)
-        self.down_covers = tuple(tuple(lst) for lst in down)
+        self.down_covers = tuple(map(tuple, down))
         self.topological_order = tuple(topo)
-        self.component_ids = tuple(component)
-        self.component_count = next_id
+        self.component_ids, self.component_count = _components(up, down)
 
     @property
     def n(self) -> int:
@@ -215,6 +213,41 @@ def _index_covers(elements, covers, reject_repeats: bool):
     return elems, index, pairs, up, down
 
 
+def _kahn(up, down) -> list[int]:
+    """Kahn's topological order (sources in index order, then first in first
+    out, upper neighbours as listed); raises CycleError on a directed cycle."""
+    indeg = list(map(len, down))
+    order = [i for i, d in enumerate(indeg) if not d]
+    for cur in order:  # order grows while it is walked: it is the queue
+        for nb in up[cur]:
+            indeg[nb] -= 1
+            if indeg[nb] == 0:
+                order.append(nb)
+    if len(order) != len(up):
+        raise CycleError("cover relation contains a directed cycle")
+    return order
+
+
+def _components(up, down) -> tuple[tuple[int, ...], int]:
+    """Component number of each element, in order of the components' first
+    elements, and the number of components."""
+    component = [-1] * len(up)
+    next_id = 0
+    for start, label in enumerate(component):  # sees the labels set below
+        if label >= 0:
+            continue
+        component[start] = next_id
+        reached = [start]
+        for cur in reached:  # reached grows while it is walked
+            for nbs in (up[cur], down[cur]):
+                for nb in nbs:
+                    if component[nb] < 0:
+                        component[nb] = next_id
+                        reached.append(nb)
+        next_id += 1
+    return tuple(component), next_id
+
+
 def _closure(up, down) -> tuple[list[int], list[int], list[int]]:
     """Topological order and strict above/below bitmasks of a cover DAG.
 
@@ -222,20 +255,7 @@ def _closure(up, down) -> tuple[list[int], list[int], list[int]]:
     Raises CycleError when the relation has a directed cycle.
     """
     n = len(up)
-    indeg = [len(down[i]) for i in range(n)]
-    queue = [i for i in range(n) if indeg[i] == 0]
-    order = []
-    head = 0
-    while head < len(queue):
-        cur = queue[head]
-        head += 1
-        order.append(cur)
-        for nb in up[cur]:
-            indeg[nb] -= 1
-            if indeg[nb] == 0:
-                queue.append(nb)
-    if len(order) != n:
-        raise CycleError("cover relation contains a directed cycle")
+    order = _kahn(up, down)
     above = [0] * n
     for i in reversed(order):
         mask = 0
@@ -303,11 +323,15 @@ def shape_stats(P: Poset) -> ShapeStats:
 
 
 def _beat_points(alive: int, above, below):
-    """Yield the beat points of the subposet on the bitmask ``alive``, ascending."""
+    """Yield the beat points of the subposet on the bitmask ``alive``, ascending.
+
+    A finite set has one maximal element iff it has a greatest element,
+    which ``_least`` finds without listing the maximal elements.
+    """
     for i in _bits(alive):
         if (
-            len(_minimal(below[i] & alive, above)) == 1
-            or len(_minimal(above[i] & alive, below)) == 1
+            _least(below[i] & alive, above, below) is not None
+            or _least(above[i] & alive, below, above) is not None
         ):
             yield i
 
@@ -322,7 +346,8 @@ def core(P: Poset) -> Poset:
     """Remove beat points (first in element order) until none remain.
 
     Walks a bitmask of the surviving elements and builds one poset at the
-    end, or returns P itself when it has no beat point.
+    end from their masks, renumbered, or returns P itself when it has no
+    beat point.
     """
     above, below = P.above, P.below
     full = alive = (1 << P.n) - 1
@@ -330,15 +355,13 @@ def core(P: Poset) -> Poset:
         alive ^= 1 << beat
     if alive == full:
         return P
-    names = P.elements
-    return Poset(
-        [names[i] for i in _bits(alive)],
-        [
-            (names[i], names[j])
-            for i in _bits(alive)
-            for j in _minimal(above[i] & alive, below)
-        ],
-    )
+    keep = list(_bits(alive))
+    pos = {i: k for k, i in enumerate(keep)}
+    up = [sum(1 << pos[j] for j in _bits(above[i] & alive)) for i in keep]
+    down = [sum(1 << pos[j] for j in _bits(below[i] & alive)) for i in keep]
+    names = tuple(P.elements[i] for i in keep)
+    covers = tuple((names[i], names[j]) for i, mask in enumerate(up) for j in _minimal(mask, down))
+    return Poset._from_masks(names, covers, up, down, [_minimal(m, up) for m in down])
 
 
 def find_crowns(P: Poset, max_n: int = 6) -> list[Crown]:

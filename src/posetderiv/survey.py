@@ -77,16 +77,25 @@ def _down_sets(P: Poset, gens) -> list[int]:
 
 
 def _extend(P: Poset, down_set: int) -> Poset:
-    new = f"x{P.n}"
-    tops = [(P.elements[j], new) for j in _minimal(down_set, P.above)]
-    return Poset(P.elements + (new,), P.covers + tuple(tops))
+    """P with a new last element ``x{n}`` above down_set, its covers last."""
+    n, new = P.n, f"x{P.n}"
+    tops = tuple(_minimal(down_set, P.above))
+    return Poset._from_masks(
+        P.elements + (new,),
+        P.covers + tuple((P.elements[j], new) for j in tops),
+        [a | 1 << n if down_set >> j & 1 else a for j, a in enumerate(P.above)] + [0],
+        P.below + (down_set,),
+        P.down_covers + (tops,),
+    )
 
 
 def _top_key(down_set: int, above, below) -> tuple:
-    """Invariant of a maximal element with this down-set: its size, the
-    number of down-covers and the sorted down-set sizes of those."""
+    """Invariant of a maximal element with this down-set: whether it has at
+    most one down-cover (so that ``_inherited`` applies as often as
+    possible), its size, the number of down-covers and the sorted down-set
+    sizes of those."""
     covers = sorted(below[j].bit_count() for j in _minimal(down_set, above))
-    return (down_set.bit_count(), len(covers), covers)
+    return (len(covers) <= 1, down_set.bit_count(), len(covers), covers)
 
 
 def _children(P: Poset) -> list[Poset]:
@@ -108,10 +117,10 @@ def _children(P: Poset) -> list[Poset]:
         if any(k > key for _, k in others):
             continue
         rivals = [i for i, k in others if k == key]
+        child = _extend(P, d)
         if rivals:
             # a tie: only the child's canonical search can decide
-            up = [a | 1 << n if d >> j & 1 else a for j, a in enumerate(above)]
-            _, lab, child_gens = _canonical_search(up + [0], below + (d,))
+            _, lab, child_gens = _canonical_search(child.above, child.below)
             orbit: dict[int, int] = {}
             for g, moved in child_gens:
                 _merge_orbits(orbit, g, moved)
@@ -119,7 +128,7 @@ def _children(P: Poset) -> list[Poset]:
             first = min(rivals, key=lab.index)
             if not orbit.get(n, 1 << n) >> first & 1:
                 continue
-        kids.append(_extend(P, d))
+        kids.append(child)
     return kids
 
 
@@ -134,17 +143,32 @@ def enumerate_posets(n: int):
 
 
 def _analyze_payload(P: Poset):
-    """Per-poset sweep record; module-level so process pools can pickle it."""
+    """Sweep record of P: its homology verdict and the identity check."""
     from .homology import classify
 
-    verdict = classify(P)
+    return _record((P, classify(P)))
+
+
+def _record(job):
+    """Sweep record of a ``(poset, verdict)`` job, classifying the poset
+    when the verdict is None; module-level so process pools can pickle it."""
+    P, verdict = job
+    if verdict is None:
+        return _analyze_payload(P)
     checks = identity_checks(P, verdict, relation_divisors(P), DEFAULT_FIELDS)
-    return {
-        "torsion": list(verdict.torsion1),
-        "soluble": verdict.soluble,
-        "defective": verdict.defective_uct,
-        "identity_ok": all(agrees for *_, agrees in checks),
-    }
+    return {"verdict": verdict, "identity_ok": all(agrees for *_, agrees in checks)}
+
+
+def _inherited(verdicts: dict, P: Poset):
+    """The verdict of P's parent in ``verdicts`` (keyed by cover list) when
+    P's last element has at most one down-cover, else None.
+
+    That element is then isolated or a beat point, and removing either
+    leaves H1 unchanged (Stong 1966), so every flag of the verdict is the
+    parent's; ``_extend`` lists the parent's covers first.
+    """
+    tops = len(P.down_covers[-1])
+    return verdicts.get(P.covers[: len(P.covers) - tops]) if tops <= 1 else None
 
 
 def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepReport:
@@ -154,11 +178,12 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
     consistency-matrix route to homology: for each test field,
     (E - rank) - (V - C) must equal betti1 plus the number of torsion
     coefficients killed by the field characteristic.
-    Report content does not depend on parallelism, which must be at
-    least 1; at most ``os.cpu_count()`` worker processes start, since a
-    forked pool starts every worker up front.  With ``progress``,
+    Classes may inherit the homology verdict (``_inherited``), never the
+    relation route.  Report content does not depend on parallelism, which
+    must be at least 1; at most ``os.cpu_count()`` worker processes start,
+    since a forked pool starts every worker up front.  With ``progress``,
     each level prints its class count, the seconds since the sweep
-    started and the level's classes per second to stderr.
+    started, the level's classes per second and inherited verdicts to stderr.
     """
     if not 1 <= max_n <= SIZE_CAP:
         raise SizeLimitError(f"sweep supports 1 <= max_n <= {SIZE_CAP}, got {max_n}")
@@ -171,6 +196,7 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
     soluble = []
     inconclusive: list[str] = []
     failures: list[str] = []
+    verdicts: dict = {}  # the previous level's, by cover list
     pool = None
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -180,17 +206,19 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
         for n in range(1, max_n + 1):
             level_start = time.monotonic()
             posets = list(enumerate_posets(n))
+            jobs = [(P, _inherited(verdicts, P)) for P in posets]
             if pool is not None and len(posets) > 1:
                 chunk = max(1, len(posets) // (workers * 4))
-                records = list(pool.map(_analyze_payload, posets, chunksize=chunk))
+                records = list(pool.map(_record, jobs, chunksize=chunk))
             else:
-                records = [_analyze_payload(P) for P in posets]
+                records = [_record(job) for job in jobs]
+            verdicts = {P.covers: r["verdict"] for P, r in zip(posets, records)}
             counts.append((n, len(records)))
-            defective.append((n, sum(1 for r in records if r["defective"])))
-            soluble.append((n, sum(1 for r in records if r["soluble"])))
+            defective.append((n, sum(r["verdict"].defective_uct for r in records)))
+            soluble.append((n, sum(r["verdict"].soluble for r in records)))
             for P, r in zip(posets, records):
                 # a class's canonical form is needed only to name it here
-                if r["torsion"]:
+                if r["verdict"].torsion1:
                     inconclusive.append(poset.canonical_form(P).decode("ascii"))
                 if not r["identity_ok"]:
                     failures.append(poset.canonical_form(P).decode("ascii"))
@@ -199,7 +227,8 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
                 rate = len(records) / max(now - level_start, 1e-9)
                 print(
                     f"sweep: n={n} classes={len(records)} elapsed_s={now - start:.2f}"
-                    f" classes_per_s={rate:.0f}",
+                    f" classes_per_s={rate:.0f}"
+                    f" inherited={sum(v is not None for _, v in jobs)}",
                     file=sys.stderr,
                 )
     finally:

@@ -776,3 +776,24 @@ def test_golden_crowns_and_criteria_reports(capsys, command, name, extra):
     assert code == 0
     expected = json.loads((GOLDEN_DIR / f"{name}.{command}.json").read_text())
     assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def test_homology_on_chains_deeper_than_the_recursion_limit_exits_2(capsys, tmp_path):
+    # 1100 stacked two-element antichains: no beat points, height 1100
+    levels = [(f"a{k}", f"b{k}") for k in range(1100)]
+    covers = [[lo, hi] for low, high in zip(levels, levels[1:]) for lo in low for hi in high]
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps({"elements": [e for pair in levels for e in pair], "covers": covers}))
+    start = time.monotonic()
+    code, payload = run_cli(capsys, "homology", str(path), "--dim", "1050")
+    assert code == 2
+    assert "recursion limit" in payload["error"]
+    assert time.monotonic() - start < 30
+
+
+def test_sweep_progress_counts_inherited_verdicts(capsys):
+    assert main(["sweep", "--max-n", "4"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    fields = [dict(f.split("=") for f in line.split()[1:]) for line in lines]
+    # a point has no parent; afterwards every top with one down-cover or none inherits
+    assert [f["inherited"] for f in fields] == ["0", "2", "4", "12"]

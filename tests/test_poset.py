@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -229,6 +229,48 @@ def test_core_idempotent_and_beat_free():
         C = core(Poset(elements, covers))
         assert beat_points(C) == []
         assert core(C) == C
+
+
+# -- trusted construction ------------------------------------------------
+
+
+def _chain_product(*lengths):
+    # grid a x b for two lengths, B_k for k lengths of 2
+    name = lambda p: "_".join(map(str, p))
+    points = list(product(*map(range, lengths)))
+    covers = [
+        (name(p), name(p[:k] + (p[k] + 1,) + p[k + 1 :]))
+        for p in points
+        for k in range(len(p))
+        if p[k] + 1 < lengths[k]
+    ]
+    return Poset(list(map(name, points)), covers)
+
+
+def _assert_fields_validated(P):
+    Q = Poset(P.elements, P.covers)
+    for slot in Poset.__slots__:
+        assert getattr(P, slot) == getattr(Q, slot), (slot, P.covers)
+
+
+def test_trusted_children_and_cores_equal_validated_posets():
+    from posetderiv.survey import _extend
+
+    rng = random.Random(17)
+    named = [fx.fixture_poset(name) for name in ("rp2", "s5", "diamond", "fence:6")]
+    named += [_chain_product(3, 3), _chain_product(4, 5), _chain_product(2, 2, 2, 2, 2)]
+    named += [_relabeled(fx.crown(8), rng)]
+    # beat points scattered among the survivors: the core renumbers several runs
+    named += [_relabeled(_disjoint_union(fx.crown(3), fx.chain(3), fx.s5(), fx.fence(5)), rng)]
+    for P in named:
+        _assert_fields_validated(core(P))
+        full = (1 << P.n) - 1
+        for down_set in [0, full] + [below | 1 << i for i, below in enumerate(P.below)]:
+            _assert_fields_validated(_extend(P, down_set))
+    # every enumerated class is a trusted child
+    for P in all_posets_up_to(7):
+        _assert_fields_validated(P)
+        _assert_fields_validated(core(P))
 
 
 # -- crowns -------------------------------------------------------------

@@ -123,3 +123,58 @@ def test_analyze_and_sweep_give_the_same_identity_verdict_per_ring(monkeypatch, 
     assert len(classes) == 87
     expected = 87 if broken else 0
     assert failures == {"q": expected, "gf:2": 0, "gf:3": expected}
+
+
+def test_inherited_verdicts_equal_classify():
+    from posetderiv.homology import classify
+
+    verdicts = {}
+    for n in range(1, 8):
+        level = list(enumerate_posets(n))
+        inherited = 0
+        for P in level:
+            verdict = survey._inherited(verdicts, P)
+            # a top with at most one down-cover always finds its parent
+            assert (verdict is not None) == (n > 1 and len(P.down_covers[-1]) <= 1)
+            if verdict is not None:
+                assert verdict == classify(P), P.covers
+                inherited += 1
+        verdicts = {P.covers: classify(P) for P in level}
+    # the deletion key prefers such tops: 63.8% of level 7
+    assert inherited == 1305
+
+
+def test_sweep_seven_counts():
+    report = sweep(7)
+    assert report.counts_by_n[4:] == ((5, 63), (6, 318), (7, 2045))
+    assert report.defective_by_n[4:] == ((5, 8), (6, 71), (7, 662))
+    assert report.soluble_by_n[4:] == ((5, 55), (6, 247), (7, 1383))
+    assert report.inconclusive_found == () and report.ok
+
+
+def test_sweep_hands_inherited_verdicts_to_workers(monkeypatch):
+    import concurrent.futures
+
+    jobs = []
+
+    class FakePool:
+        # records the jobs and runs them in this process
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            jobs.extend(items)
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
+    pooled = sweep_json(sweep(5, parallelism=2))
+    assert sum(verdict is not None for _, verdict in jobs) == 2 + 4 + 12 + 45
+    serial = sweep_json(sweep(5))
+    pooled.pop("elapsed_ms")
+    serial.pop("elapsed_ms")
+    assert pooled == serial
