@@ -88,14 +88,22 @@ class TransitiveFunction:
         )
 
 
+def _inner_covers(P: Poset, inside: int, z: int) -> list[int]:
+    """The down-covers of z in ``inside`` = {x} | cone(x), in index order.
+
+    The first, w0, is the last step of the reference path:
+    ref(x, z) = ref(x, w0) + (w0, z).
+    """
+    return [w for w in P.down_covers[z] if inside >> w & 1]
+
+
 def _cone_walk(P: Poset, x: int):
-    """Yield each z above x in topological order, with its down-covers that
-    lie in {x} | cone(x), in index order."""
+    """Yield each z above x in topological order, with ``_inner_covers``."""
     cone = P.above[x]
     inside = cone | (1 << x)
     for z in P.topological_order:
         if (cone >> z) & 1:
-            yield z, [w for w in P.down_covers[z] if (inside >> w) & 1]
+            yield z, _inner_covers(P, inside, z)
 
 
 def parallel_pairs(P: Poset) -> list[ParallelPair]:
@@ -155,6 +163,45 @@ def consistency_matrix(P: Poset) -> ConsistencyMatrix:
         matrix=IntegerMatrix._make((len(pairs), len(col), tuple(rows))),
         column_edges=P.covers,
     )
+
+
+# The (column, +-1) entries of the rows relation_rows_into builds, shared:
+# a sweep keeps a whole level's rows, and few distinct entries recur.
+_ENTRIES: dict = {}
+
+
+def relation_rows_into(P: Poset, z: int) -> list[tuple]:
+    """The sparse rows of ``consistency_matrix(P)`` whose pair ends at z,
+    in source order.
+
+    Each reference path ref(x, w) is walked back from w by
+    ``_inner_covers`` instead of walking the whole cone of x, so only the
+    paths these rows use are built.
+    """
+    if len(P.down_covers[z]) < 2:
+        return []
+    names = P.elements
+    col = {edge: c for c, edge in enumerate(P.covers)}
+    rows = []
+    for x in _bits(P.below[z]):
+        inside = P.above[x] | 1 << x
+        inner = _inner_covers(P, inside, z)
+        if len(inner) < 2:
+            continue
+        paths = []
+        for w in inner:
+            path = [col[(names[w], names[z])]]
+            while w != x:
+                v = _inner_covers(P, inside, w)[0]
+                path.append(col[(names[v], names[w])])
+                w = v
+            paths.append(path)
+        for path in paths[1:]:
+            acc = dict.fromkeys(paths[0], 1)
+            for c in path:
+                acc[c] = acc.get(c, 0) - 1
+            rows.append(tuple(sorted(_ENTRIES.setdefault(e, e) for e in acc.items() if e[1])))
+    return rows
 
 
 def relation_divisors(P: Poset) -> tuple[int, ...]:

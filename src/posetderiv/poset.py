@@ -443,7 +443,9 @@ def _least(mask: int, below, above) -> int | None:
         return None
     i = (mask & -mask).bit_length() - 1
     while lower := below[i] & mask:
-        i = (lower & -lower).bit_length() - 1
+        # step to the end of ``lower`` away from i: on a topological labeling
+        # that element is already minimal in mask, in either direction
+        i = lower.bit_length() - 1 if lower >> i else (lower & -lower).bit_length() - 1
     # i is minimal in mask, so it is the least element if there is one
     return None if mask & ~(above[i] | (1 << i)) else i
 

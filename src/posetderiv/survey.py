@@ -19,14 +19,14 @@ import sys
 import time
 from collections import namedtuple
 
-# poset.canonical_form and homology.classify are looked up at each call: this
-# module may first load while bench/tracing.py has them wrapped, and a name
-# bound then keeps the wrapper.
+# poset.canonical_form, homology.classify and derivations.consistency_matrix
+# are looked up at each call: this module may first load while
+# bench/tracing.py has them wrapped, and a name bound then keeps the wrapper.
 from . import poset
 from .errors import InputError, SizeLimitError
-from .derivations import relation_divisors
+from .derivations import relation_divisors, relation_rows_into
 from .homology import identity_checks
-from .linalg import DEFAULT_FIELDS
+from .linalg import DEFAULT_FIELDS, IntegerMatrix, smith_divisors
 from .poset import Poset, _bits, _canonical_search, _merge_orbits, _minimal
 
 SIZE_CAP = 8
@@ -91,7 +91,7 @@ def _extend(P: Poset, down_set: int) -> Poset:
 
 def _top_key(down_set: int, above, below) -> tuple:
     """Invariant of a maximal element with this down-set: whether it has at
-    most one down-cover (so that ``_inherited`` applies as often as
+    most one down-cover (so that ``_job`` inherits verdicts as often as
     possible), its size, the number of down-covers and the sorted down-set
     sizes of those."""
     covers = sorted(below[j].bit_count() for j in _minimal(down_set, above))
@@ -143,32 +143,64 @@ def enumerate_posets(n: int):
 
 
 def _analyze_payload(P: Poset):
-    """Sweep record of P: its homology verdict and the identity check."""
+    """Sweep record of P from scratch: its homology verdict, its relation
+    rows and their divisors, and the identity check."""
+    from .derivations import consistency_matrix
     from .homology import classify
 
-    return _record((P, classify(P)))
+    rows = consistency_matrix(P).matrix.sparse_rows
+    return _checked(P, classify(P), rows, relation_divisors(P), True)
 
 
 def _record(job):
-    """Sweep record of a ``(poset, verdict)`` job, classifying the poset
-    when the verdict is None; module-level so process pools can pickle it."""
-    P, verdict = job
+    """Sweep record of a ``(poset, verdict, parent rows, parent divisors)``
+    job; module-level so process pools can pickle it.
+
+    P's relation rows are its parent's, whose columns ``_extend`` keeps,
+    plus the rows into its new top.  Without new rows the matrix only
+    gains zero columns, so the parent's divisors carry over; otherwise
+    the combined rows get a Smith elimination.  P is classified when the
+    verdict is None.
+    """
+    P, verdict, rows, divisors = job
     if verdict is None:
-        return _analyze_payload(P)
-    checks = identity_checks(P, verdict, relation_divisors(P), DEFAULT_FIELDS)
-    return {"verdict": verdict, "identity_ok": all(agrees for *_, agrees in checks)}
+        from .homology import classify
+
+        verdict = classify(P)
+    new = relation_rows_into(P, P.n - 1)
+    if new:
+        rows += tuple(new)
+        divisors = smith_divisors(IntegerMatrix._make((len(rows), len(P.covers), rows)))
+    return _checked(P, verdict, rows, divisors, bool(new))
 
 
-def _inherited(verdicts: dict, P: Poset):
-    """The verdict of P's parent in ``verdicts`` (keyed by cover list) when
-    P's last element has at most one down-cover, else None.
+def _checked(P: Poset, verdict, rows, divisors, smith: bool):
+    """The record: verdict, identity check, and the rows and divisors that
+    P's children carry; ``smith`` says whether a Smith elimination ran."""
+    checks = identity_checks(P, verdict, divisors, DEFAULT_FIELDS)
+    return {
+        "verdict": verdict,
+        "identity_ok": all(agrees for *_, agrees in checks),
+        "rows": rows,
+        "divisors": divisors,
+        "smith": smith,
+    }
 
-    That element is then isolated or a beat point, and removing either
-    leaves H1 unchanged (Stong 1966), so every flag of the verdict is the
-    parent's; ``_extend`` lists the parent's covers first.
+
+def _job(previous: dict, P: Poset) -> tuple:
+    """P's sweep job: (P, inherited verdict or None, parent's relation rows,
+    parent's divisors), from the records of the level below by cover list.
+
+    ``_extend`` lists the parent's covers first and the new top's last, so
+    every class above level 1 finds its parent.  The verdict is inherited
+    when the top has at most one down-cover: it is then isolated or a beat
+    point, and removing either leaves H1 unchanged (Stong 1966), so every
+    flag of the verdict is the parent's.
     """
     tops = len(P.down_covers[-1])
-    return verdicts.get(P.covers[: len(P.covers) - tops]) if tops <= 1 else None
+    parent = previous[P.covers[: len(P.covers) - tops]]
+    verdict = parent["verdict"] if tops <= 1 else None
+    return P, verdict, parent["rows"], parent["divisors"]
 
 
 def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepReport:
@@ -178,12 +210,18 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
     consistency-matrix route to homology: for each test field,
     (E - rank) - (V - C) must equal betti1 plus the number of torsion
     coefficients killed by the field characteristic.
-    Classes may inherit the homology verdict (``_inherited``), never the
-    relation route.  Report content does not depend on parallelism, which
-    must be at least 1; at most ``os.cpu_count()`` worker processes start,
-    since a forked pool starts every worker up front.  With ``progress``,
-    each level prints its class count, the seconds since the sweep
-    started, the level's classes per second and inherited verdicts to stderr.
+    Classes may inherit the homology verdict (``_job``).  The
+    relation route is carried down the augmentation tree: each class takes
+    its parent's relation rows and divisors, builds only the rows into its
+    new top (``derivations.relation_rows_into``) and runs a Smith
+    elimination only when there are some (``_record``); the level-1 point
+    is built from scratch (``_analyze_payload``).  Every class still gets
+    its own identity check.  Report content does not depend on
+    parallelism, which must be at least 1; at most ``os.cpu_count()``
+    worker processes start, since a forked pool starts every worker up
+    front.  With ``progress``, each level prints its class count, the
+    seconds since the sweep started, the level's classes per second,
+    inherited verdicts and Smith eliminations to stderr.
     """
     if not 1 <= max_n <= SIZE_CAP:
         raise SizeLimitError(f"sweep supports 1 <= max_n <= {SIZE_CAP}, got {max_n}")
@@ -196,7 +234,7 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
     soluble = []
     inconclusive: list[str] = []
     failures: list[str] = []
-    verdicts: dict = {}  # the previous level's, by cover list
+    previous: dict = {}  # the previous level's records, by cover list
     pool = None
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -206,13 +244,17 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
         for n in range(1, max_n + 1):
             level_start = time.monotonic()
             posets = list(enumerate_posets(n))
-            jobs = [(P, _inherited(verdicts, P)) for P in posets]
-            if pool is not None and len(posets) > 1:
-                chunk = max(1, len(posets) // (workers * 4))
-                records = list(pool.map(_record, jobs, chunksize=chunk))
+            if n == 1:
+                jobs = []
+                records = [_analyze_payload(P) for P in posets]
             else:
-                records = [_record(job) for job in jobs]
-            verdicts = {P.covers: r["verdict"] for P, r in zip(posets, records)}
+                jobs = [_job(previous, P) for P in posets]
+                if pool is not None:
+                    chunk = max(1, len(jobs) // (workers * 4))
+                    records = list(pool.map(_record, jobs, chunksize=chunk))
+                else:
+                    records = [_record(job) for job in jobs]
+            previous = {P.covers: r for P, r in zip(posets, records)}
             counts.append((n, len(records)))
             defective.append((n, sum(r["verdict"].defective_uct for r in records)))
             soluble.append((n, sum(r["verdict"].soluble for r in records)))
@@ -228,7 +270,8 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
                 print(
                     f"sweep: n={n} classes={len(records)} elapsed_s={now - start:.2f}"
                     f" classes_per_s={rate:.0f}"
-                    f" inherited={sum(v is not None for _, v in jobs)}",
+                    f" inherited={sum(job[1] is not None for job in jobs)}"
+                    f" smith={sum(r['smith'] for r in records)}",
                     file=sys.stderr,
                 )
     finally:

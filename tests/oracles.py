@@ -567,6 +567,14 @@ def brute_force_join_meet(P, subset):
     )
 
 
+def brute_force_least_greatest(P, mask: int):
+    """(least, greatest) element index of the bitmask set, or None each."""
+    members = [i for i in range(P.n) if mask >> i & 1]
+    least = [u for u in members if all(v == u or P.above[u] >> v & 1 for v in members)]
+    greatest = [u for u in members if all(v == u or P.below[u] >> v & 1 for v in members)]
+    return (least[0] if least else None), (greatest[0] if greatest else None)
+
+
 def brute_force_canonical_form(P) -> bytes:
     """A complete isomorphism invariant of P, by exhaustive search.
 

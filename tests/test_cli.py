@@ -793,7 +793,11 @@ def test_homology_on_chains_deeper_than_the_recursion_limit_exits_2(capsys, tmp_
 
 def test_sweep_progress_counts_inherited_verdicts(capsys):
     assert main(["sweep", "--max-n", "4"]) == 0
-    lines = capsys.readouterr().err.splitlines()
-    fields = [dict(f.split("=") for f in line.split()[1:]) for line in lines]
+    captured = capsys.readouterr()
+    fields = [dict(f.split("=") for f in line.split()[1:]) for line in captured.err.splitlines()]
     # a point has no parent; afterwards every top with one down-cover or none inherits
     assert [f["inherited"] for f in fields] == ["0", "2", "4", "12"]
+    # the point's relation rows are built from scratch; the diamond is the
+    # first class whose new top receives rows
+    assert [f["smith"] for f in fields] == ["1", "0", "0", "1"]
+    assert "smith" not in captured.out

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from posetderiv import (
     CycleWalk,
@@ -25,6 +26,7 @@ from posetderiv import (
     smith_normal_form,
 )
 from posetderiv import fixtures as fx
+from posetderiv.derivations import relation_rows_into
 
 from oracles import (
     dense_relation_entries,
@@ -33,6 +35,7 @@ from oracles import (
     path_relation_rows,
     random_poset_covers,
 )
+from test_poset import random_posets
 
 
 def all_posets_up_to(n):
@@ -126,6 +129,16 @@ def test_tree_relations_match_path_oracle(rp2, s5):
         assert (
             smith_normal_form(tree).divisors == smith_normal_form(oracle).divisors
         )
+        # the rows into each target partition the matrix
+        into = [row for z in range(P.n) for row in relation_rows_into(P, z)]
+        assert sorted(into) == sorted(tree.sparse_rows)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(random_posets(max_size=10))
+def test_rows_into_each_target_partition_the_matrix_on_relabelled_posets(P):
+    into = [row for z in range(P.n) for row in relation_rows_into(P, z)]
+    assert sorted(into) == sorted(consistency_matrix(P).matrix.sparse_rows)
 
 
 # -- dimensions and the rank criterion ----------------------------------------

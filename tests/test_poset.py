@@ -23,7 +23,7 @@ from posetderiv import (
     transitive_reduction,
 )
 from posetderiv import fixtures as fx
-from posetderiv.poset import _canonical_search
+from posetderiv.poset import _canonical_search, _least
 
 from oracles import (
     all_labeled_strict_orders,
@@ -31,6 +31,7 @@ from oracles import (
     brute_force_canonical_form,
     brute_force_crowns,
     brute_force_join_meet,
+    brute_force_least_greatest,
     cover_count_beat_points,
     crown_bounds,
     is_forest,
@@ -416,6 +417,17 @@ def test_minimal_element_rule_matches_oracles(P, rng):
     pairs = list(P.strict_pairs())
     rng.shuffle(pairs)
     assert transitive_reduction(P.elements, pairs) == list(P.covers)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(random_posets(max_size=12), st.randoms(use_true_random=True))
+def test_least_and_greatest_match_brute_force(P, rng):
+    # random_posets lists elements in random order, so labelings are
+    # topological only by chance
+    for _ in range(8):
+        mask = rng.getrandbits(P.n)
+        expected = brute_force_least_greatest(P, mask)
+        assert (_least(mask, P.below, P.above), _least(mask, P.above, P.below)) == expected
 
 
 # -- join and meet ------------------------------------------------------

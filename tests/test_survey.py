@@ -11,7 +11,7 @@ from posetderiv import (
     prime_field,
     sweep,
 )
-from posetderiv.derivations import relation_divisors
+from posetderiv.derivations import consistency_matrix, relation_divisors, relation_rows_into
 from posetderiv.report import sweep_json
 
 from oracles import all_labeled_strict_orders, dedup_enumerate_posets
@@ -128,18 +128,16 @@ def test_analyze_and_sweep_give_the_same_identity_verdict_per_ring(monkeypatch, 
 def test_inherited_verdicts_equal_classify():
     from posetderiv.homology import classify
 
-    verdicts = {}
-    for n in range(1, 8):
-        level = list(enumerate_posets(n))
+    for n in range(2, 8):
+        level = list(enumerate_posets(n - 1))
+        previous = {P.covers: {"verdict": classify(P), "rows": (), "divisors": ()} for P in level}
         inherited = 0
-        for P in level:
-            verdict = survey._inherited(verdicts, P)
-            # a top with at most one down-cover always finds its parent
-            assert (verdict is not None) == (n > 1 and len(P.down_covers[-1]) <= 1)
+        for P in enumerate_posets(n):
+            verdict = survey._job(previous, P)[1]
+            assert (verdict is not None) == (len(P.down_covers[-1]) <= 1)
             if verdict is not None:
                 assert verdict == classify(P), P.covers
                 inherited += 1
-        verdicts = {P.covers: classify(P) for P in level}
     # the deletion key prefers such tops: 63.8% of level 7
     assert inherited == 1305
 
@@ -173,8 +171,47 @@ def test_sweep_hands_inherited_verdicts_to_workers(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
     pooled = sweep_json(sweep(5, parallelism=2))
-    assert sum(verdict is not None for _, verdict in jobs) == 2 + 4 + 12 + 45
+    # jobs are (poset, inherited verdict, parent rows, parent divisors)
+    assert sum(verdict is not None for _, verdict, _, _ in jobs) == 2 + 4 + 12 + 45
+    # the point is analysed from scratch, every class above it from its parent
+    assert len(jobs) == 2 + 5 + 16 + 63
+    for P, _, rows, divisors in jobs:
+        parent = Poset(P.elements[:-1], P.covers[: len(P.covers) - len(P.down_covers[-1])])
+        assert sorted(rows) == sorted(consistency_matrix(parent).matrix.sparse_rows)
+        assert divisors == relation_divisors(parent)
     serial = sweep_json(sweep(5))
     pooled.pop("elapsed_ms")
     serial.pop("elapsed_ms")
     assert pooled == serial
+
+
+def test_sweep_carries_relation_rows_down_the_augmentation_tree(monkeypatch):
+    pairs = []
+    real = survey._record
+
+    def recording(job):
+        record = real(job)
+        pairs.append((job, record))
+        return record
+
+    monkeypatch.setattr(survey, "_record", recording)
+    assert sweep(7).ok
+    assert len(pairs) == sum(CLASS_COUNTS) - 1
+    for (P, _, rows, _), record in pairs:
+        new = tuple(relation_rows_into(P, P.n - 1))
+        assert record["rows"] == rows + new
+        assert sorted(record["rows"]) == sorted(consistency_matrix(P).matrix.sparse_rows)
+        assert record["divisors"] == relation_divisors(P)
+        assert record["smith"] == bool(new)
+
+
+def test_sweep_builds_relation_divisors_from_scratch_only_for_the_point(monkeypatch):
+    calls = []
+
+    def counting(P):
+        calls.append(P.n)
+        return relation_divisors(P)
+
+    monkeypatch.setattr(survey, "relation_divisors", counting)
+    assert sweep(6).counts_by_n[-1] == (6, 318)
+    assert calls == [1]
