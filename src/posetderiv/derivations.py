@@ -28,8 +28,6 @@ from .linalg import (
 )
 from .poset import Poset, _bits
 
-Edge = tuple[str, str]
-
 
 class ParallelPair(namedtuple("ParallelPair", "source target path_a path_b")):
     """Two distinct upward cover paths sharing endpoints."""
@@ -106,14 +104,58 @@ def _cone_walk(P: Poset, x: int):
             yield z, _inner_covers(P, inside, z)
 
 
+def _relations(P: Poset, x: int, targets, col: dict):
+    """Yield (z, ref(x, z), ref(x, w) + (w, z)) for each relation of source x
+    into ``targets`` (ascending, above x), paths as ``col`` columns upward.
+
+    Each ref(x, w) is walked back through first inner covers only until it
+    meets a path already kept for x, and every path built is kept.  The
+    store starts at the first target with two inner covers: most sources
+    have no relation into a given target.
+    """
+    names = P.elements
+    inside = P.above[x] | 1 << x
+    ref = None
+    for z in targets:
+        inner = _inner_covers(P, inside, z)
+        if len(inner) < 2:
+            continue
+        if ref is None:
+            ref = {x: ()}
+        for w in inner:
+            steps = []
+            while w not in ref:
+                v = _inner_covers(P, inside, w)[0]
+                steps.append((v, w))
+                w = v
+            for v, w in reversed(steps):
+                ref[w] = ref[v] + (col[(names[v], names[w])],)
+        w0, *rest = inner
+        ref[z] = path_a = ref[w0] + (col[(names[w0], names[z])],)
+        for w in rest:
+            yield z, path_a, ref[w] + (col[(names[w], names[z])],)
+
+
+# The (column, +-1) entries of relation rows, shared: a sweep keeps a whole
+# level's rows, and few distinct entries recur.
+_ENTRIES: dict = {}
+
+
+def _row(path_a, path_b) -> tuple:
+    """The sparse row +path_a - path_b; a column on both nets 0."""
+    acc = dict.fromkeys(path_a, 1)
+    for c in path_b:
+        acc[c] = acc.get(c, 0) - 1
+    return tuple(sorted(_ENTRIES.setdefault(e, e) for e in acc.items() if e[1]))
+
+
 def parallel_pairs(P: Poset) -> list[ParallelPair]:
     """One relation per extra incoming cover inside each upward cone.
 
     For every source x, a reference path ref(x, z) is fixed for each z
-    in the cone of x by walking the cone in topological order:
-    ref(x, z) = ref(x, w0) + (w0, z), where w0 is the smallest-index
-    down-cover of z in {x} | cone(x).  Every other such down-cover w
-    yields the pair (x, z) with path_a = ref(x, z) and
+    in the cone of x: ref(x, z) = ref(x, w0) + (w0, z), where w0 is the
+    smallest-index down-cover of z in {x} | cone(x).  Every other such
+    down-cover w yields the pair (x, z) with path_a = ref(x, z) and
     path_b = ref(x, w) + (w, z).  Rows come ordered by source index,
     then target index, then w.
 
@@ -129,79 +171,33 @@ def parallel_pairs(P: Poset) -> list[ParallelPair]:
     one row fewer than the covers entering z from within the cone, never
     more than its number of paths minus one; in total at most V * E.
     """
-    out = []
-    names = P.elements
-    for x in range(P.n):
-        ref: dict[int, tuple[Edge, ...]] = {x: ()}
-        extra: dict[int, list[int]] = {}
-        for z, (w0, *rest) in _cone_walk(P, x):
-            ref[z] = ref[w0] + ((names[w0], names[z]),)
-            extra[z] = rest
-        for z in _bits(P.above[x]):
-            for w in extra[z]:
-                out.append(
-                    ParallelPair(
-                        source=names[x],
-                        target=names[z],
-                        path_a=ref[z],
-                        path_b=ref[w] + ((names[w], names[z]),),
-                    )
-                )
-    return out
+    names, edges = P.elements, P.covers
+    col = {edge: c for c, edge in enumerate(edges)}
+    return [
+        ParallelPair(names[x], names[z], tuple(edges[c] for c in a), tuple(edges[c] for c in b))
+        for x in range(P.n)
+        for z, a, b in _relations(P, x, _bits(P.above[x]), col)
+    ]
 
 
 def consistency_matrix(P: Poset) -> ConsistencyMatrix:
-    pairs = parallel_pairs(P)
     col = {edge: c for c, edge in enumerate(P.covers)}
-    rows = []
-    for pair in pairs:
-        acc = {col[edge]: 1 for edge in pair.path_a}
-        for edge in pair.path_b:
-            acc[col[edge]] = acc.get(col[edge], 0) - 1
-        rows.append(tuple(sorted((c, x) for c, x in acc.items() if x)))
+    rows = tuple(
+        _row(a, b) for x in range(P.n) for _, a, b in _relations(P, x, _bits(P.above[x]), col)
+    )
     return ConsistencyMatrix(
-        matrix=IntegerMatrix._make((len(pairs), len(col), tuple(rows))),
+        matrix=IntegerMatrix._make((len(rows), len(col), rows)),
         column_edges=P.covers,
     )
 
 
-# The (column, +-1) entries of the rows relation_rows_into builds, shared:
-# a sweep keeps a whole level's rows, and few distinct entries recur.
-_ENTRIES: dict = {}
-
-
 def relation_rows_into(P: Poset, z: int) -> list[tuple]:
     """The sparse rows of ``consistency_matrix(P)`` whose pair ends at z,
-    in source order.
-
-    Each reference path ref(x, w) is walked back from w by
-    ``_inner_covers`` instead of walking the whole cone of x, so only the
-    paths these rows use are built.
-    """
+    in source order."""
     if len(P.down_covers[z]) < 2:
         return []
-    names = P.elements
     col = {edge: c for c, edge in enumerate(P.covers)}
-    rows = []
-    for x in _bits(P.below[z]):
-        inside = P.above[x] | 1 << x
-        inner = _inner_covers(P, inside, z)
-        if len(inner) < 2:
-            continue
-        paths = []
-        for w in inner:
-            path = [col[(names[w], names[z])]]
-            while w != x:
-                v = _inner_covers(P, inside, w)[0]
-                path.append(col[(names[v], names[w])])
-                w = v
-            paths.append(path)
-        for path in paths[1:]:
-            acc = dict.fromkeys(paths[0], 1)
-            for c in path:
-                acc[c] = acc.get(c, 0) - 1
-            rows.append(tuple(sorted(_ENTRIES.setdefault(e, e) for e in acc.items() if e[1])))
-    return rows
+    return [_row(a, b) for x in _bits(P.below[z]) for _, a, b in _relations(P, x, (z,), col)]
 
 
 def relation_divisors(P: Poset) -> tuple[int, ...]:

@@ -19,12 +19,12 @@ import sys
 import time
 from collections import namedtuple
 
-# poset.canonical_form, homology.classify and derivations.consistency_matrix
-# are looked up at each call: this module may first load while
-# bench/tracing.py has them wrapped, and a name bound then keeps the wrapper.
+# poset.canonical_form and homology.classify are looked up at each call:
+# this module may first load while bench/tracing.py has them wrapped, and
+# a name bound then keeps the wrapper.
 from . import poset
 from .errors import InputError, SizeLimitError
-from .derivations import relation_divisors, relation_rows_into
+from .derivations import relation_rows_into
 from .homology import identity_checks
 from .linalg import DEFAULT_FIELDS, IntegerMatrix, smith_divisors
 from .poset import Poset, _bits, _canonical_search, _merge_orbits, _minimal
@@ -142,19 +142,11 @@ def enumerate_posets(n: int):
     yield from level
 
 
-def _analyze_payload(P: Poset):
-    """Sweep record of P from scratch: its homology verdict, its relation
-    rows and their divisors, and the identity check."""
-    from .derivations import consistency_matrix
-    from .homology import classify
-
-    rows = consistency_matrix(P).matrix.sparse_rows
-    return _checked(P, classify(P), rows, relation_divisors(P), True)
-
-
 def _record(job):
     """Sweep record of a ``(poset, verdict, parent rows, parent divisors)``
-    job; module-level so process pools can pickle it.
+    job: verdict, identity check, the rows and divisors that P's children
+    carry, and whether a Smith elimination ran; module-level so process
+    pools can pickle it.
 
     P's relation rows are its parent's, whose columns ``_extend`` keeps,
     plus the rows into its new top.  Without new rows the matrix only
@@ -171,19 +163,13 @@ def _record(job):
     if new:
         rows += tuple(new)
         divisors = smith_divisors(IntegerMatrix._make((len(rows), len(P.covers), rows)))
-    return _checked(P, verdict, rows, divisors, bool(new))
-
-
-def _checked(P: Poset, verdict, rows, divisors, smith: bool):
-    """The record: verdict, identity check, and the rows and divisors that
-    P's children carry; ``smith`` says whether a Smith elimination ran."""
     checks = identity_checks(P, verdict, divisors, DEFAULT_FIELDS)
     return {
         "verdict": verdict,
         "identity_ok": all(agrees for *_, agrees in checks),
         "rows": rows,
         "divisors": divisors,
-        "smith": smith,
+        "smith": bool(new),
     }
 
 
@@ -192,10 +178,10 @@ def _job(previous: dict, P: Poset) -> tuple:
     parent's divisors), from the records of the level below by cover list.
 
     ``_extend`` lists the parent's covers first and the new top's last, so
-    every class above level 1 finds its parent.  The verdict is inherited
-    when the top has at most one down-cover: it is then isolated or a beat
-    point, and removing either leaves H1 unchanged (Stong 1966), so every
-    flag of the verdict is the parent's.
+    every class finds its parent; the point's is the empty poset.  The
+    verdict is inherited when the top has at most one down-cover: it is
+    then isolated or a beat point, and removing either leaves H1 unchanged
+    (Stong 1966), so every flag of the verdict is the parent's.
     """
     tops = len(P.down_covers[-1])
     parent = previous[P.covers[: len(P.covers) - tops]]
@@ -211,12 +197,12 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
     (E - rank) - (V - C) must equal betti1 plus the number of torsion
     coefficients killed by the field characteristic.
     Classes may inherit the homology verdict (``_job``).  The
-    relation route is carried down the augmentation tree: each class takes
-    its parent's relation rows and divisors, builds only the rows into its
-    new top (``derivations.relation_rows_into``) and runs a Smith
-    elimination only when there are some (``_record``); the level-1 point
-    is built from scratch (``_analyze_payload``).  Every class still gets
-    its own identity check.  Report content does not depend on
+    relation route is carried down the augmentation tree, whose root is
+    the empty poset: each class takes its parent's relation rows and
+    divisors, builds only the rows into its new top
+    (``derivations.relation_rows_into``) and runs a Smith elimination only
+    when there are some (``_record``).  Every class still gets its own
+    identity check.  Report content does not depend on
     parallelism, which must be at least 1; at most ``os.cpu_count()``
     worker processes start, since a forked pool starts every worker up
     front.  With ``progress``, each level prints its class count, the
@@ -234,7 +220,11 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
     soluble = []
     inconclusive: list[str] = []
     failures: list[str] = []
-    previous: dict = {}  # the previous level's records, by cover list
+    from .homology import classify
+
+    # the previous level's records by cover list; level 0 is the tree's root,
+    # the empty poset, with no relation rows
+    previous: dict = {(): {"verdict": classify(Poset((), ())), "rows": (), "divisors": ()}}
     pool = None
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -244,16 +234,12 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
         for n in range(1, max_n + 1):
             level_start = time.monotonic()
             posets = list(enumerate_posets(n))
-            if n == 1:
-                jobs = []
-                records = [_analyze_payload(P) for P in posets]
+            jobs = [_job(previous, P) for P in posets]
+            if pool is not None:
+                chunk = max(1, len(jobs) // (workers * 4))
+                records = list(pool.map(_record, jobs, chunksize=chunk))
             else:
-                jobs = [_job(previous, P) for P in posets]
-                if pool is not None:
-                    chunk = max(1, len(jobs) // (workers * 4))
-                    records = list(pool.map(_record, jobs, chunksize=chunk))
-                else:
-                    records = [_record(job) for job in jobs]
+                records = [_record(job) for job in jobs]
             previous = {P.covers: r for P, r in zip(posets, records)}
             counts.append((n, len(records)))
             defective.append((n, sum(r["verdict"].defective_uct for r in records)))

@@ -5,7 +5,8 @@ kernel and enumeration code paths: rank via fraction-free (Bareiss)
 elimination, modular rank via straightforward Gaussian elimination, Smith
 divisors via gcds of k x k minors, determinants via Bareiss, labeled
 posets via brute force over all antisymmetric transitive relations,
-parallel-path relations by listing every cover path, relation, boundary
+parallel-path relations by listing every cover path, the exact relation
+rows by walking each upward cone forward, relation, boundary
 and incidence matrices by filling dense row-major buffers, homology of the
 whole order complex, never its core, through a dense Smith form with
 transforms (the package's loop before it went sparse), linear systems
@@ -281,19 +282,56 @@ def path_relation_rows(elements, covers):
     return rows
 
 
+def cone_walk_parallel_pairs(P) -> list[tuple]:
+    """The package's parallel pairs (source, target, path_a, path_b), by
+    walking each upward cone forward in topological order.
+
+    ref(x, z) = ref(x, w0) + (w0, z) for the first down-cover w0 of z in
+    {x} | cone(x), fixed before any z above it is reached; every later
+    such down-cover w gives the pair with path_b = ref(x, w) + (w, z).
+    Pairs come by source index, then target index, then w.
+    """
+    names = P.elements
+    out = []
+    for x in range(P.n):
+        inside = P.above[x] | 1 << x
+        ref = {x: ()}
+        extra = {}
+        for z in P.topological_order:
+            if P.above[x] >> z & 1:
+                w0, *rest = [w for w in P.down_covers[z] if inside >> w & 1]
+                ref[z] = ref[w0] + ((names[w0], names[z]),)
+                extra[z] = rest
+        for z in sorted(extra):
+            for w in extra[z]:
+                out.append((names[x], names[z], ref[z], ref[w] + ((names[w], names[z]),)))
+    return out
+
+
+def cone_walk_relation_rows(P) -> list[tuple]:
+    """Sparse rows (column, +-1) of ``cone_walk_parallel_pairs``, in order:
+    +1 on path_a, -1 on path_b, zeros dropped."""
+    col = {edge: c for c, edge in enumerate(P.covers)}
+    rows = []
+    for _, _, path_a, path_b in cone_walk_parallel_pairs(P):
+        acc = {col[edge]: 1 for edge in path_a}
+        for edge in path_b:
+            acc[col[edge]] = acc.get(col[edge], 0) - 1
+        rows.append(tuple(sorted((c, v) for c, v in acc.items() if v)))
+    return rows
+
+
 def dense_relation_entries(P) -> tuple[int, ...]:
     """The consistency matrix of P as a dense row-major tuple, filled by
-    r * cols + c arithmetic from the parallel pairs."""
-    from posetderiv.derivations import parallel_pairs
-
+    r * cols + c arithmetic from ``cone_walk_parallel_pairs``."""
     col = {edge: c for c, edge in enumerate(P.covers)}
     ncols = len(P.covers)
-    pairs = parallel_pairs(P)
+    pairs = cone_walk_parallel_pairs(P)
     entries = [0] * (len(pairs) * ncols)
-    for r, pair in enumerate(pairs):
-        for edge in pair.path_a:
+    for r, (_, _, path_a, path_b) in enumerate(pairs):
+        for edge in path_a:
             entries[r * ncols + col[edge]] += 1
-        for edge in pair.path_b:
+        for edge in path_b:
             entries[r * ncols + col[edge]] -= 1
     return tuple(entries)
 

@@ -637,14 +637,14 @@ def test_sweep_starts_at_most_cpu_count_workers(capsys, monkeypatch):
 def test_sweep_exit_code_on_identity_failure(capsys, monkeypatch):
     import posetderiv.survey as survey
 
-    real = survey._analyze_payload
+    real = survey._record
 
-    def broken(payload):
-        record = real(payload)
+    def broken(job):
+        record = real(job)
         record["identity_ok"] = False
         return record
 
-    monkeypatch.setattr(survey, "_analyze_payload", broken)
+    monkeypatch.setattr(survey, "_record", broken)
     code, payload = run_cli(capsys, "sweep", "--max-n", "2")
     assert code == 4
     assert payload["identity_failures"]
@@ -778,6 +778,13 @@ def test_golden_crowns_and_criteria_reports(capsys, command, name, extra):
     assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
+def test_golden_witness_bytes(capsys):
+    # the kernel basis, and so the witness, follows the relation-row order
+    code = main(["derivation", "witness", str(FIXTURE_DIR / "rp2.json"), "--prime", "2"])
+    assert code == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / "rp2.witness.json").read_text()
+
+
 def test_homology_on_chains_deeper_than_the_recursion_limit_exits_2(capsys, tmp_path):
     # 1100 stacked two-element antichains: no beat points, height 1100
     levels = [(f"a{k}", f"b{k}") for k in range(1100)]
@@ -795,9 +802,8 @@ def test_sweep_progress_counts_inherited_verdicts(capsys):
     assert main(["sweep", "--max-n", "4"]) == 0
     captured = capsys.readouterr()
     fields = [dict(f.split("=") for f in line.split()[1:]) for line in captured.err.splitlines()]
-    # a point has no parent; afterwards every top with one down-cover or none inherits
-    assert [f["inherited"] for f in fields] == ["0", "2", "4", "12"]
-    # the point's relation rows are built from scratch; the diamond is the
-    # first class whose new top receives rows
-    assert [f["smith"] for f in fields] == ["1", "0", "0", "1"]
+    # every top with one down-cover or none inherits, the point's from the empty poset
+    assert [f["inherited"] for f in fields] == ["1", "2", "4", "12"]
+    # the diamond is the first class whose new top receives relation rows
+    assert [f["smith"] for f in fields] == ["0", "0", "0", "1"]
     assert "smith" not in captured.out

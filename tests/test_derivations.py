@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -27,8 +28,12 @@ from posetderiv import (
 )
 from posetderiv import fixtures as fx
 from posetderiv.derivations import relation_rows_into
+from posetderiv.report import poset_from_json
 
+from conftest import FIXTURE_DIR
 from oracles import (
+    cone_walk_parallel_pairs,
+    cone_walk_relation_rows,
     dense_relation_entries,
     is_forest,
     modp_rank,
@@ -132,6 +137,26 @@ def test_tree_relations_match_path_oracle(rp2, s5):
         # the rows into each target partition the matrix
         into = [row for z in range(P.n) for row in relation_rows_into(P, z)]
         assert sorted(into) == sorted(tree.sparse_rows)
+
+
+def _assert_cone_walk_rows(P):
+    # exact pairs and rows, in order: the witness scan depends on row order
+    assert parallel_pairs(P) == cone_walk_parallel_pairs(P)
+    assert list(consistency_matrix(P).matrix.sparse_rows) == cone_walk_relation_rows(P)
+
+
+def test_pairs_and_rows_equal_the_cone_walk_oracle():
+    files = [json.loads(path.read_text()) for path in sorted(FIXTURE_DIR.glob("*.json"))]
+    fixtures = [poset_from_json(obj) for obj in files if "elements" in obj]
+    assert len(fixtures) == 5
+    for P in [*all_posets_up_to(6), *fixtures, _stacked_diamonds(3), _stacked_diamonds(14)]:
+        _assert_cone_walk_rows(P)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(random_posets(max_size=10))
+def test_pairs_and_rows_equal_the_cone_walk_oracle_on_relabelled_posets(P):
+    _assert_cone_walk_rows(P)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 import pytest
 
+import posetderiv.derivations as derivations
 import posetderiv.report as report
 import posetderiv.survey as survey
 from posetderiv import (
@@ -106,22 +107,36 @@ def test_sweep_independent_of_parallelism():
 @pytest.mark.parametrize("broken", [False, True])
 def test_analyze_and_sweep_give_the_same_identity_verdict_per_ring(monkeypatch, broken):
     if broken:
-        # an extra divisor 2 raises the rank over q and gf:3, not over gf:2
-        divisors = lambda P: (2,) + relation_divisors(P)
-        monkeypatch.setattr(report, "relation_divisors", divisors)
-        monkeypatch.setattr(survey, "relation_divisors", divisors)
-    classes = [P for n in range(1, 6) for P in enumerate_posets(n)]
+        # an extra divisor 2 in every nonempty relation matrix raises the
+        # rank over q and gf:3, not over gf:2; analyze and the sweep's
+        # carried rows both reach their divisors through smith_divisors
+        real = derivations.smith_divisors
+        divisors = lambda a: (2,) + real(a) if a.rows else real(a)
+        monkeypatch.setattr(derivations, "smith_divisors", divisors)
+        monkeypatch.setattr(survey, "smith_divisors", divisors)
+    records = []
+    real_record = survey._record
+
+    def recording(job):
+        record = real_record(job)
+        records.append((job[0], record))
+        return record
+
+    monkeypatch.setattr(survey, "_record", recording)
     failures = {}
     for ring in (RATIONALS, prime_field(2), prime_field(3)):
         monkeypatch.setattr(survey, "DEFAULT_FIELDS", (ring,))
+        records.clear()
+        sweep(5)
         failures[ring.label()] = 0
-        for P in classes:
+        for P, record in records:
             conflicts = report.analysis_report(P, [ring])["conflicts"]
             analyze_ok = not any(c.startswith(report.IDENTITY_CONFLICT) for c in conflicts)
-            assert analyze_ok == survey._analyze_payload(P)["identity_ok"], (ring, P.covers)
+            assert analyze_ok == record["identity_ok"], (ring, P.covers)
             failures[ring.label()] += not analyze_ok
-    assert len(classes) == 87
-    expected = 87 if broken else 0
+    assert len(records) == 87
+    # 12 of the 87 classes have a relation
+    expected = 12 if broken else 0
     assert failures == {"q": expected, "gf:2": 0, "gf:3": expected}
 
 
@@ -172,9 +187,10 @@ def test_sweep_hands_inherited_verdicts_to_workers(monkeypatch):
     monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
     pooled = sweep_json(sweep(5, parallelism=2))
     # jobs are (poset, inherited verdict, parent rows, parent divisors)
-    assert sum(verdict is not None for _, verdict, _, _ in jobs) == 2 + 4 + 12 + 45
-    # the point is analysed from scratch, every class above it from its parent
-    assert len(jobs) == 2 + 5 + 16 + 63
+    assert sum(verdict is not None for _, verdict, _, _ in jobs) == 1 + 2 + 4 + 12 + 45
+    # every class is a job, the point's parent is the empty poset
+    assert len(jobs) == 1 + 2 + 5 + 16 + 63
+    assert jobs[0][0].covers == () and jobs[0][2:] == ((), ())
     for P, _, rows, divisors in jobs:
         parent = Poset(P.elements[:-1], P.covers[: len(P.covers) - len(P.down_covers[-1])])
         assert sorted(rows) == sorted(consistency_matrix(parent).matrix.sparse_rows)
@@ -196,7 +212,7 @@ def test_sweep_carries_relation_rows_down_the_augmentation_tree(monkeypatch):
 
     monkeypatch.setattr(survey, "_record", recording)
     assert sweep(7).ok
-    assert len(pairs) == sum(CLASS_COUNTS) - 1
+    assert len(pairs) == sum(CLASS_COUNTS)
     for (P, _, rows, _), record in pairs:
         new = tuple(relation_rows_into(P, P.n - 1))
         assert record["rows"] == rows + new
@@ -205,13 +221,13 @@ def test_sweep_carries_relation_rows_down_the_augmentation_tree(monkeypatch):
         assert record["smith"] == bool(new)
 
 
-def test_sweep_builds_relation_divisors_from_scratch_only_for_the_point(monkeypatch):
+def test_sweep_builds_no_relation_matrix_from_scratch(monkeypatch):
     calls = []
 
     def counting(P):
         calls.append(P.n)
-        return relation_divisors(P)
+        return consistency_matrix(P)
 
-    monkeypatch.setattr(survey, "relation_divisors", counting)
+    monkeypatch.setattr(derivations, "consistency_matrix", counting)
     assert sweep(6).counts_by_n[-1] == (6, 318)
-    assert calls == [1]
+    assert calls == []
