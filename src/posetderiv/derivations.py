@@ -142,11 +142,17 @@ _ENTRIES: dict = {}
 
 
 def _row(path_a, path_b) -> tuple:
-    """The sparse row +path_a - path_b; a column on both nets 0."""
-    acc = dict.fromkeys(path_a, 1)
-    for c in path_b:
-        acc[c] = acc.get(c, 0) - 1
-    return tuple(sorted(_ENTRIES.setdefault(e, e) for e in acc.items() if e[1]))
+    """The sparse row +path_a - path_b of a relation from ``_relations``.
+
+    Reference paths of one source form a tree, and the two paths extend two
+    of them by distinct covers into one target: they share a prefix, which
+    cancels, and no column after it.
+    """
+    k = 0
+    while path_a[k] == path_b[k]:
+        k += 1
+    entries = [(c, 1) for c in path_a[k:]] + [(c, -1) for c in path_b[k:]]
+    return tuple(sorted(_ENTRIES.setdefault(e, e) for e in entries))
 
 
 def parallel_pairs(P: Poset) -> list[ParallelPair]:

@@ -98,8 +98,10 @@ class Poset:
     identifiers, no self-pairs or duplicates, acyclic, transitively
     reduced.  The order lives in read-only attributes: ``above[i]`` and
     ``below[i]`` (bitmasks of the elements strictly above and below i),
-    ``down_covers[i]`` (ascending), ``topological_order``, ``component_ids``
-    (a component number per element) and ``component_count``.
+    ``down_covers[i]`` (ascending), ``topological_order`` (the elements by
+    the size of ``below[i]``, ties by index), ``component_ids`` (a
+    component number per element, in order of first elements) and
+    ``component_count``.  All of them follow from the masks and the covers.
     """
 
     __slots__ = (
@@ -115,42 +117,36 @@ class Poset:
     )
 
     def __init__(self, elements, covers):
-        elems, index, pairs, up, down = _index_covers(elements, covers, True)
-        up = [sorted(s) for s in up]
-        down = [sorted(s) for s in down]
-
-        topo, above, below = _closure(up, down)
-
+        elems, index, pairs, up, down = _index_covers(elements, covers)
+        above, below = _closure(up, down)
         for lo, hi in pairs:
             i, j = index[lo], index[hi]
             if above[i] & below[j]:
                 raise NotReducedError(
                     f"cover pair ({lo!r}, {hi!r}) is implied by a longer chain"
                 )
-        self._fill(elems, tuple(pairs), index, above, below, up, down, topo)
+        self._fill(elems, tuple(pairs), index, above, below, map(sorted, down))
 
     @classmethod
     def _from_masks(cls, elements, covers, above, below, down_covers):
         """Trusted construction from the masks and the ascending lower covers
         of a valid order: checks nothing, equals ``Poset(elements, covers)``."""
-        up = [[] for _ in elements]
-        for j, lows in enumerate(down_covers):
-            for i in lows:
-                up[i].append(j)
         P = cls.__new__(cls)
         index = dict(zip(elements, range(len(elements))))
-        P._fill(elements, covers, index, above, below, up, down_covers, _kahn(up, down_covers))
+        P._fill(elements, covers, index, above, below, down_covers)
         return P
 
-    def _fill(self, elements, covers, index, above, below, up, down, topo):
+    def _fill(self, elements, covers, index, above, below, down_covers):
         self.elements = elements
         self.covers = covers
         self._index = index
-        self.above = tuple(above)
-        self.below = tuple(below)
-        self.down_covers = tuple(map(tuple, down))
-        self.topological_order = tuple(topo)
-        self.component_ids, self.component_count = _components(up, down)
+        self.above = above = tuple(above)
+        self.below = below = tuple(below)
+        self.down_covers = tuple(map(tuple, down_covers))
+        # anything below i has fewer elements below it than i has
+        sizes = [b.bit_count() for b in below]
+        self.topological_order = tuple(sorted(range(len(below)), key=sizes.__getitem__))
+        self.component_ids, self.component_count = _components(above, below)
 
     @property
     def n(self) -> int:
@@ -180,13 +176,13 @@ class Poset:
         return f"Poset({self.n} elements, {len(self.covers)} covers)"
 
 
-def _index_covers(elements, covers, reject_repeats: bool):
+def _index_covers(elements, covers):
     """Index elements and cover pairs in one pass over the pairs.
 
     Returns the elements as a tuple, their index, the pairs as given and
     the sets of upper and lower neighbours of each element.  Raises
-    DuplicateError on a repeated element (and, with reject_repeats, on a
-    repeated pair), UnknownElementError and CycleError on a self-pair.
+    DuplicateError on a repeated element or pair, UnknownElementError and
+    CycleError on a self-pair.
     """
     elems = tuple(elements)
     index: dict[str, int] = {}
@@ -205,7 +201,7 @@ def _index_covers(elements, covers, reject_repeats: bool):
         if lo == hi:
             raise CycleError(f"self-pair on {lo!r}")
         i, j = index[lo], index[hi]
-        if reject_repeats and j in up[i]:
+        if j in up[i]:
             raise DuplicateError(f"duplicate cover pair ({lo!r}, {hi!r})")
         pairs.append((lo, hi))
         up[i].add(j)
@@ -213,9 +209,35 @@ def _index_covers(elements, covers, reject_repeats: bool):
     return elems, index, pairs, up, down
 
 
-def _kahn(up, down) -> list[int]:
-    """Kahn's topological order (sources in index order, then first in first
-    out, upper neighbours as listed); raises CycleError on a directed cycle."""
+def _components(above, below) -> tuple[tuple[int, ...], int]:
+    """Component number of each element, in order of the components' first
+    elements, and the number of components; a component grows by the
+    ``above | below`` masks of the elements it reached last."""
+    component = [-1] * len(above)
+    count = 0
+    for start, label in enumerate(component):  # sees the labels set below
+        if label >= 0:
+            continue
+        reached = new = 1 << start
+        while new:
+            near = 0
+            for i in _bits(new):
+                near |= above[i] | below[i]
+            new = near & ~reached
+            reached |= new
+        for i in _bits(reached):
+            component[i] = count
+        count += 1
+    return tuple(component), count
+
+
+def _closure(up, down) -> tuple[list[int], list[int]]:
+    """Strict above/below bitmasks of a cover DAG, closed along Kahn's order.
+
+    ``up[i]`` and ``down[i]`` hold the upper and lower neighbours of i.
+    Raises CycleError when the relation has a directed cycle.
+    """
+    n = len(up)
     indeg = list(map(len, down))
     order = [i for i, d in enumerate(indeg) if not d]
     for cur in order:  # order grows while it is walked: it is the queue
@@ -223,39 +245,8 @@ def _kahn(up, down) -> list[int]:
             indeg[nb] -= 1
             if indeg[nb] == 0:
                 order.append(nb)
-    if len(order) != len(up):
+    if len(order) != n:
         raise CycleError("cover relation contains a directed cycle")
-    return order
-
-
-def _components(up, down) -> tuple[tuple[int, ...], int]:
-    """Component number of each element, in order of the components' first
-    elements, and the number of components."""
-    component = [-1] * len(up)
-    next_id = 0
-    for start, label in enumerate(component):  # sees the labels set below
-        if label >= 0:
-            continue
-        component[start] = next_id
-        reached = [start]
-        for cur in reached:  # reached grows while it is walked
-            for nbs in (up[cur], down[cur]):
-                for nb in nbs:
-                    if component[nb] < 0:
-                        component[nb] = next_id
-                        reached.append(nb)
-        next_id += 1
-    return tuple(component), next_id
-
-
-def _closure(up, down) -> tuple[list[int], list[int], list[int]]:
-    """Topological order and strict above/below bitmasks of a cover DAG.
-
-    ``up[i]`` and ``down[i]`` list the upper and lower neighbours of i.
-    Raises CycleError when the relation has a directed cycle.
-    """
-    n = len(up)
-    order = _kahn(up, down)
     above = [0] * n
     for i in reversed(order):
         mask = 0
@@ -268,7 +259,7 @@ def _closure(up, down) -> tuple[list[int], list[int], list[int]]:
         for j in down[i]:
             mask |= (1 << j) | below[j]
         below[i] = mask
-    return order, above, below
+    return above, below
 
 
 def transitive_reduction(elements, pairs) -> list[tuple[str, str]]:
@@ -278,9 +269,9 @@ def transitive_reduction(elements, pairs) -> list[tuple[str, str]]:
     transitively, and returns the covers of the resulting order in
     element-index order.  Raises CycleError on cyclic input.
     """
-    elems, _, _, up, down = _index_covers(elements, pairs, False)
+    elems, _, _, up, down = _index_covers(elements, dict.fromkeys((lo, hi) for lo, hi in pairs))
     n = len(elems)
-    _, above, below = _closure(up, down)
+    above, below = _closure(up, down)
     return [(elems[i], elems[j]) for i in range(n) for j in _minimal(above[i], below)]
 
 

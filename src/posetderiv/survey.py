@@ -76,10 +76,10 @@ def _down_sets(P: Poset, gens) -> list[int]:
     return out
 
 
-def _extend(P: Poset, down_set: int) -> Poset:
-    """P with a new last element ``x{n}`` above down_set, its covers last."""
+def _extend(P: Poset, down_set: int, tops) -> Poset:
+    """P with a new last element ``x{n}`` above down_set and its covers last;
+    ``tops`` are the maximal elements of down_set, ascending."""
     n, new = P.n, f"x{P.n}"
-    tops = tuple(_minimal(down_set, P.above))
     return Poset._from_masks(
         P.elements + (new,),
         P.covers + tuple((P.elements[j], new) for j in tops),
@@ -89,13 +89,13 @@ def _extend(P: Poset, down_set: int) -> Poset:
     )
 
 
-def _top_key(down_set: int, above, below) -> tuple:
-    """Invariant of a maximal element with this down-set: whether it has at
-    most one down-cover (so that ``_job`` inherits verdicts as often as
-    possible), its size, the number of down-covers and the sorted down-set
-    sizes of those."""
-    covers = sorted(below[j].bit_count() for j in _minimal(down_set, above))
-    return (len(covers) <= 1, down_set.bit_count(), len(covers), covers)
+def _top_key(down_set: int, covers, below) -> tuple:
+    """Invariant of a maximal element with this down-set and these
+    down-covers: whether it has at most one (so that ``_job`` inherits
+    verdicts as often as possible), the down-set's size, the number of
+    down-covers and the sorted down-set sizes of those."""
+    sizes = sorted(below[j].bit_count() for j in covers)
+    return (len(sizes) <= 1, down_set.bit_count(), len(sizes), sizes)
 
 
 def _children(P: Poset) -> list[Poset]:
@@ -109,15 +109,16 @@ def _children(P: Poset) -> list[Poset]:
     n = P.n
     above, below = P.above, P.below
     gens = _canonical_search(above, below)[2]
-    maximal = [(i, _top_key(below[i], above, below)) for i in range(n) if not above[i]]
+    maximal = [(i, _top_key(below[i], P.down_covers[i], below)) for i in range(n) if not above[i]]
     kids = []
     for d in _down_sets(P, gens):
-        key = _top_key(d, above, below)
+        tops = _minimal(d, above)
+        key = _top_key(d, tops, below)
         others = [(i, k) for i, k in maximal if not d >> i & 1]
         if any(k > key for _, k in others):
             continue
         rivals = [i for i, k in others if k == key]
-        child = _extend(P, d)
+        child = _extend(P, d, tops)
         if rivals:
             # a tie: only the child's canonical search can decide
             _, lab, child_gens = _canonical_search(child.above, child.below)

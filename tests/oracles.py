@@ -11,6 +11,7 @@ and incidence matrices by filling dense row-major buffers, homology of the
 whole order complex, never its core, through a dense Smith form with
 transforms (the package's loop before it went sparse), linear systems
 through the explicit transforms u and v,
+connected components by breadth-first search on the cover graph,
 induced crowns by testing every subset of elements, beat points by
 counting cover pairs, cores by rebuilding the poset after each deletion,
 joins and meets by comparing every pair of bounds, a crown's join and
@@ -233,6 +234,30 @@ def is_forest(n: int, edges) -> bool:
             return False
         parent[ra] = rb
     return True
+
+
+def cover_graph_components(P) -> tuple[int, ...]:
+    """Component number of each element by breadth-first search on the
+    undirected cover graph, numbered in order of each component's first
+    element."""
+    neighbours = {x: [] for x in P.elements}
+    for a, b in P.covers:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    label: dict = {}
+    count = 0
+    for start in P.elements:
+        if start in label:
+            continue
+        label[start] = count
+        queue = [start]
+        for x in queue:
+            for y in neighbours[x]:
+                if y not in label:
+                    label[y] = count
+                    queue.append(y)
+        count += 1
+    return tuple(label[x] for x in P.elements)
 
 
 def cover_paths(elements, covers, src):

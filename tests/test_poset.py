@@ -33,6 +33,7 @@ from oracles import (
     brute_force_join_meet,
     brute_force_least_greatest,
     cover_count_beat_points,
+    cover_graph_components,
     crown_bounds,
     is_forest,
     iterated_core,
@@ -255,7 +256,7 @@ def _assert_fields_validated(P):
 
 
 def test_trusted_children_and_cores_equal_validated_posets():
-    from posetderiv.survey import _extend
+    from posetderiv.survey import _extend, _minimal
 
     rng = random.Random(17)
     named = [fx.fixture_poset(name) for name in ("rp2", "s5", "diamond", "fence:6")]
@@ -267,7 +268,7 @@ def test_trusted_children_and_cores_equal_validated_posets():
         _assert_fields_validated(core(P))
         full = (1 << P.n) - 1
         for down_set in [0, full] + [below | 1 << i for i, below in enumerate(P.below)]:
-            _assert_fields_validated(_extend(P, down_set))
+            _assert_fields_validated(_extend(P, down_set, _minimal(down_set, P.above)))
     # every enumerated class is a trusted child
     for P in all_posets_up_to(7):
         _assert_fields_validated(P)
@@ -428,6 +429,40 @@ def test_least_and_greatest_match_brute_force(P, rng):
         mask = rng.getrandbits(P.n)
         expected = brute_force_least_greatest(P, mask)
         assert (_least(mask, P.below, P.above), _least(mask, P.above, P.below)) == expected
+
+
+# -- order fields -------------------------------------------------------
+
+
+def _assert_order_fields(P):
+    position = {i: k for k, i in enumerate(P.topological_order)}
+    assert sorted(position) == list(range(P.n))
+    for x, y in P.strict_pairs():
+        assert position[P.index(x)] < position[P.index(y)], (x, y, P.covers)
+    # the documented rule: ascending down-set size, ties by index
+    by_size = sorted(range(P.n), key=lambda i: (P.below[i].bit_count(), i))
+    assert list(P.topological_order) == by_size
+    assert P.component_ids == cover_graph_components(P)
+    assert P.component_count == len(set(P.component_ids))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(random_posets(max_size=12), st.randoms(use_true_random=True))
+def test_order_fields_on_relabelled_posets(P, rng):
+    _assert_order_fields(P)
+    _assert_order_fields(_relabeled(P, rng))
+    _assert_order_fields(core(P))
+
+
+def test_order_fields_on_fixtures_and_small_classes():
+    named = [fx.fixture_poset(name) for name in ("rp2", "s5", "diamond", "crown:3", "fence:6")]
+    named += [fx.chain(4), fx.antichain(3), Poset((), ())]
+    named += [_disjoint_union(fx.crown(2), fx.chain(3), fx.antichain(2), fx.fence(4))]
+    for P in named:
+        _assert_order_fields(P)
+    for P in all_posets_up_to(6):
+        _assert_order_fields(P)
+        _assert_order_fields(core(P))
 
 
 # -- join and meet ------------------------------------------------------
