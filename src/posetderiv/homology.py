@@ -138,6 +138,10 @@ def homology(P: Poset, n: int) -> HomologySummary:
     chains_n = K.count(n)
     if n == 0:
         rank_n = 0
+    elif n == 1:
+        # the 1-skeleton is the comparability graph, so H0 is free of rank
+        # component_count and d_1 has rank V - C
+        rank_n = C.n - C.component_count
     else:
         rank_n = len(smith_divisors(boundary_matrix(K, n)))
     kernel_dim = chains_n - rank_n

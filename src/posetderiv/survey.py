@@ -108,7 +108,8 @@ def _children(P: Poset) -> list[Poset]:
     """
     n = P.n
     above, below = P.above, P.below
-    gens = _canonical_search(above, below)[2]
+    # the empty poset, the tree's root, has only the trivial automorphism
+    gens = _canonical_search(above, below)[2] if n else []
     maximal = [(i, _top_key(below[i], P.down_covers[i], below)) for i in range(n) if not above[i]]
     kids = []
     for d in _down_sets(P, gens):
@@ -133,14 +134,22 @@ def _children(P: Poset) -> list[Poset]:
     return kids
 
 
-def enumerate_posets(n: int):
-    """Yield one representative per isomorphism class of posets on n elements."""
+def enumerate_posets(n: int, parents=None):
+    """Yield one representative per isomorphism class of posets on n elements.
+
+    ``parents`` is the list of classes on n - 1 elements in the order this
+    function yields them (for n = 1, the empty poset alone); the classes on
+    n elements are their children, in that order.  Without it, the lower
+    levels are grown first, from the empty poset.
+    """
     if not 1 <= n <= SIZE_CAP:
         raise SizeLimitError(f"enumeration supports 1 <= n <= {SIZE_CAP}, got {n}")
-    level = [Poset(["x0"], [])]
-    for _ in range(n - 1):
-        level = [child for P in level for child in _children(P)]
-    yield from level
+    if parents is None:
+        parents = [Poset((), ())]
+        for _ in range(n - 1):
+            parents = [child for P in parents for child in _children(P)]
+    for P in parents:
+        yield from _children(P)
 
 
 def _record(job):
@@ -197,9 +206,10 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
     consistency-matrix route to homology: for each test field,
     (E - rank) - (V - C) must equal betti1 plus the number of torsion
     coefficients killed by the field characteristic.
-    Classes may inherit the homology verdict (``_job``).  The
-    relation route is carried down the augmentation tree, whose root is
-    the empty poset: each class takes its parent's relation rows and
+    Each level is grown once, from the level below it, starting at the
+    augmentation tree's root, the empty poset.  Classes may inherit the
+    homology verdict (``_job``).  The relation route is carried down the
+    same tree: each class takes its parent's relation rows and
     divisors, builds only the rows into its new top
     (``derivations.relation_rows_into``) and runs a Smith elimination only
     when there are some (``_record``).  Every class still gets its own
@@ -223,9 +233,10 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
     failures: list[str] = []
     from .homology import classify
 
-    # the previous level's records by cover list; level 0 is the tree's root,
-    # the empty poset, with no relation rows
-    previous: dict = {(): {"verdict": classify(Poset((), ())), "rows": (), "divisors": ()}}
+    # the previous level and its records by cover list; level 0 is the
+    # tree's root, the empty poset, with no relation rows
+    posets = [Poset((), ())]
+    previous: dict = {(): {"verdict": classify(posets[0]), "rows": (), "divisors": ()}}
     pool = None
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -234,7 +245,7 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
     try:
         for n in range(1, max_n + 1):
             level_start = time.monotonic()
-            posets = list(enumerate_posets(n))
+            posets = list(enumerate_posets(n, posets))
             jobs = [_job(previous, P) for P in posets]
             if pool is not None:
                 chunk = max(1, len(jobs) // (workers * 4))

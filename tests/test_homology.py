@@ -190,7 +190,10 @@ def chain_product(*lengths):
 
 
 def test_cored_homology_matches_uncored_oracle():
-    named = [fx.rp2(), fx.s5(), fx.crown(3), chain_product(3, 3), chain_product(2, 2, 2)]
+    crown3 = fx.crown(3)
+    # two components, one with H1 = Z: rank d_1 comes from the component count
+    crown3_and_point = Poset(crown3.elements + ("p",), crown3.covers)
+    named = [fx.rp2(), fx.s5(), crown3, crown3_and_point, chain_product(3, 3), chain_product(2, 2, 2)]
     for P in list(all_posets_up_to(6)) + named:
         for n in (0, 1, 2):
             h = homology(P, n)

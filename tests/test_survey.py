@@ -65,6 +65,34 @@ def test_augmentation_matches_dedup_by_canonical_form():
         assert set(forms) == {canonical_form(P) for P in dedup_enumerate_posets(n)}
 
 
+def test_children_of_the_empty_poset_is_the_point():
+    (point,) = survey._children(Poset((), ()))
+    assert (point.elements, point.covers) == (("x0",), ())
+
+
+def test_enumeration_from_given_parents_matches_growing_from_the_root():
+    parents = [Poset((), ())]
+    for n in range(1, 7):
+        level = list(enumerate_posets(n, parents))
+        assert [P.covers for P in level] == [P.covers for P in enumerate_posets(n)]
+        parents = level
+
+
+def test_sweep_grows_each_level_once(monkeypatch):
+    calls = []
+    real = survey._children
+
+    def counting(P):
+        calls.append(P.n)
+        return real(P)
+
+    monkeypatch.setattr(survey, "_children", counting)
+    assert sweep(6).counts_by_n[-1] == (6, 318)
+    # once per class on levels 0..5, level by level
+    assert len(calls) == 1 + 1 + 2 + 5 + 16 + 63 == 88
+    assert calls == sorted(calls)
+
+
 def test_level_eight_count():
     # OEIS A000112
     assert sum(1 for _ in enumerate_posets(8)) == 16999
