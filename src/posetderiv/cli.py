@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 input error or size limit (a fixture above
 4096, a sweep outside 1..8, a canonical search past the recursion
 limit, order-complex chains longer than it, as in `homology --dim 1050`
-on 1100 stacked antichains), 4 internal cross-check failure (the
-relation-matrix and homology routes disagree) in `analyze` or a sweep.  All output is JSON on stdout;
+on 1100 stacked antichains), 4 internal cross-check failure (H1 read
+off the relation matrix's Smith divisors differs from H1 of the order
+complex) in `analyze` or a sweep.  All output is JSON on stdout;
 progress goes to stderr.  `main` may be called many times in one
 process: the argument parser is built on the first call only, and each
 call parses its arguments afresh.

@@ -7,9 +7,8 @@ from collections import namedtuple
 # poset.core is looked up at each call: this module may first load while
 # bench/tracing.py has it wrapped, and a name bound then keeps the wrapper.
 from . import poset
-from .derivations import der_pot_from_divisors
 from .errors import DimensionError, SizeLimitError
-from .linalg import IntegerMatrix, Ring, _field_modulus, smith_divisors
+from .linalg import IntegerMatrix, smith_divisors
 from .poset import Poset, _bits, shape_stats
 
 
@@ -186,23 +185,17 @@ def classify(P: Poset) -> ConclusiveVerdict:
     )
 
 
-def routes_agree(verdict: ConclusiveVerdict, der: int, pot: int, k: Ring) -> bool:
-    """The cross-route identity over the field k.
-
-    der - pot from the relation matrix must equal betti1 plus the number
-    of H1 torsion coefficients that the characteristic of k divides, by
-    universal coefficients.
-    """
-    p = _field_modulus(k)
-    killed = 0 if p is None else sum(1 for t in verdict.torsion1 if t % p == 0)
-    return der - pot == verdict.betti1 + killed
+def relation_h1(P: Poset, divisors) -> tuple[int, tuple[int, ...]]:
+    """(betti1, torsion1) of P read off the Smith divisors of its relation
+    matrix, whose cokernel Z^E / rows is H1 + Z^(V - C): betti1 is
+    E - rank - (V - C), and the torsion is the divisors above 1."""
+    betti = len(P.covers) - len(divisors) - (P.n - P.component_count)
+    return betti, tuple(d for d in divisors if d > 1)
 
 
-def identity_checks(P: Poset, verdict: ConclusiveVerdict, divisors, rings):
-    """(ring, der, pot, agrees) for each ring: der and pot from the relation
-    divisors, agrees by routes_agree against the homology verdict."""
-    out = []
-    for ring in rings:
-        der, pot = der_pot_from_divisors(P, divisors, ring)
-        out.append((ring, der, pot, routes_agree(verdict, der, pot, ring)))
-    return out
+def routes_agree(P: Poset, verdict: ConclusiveVerdict, divisors) -> bool:
+    """The cross-route identity: H1 from the relation divisors of P is the
+    verdict's.  The rank over GF(p) counts the divisors p does not divide,
+    so it implies der - pot = betti1 + #{torsion that char k divides} over
+    every field k."""
+    return relation_h1(P, divisors) == (verdict.betti1, verdict.torsion1)

@@ -192,7 +192,7 @@ def prime_field(p: int) -> Ring:
     return Ring("prime_field", p)
 
 
-# the fields analyze reports on by default and every sweep cross-checks
+# the fields analyze reports on by default
 DEFAULT_FIELDS = (RATIONALS, prime_field(2), prime_field(3))
 
 

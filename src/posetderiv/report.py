@@ -6,7 +6,9 @@ rationals are rendered as "p/q" strings.  No floats appear anywhere.
 
 from __future__ import annotations
 
-from .derivations import TransitiveFunction, outer_witness, relation_divisors
+from .derivations import (
+    TransitiveFunction, der_pot_from_divisors, outer_witness, relation_divisors
+)
 from .errors import InputError, UnsupportedRingError
 from .linalg import Ring, _field_modulus, ring_from_string
 from .poset import Poset, canonical_form, transitive_reduction
@@ -137,19 +139,19 @@ def require_rank_ring(ring: Ring) -> None:
         ) from None
 
 
-# Opens every `conflicts` entry that reports a failed cross-route identity.
-IDENTITY_CONFLICT = "cross-route identity fails over"
+# Opens the `conflicts` entry that reports a failed cross-route identity.
+IDENTITY_CONFLICT = "cross-route identity fails"
 
 
 def analysis_report(P: Poset, rings, include_witness: bool = False) -> dict:
     """Full per-poset report: homology, per-ring dimensions, criteria.
 
-    Both routes run on every report, so each requested field is
-    cross-checked (homology.identity_checks); a failure becomes a
-    `conflicts` entry starting with IDENTITY_CONFLICT.
+    Both routes run on every report and are cross-checked once
+    (homology.routes_agree); a failure becomes one `conflicts` entry
+    starting with IDENTITY_CONFLICT.
     """
     from .criteria import criteria_report, table2_conflict
-    from .homology import classify, identity_checks
+    from .homology import classify, relation_h1, routes_agree
 
     for ring in rings:
         require_rank_ring(ring)
@@ -163,15 +165,20 @@ def analysis_report(P: Poset, rings, include_witness: bool = False) -> dict:
     if message:
         conflicts.append(message)
 
-    checks = identity_checks(P, verdict, divisors, rings)
+    if not routes_agree(P, verdict, divisors):
+        betti, torsion = relation_h1(P, divisors)
+        conflicts.append(
+            f"{IDENTITY_CONFLICT}: the relation matrix gives betti {betti} and "
+            f"torsion {list(torsion)}, but H1 has betti {verdict.betti1} and "
+            f"torsion {list(verdict.torsion1)}"
+        )
     rings_out = []
-    for ring, der, pot, agrees in checks:
-        if not agrees:
-            conflicts.append(
-                f"{IDENTITY_CONFLICT} {ring.label()}: der - pot = {der - pot}, "
-                f"but H1 has betti {verdict.betti1} and torsion "
-                f"{list(verdict.torsion1)}"
-            )
+    witness_prime = None
+    for ring in rings:
+        der, pot = der_pot_from_divisors(P, divisors, ring)
+        # require_rank_ring admitted only q and prime moduli: n is the characteristic
+        if witness_prime is None and der > pot and ring.n is not None:
+            witness_prime = ring.n
         rings_out.append(
             {
                 "ring": ring.label(),
@@ -180,10 +187,6 @@ def analysis_report(P: Poset, rings, include_witness: bool = False) -> dict:
                 "outer_exists": der > pot,
             }
         )
-    # require_rank_ring admitted only q and prime moduli: n is the characteristic
-    witness_prime = next(
-        (r.n for r, der, pot, _ in checks if der > pot and r.n is not None), None
-    )
 
     witness = None
     if include_witness and witness_prime is not None:

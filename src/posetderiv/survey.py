@@ -25,8 +25,8 @@ from collections import namedtuple
 from . import poset
 from .errors import InputError, SizeLimitError
 from .derivations import relation_rows_into
-from .homology import identity_checks
-from .linalg import DEFAULT_FIELDS, IntegerMatrix, smith_divisors
+from .homology import routes_agree
+from .linalg import IntegerMatrix, smith_divisors
 from .poset import Poset, _bits, _canonical_search, _merge_orbits, _minimal
 
 SIZE_CAP = 8
@@ -154,9 +154,9 @@ def enumerate_posets(n: int, parents=None):
 
 def _record(job):
     """Sweep record of a ``(poset, verdict, parent rows, parent divisors)``
-    job: verdict, identity check, the rows and divisors that P's children
-    carry, and whether a Smith elimination ran; module-level so process
-    pools can pickle it.
+    job: verdict, cross-route identity (``homology.routes_agree`` on P's
+    divisors), the rows and divisors that P's children carry, and whether
+    a Smith elimination ran; module-level so process pools can pickle it.
 
     P's relation rows are its parent's, whose columns ``_extend`` keeps,
     plus the rows into its new top.  Without new rows the matrix only
@@ -173,10 +173,9 @@ def _record(job):
     if new:
         rows += tuple(new)
         divisors = smith_divisors(IntegerMatrix._make((len(rows), len(P.covers), rows)))
-    checks = identity_checks(P, verdict, divisors, DEFAULT_FIELDS)
     return {
         "verdict": verdict,
-        "identity_ok": all(agrees for *_, agrees in checks),
+        "identity_ok": routes_agree(P, verdict, divisors),
         "rows": rows,
         "divisors": divisors,
         "smith": bool(new),
@@ -202,10 +201,10 @@ def _job(previous: dict, P: Poset) -> tuple:
 def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepReport:
     """Classify every poset class up to max_n elements and cross-check.
 
-    The cross-check (homology.identity_checks, as in analyze) ties the
-    consistency-matrix route to homology: for each test field,
-    (E - rank) - (V - C) must equal betti1 plus the number of torsion
-    coefficients killed by the field characteristic.
+    The cross-check (homology.routes_agree, as in analyze) ties the
+    consistency-matrix route to homology: the Smith divisors of the
+    relation matrix must give betti1 = E - rank - (V - C) and, in the
+    divisors above 1, exactly the torsion of H1.
     Each level is grown once, from the level below it, starting at the
     augmentation tree's root, the empty poset.  Classes may inherit the
     homology verdict (``_job``).  The relation route is carried down the

@@ -660,10 +660,29 @@ def test_analyze_exit_code_on_identity_failure(capsys, monkeypatch):
     )
     assert code == 4
     failed = [c for c in payload["conflicts"] if c.startswith(report.IDENTITY_CONFLICT)]
-    assert len(failed) == 2
-    assert failed[0].startswith(f"{report.IDENTITY_CONFLICT} q: der - pot = 12,")
-    assert failed[1].startswith(f"{report.IDENTITY_CONFLICT} gf:2: der - pot = 12,")
+    assert failed == [
+        f"{report.IDENTITY_CONFLICT}: the relation matrix gives betti 12 and torsion [], "
+        "but H1 has betti 0 and torsion [2]"
+    ]
     assert any("case 15" in c for c in payload["conflicts"])
+
+
+def test_analyze_catches_a_wrong_torsion_exponent(capsys, monkeypatch):
+    import posetderiv.report as report
+
+    # Z/4 in place of Z/2 leaves every rank over q, gf:2 and gf:3 as it was
+    real = report.relation_divisors
+    monkeypatch.setattr(
+        report, "relation_divisors", lambda P: tuple(4 if d == 2 else d for d in real(P))
+    )
+    code, payload = run_cli(capsys, "analyze", str(FIXTURE_DIR / "rp2.json"))
+    assert code == 4
+    failed = [c for c in payload["conflicts"] if c.startswith(report.IDENTITY_CONFLICT)]
+    assert failed == [
+        f"{report.IDENTITY_CONFLICT}: the relation matrix gives betti 0 and torsion [4], "
+        "but H1 has betti 0 and torsion [2]"
+    ]
+    assert [r["der_dim"] - r["pot_dim"] for r in payload["rings"]] == [0, 1, 0]
 
 
 def test_homology_command_other_dims(capsys):

@@ -24,6 +24,7 @@ from posetderiv import (
     shape_stats,
 )
 from posetderiv import fixtures as fx
+from posetderiv.derivations import relation_divisors
 from posetderiv.homology import euler_by_moebius
 
 from oracles import random_poset_covers, uncored_homology
@@ -274,11 +275,17 @@ def test_classify_booleans_are_consistent():
 
 
 def test_routes_agree_counts_killed_torsion(rp2):
-    v = classify(rp2)
-    assert routes_agree(v, 12, 12, RATIONALS)
-    assert routes_agree(v, 13, 12, prime_field(2))
-    assert not routes_agree(v, 12, 12, prime_field(2))
-    assert routes_agree(v, 12, 12, prime_field(3))
+    v, divisors = classify(rp2), relation_divisors(rp2)
+    assert v.torsion1 == (2,)
+    assert routes_agree(rp2, v, divisors)
+    # a wrong exponent: every per-field rank is the same as with Z/2
+    assert not routes_agree(rp2, v, tuple(4 if d == 2 else d for d in divisors))
+    crown = fx.crown(3)
+    P = Poset(crown.elements + ("p",), crown.covers)
+    assert (P.component_count, classify(P).betti1) == (2, 1)
+    assert routes_agree(P, classify(P), relation_divisors(P))
+    empty = Poset((), ())
+    assert routes_agree(empty, classify(empty), ())
 
 
 def test_rank_homology_identity_small():

@@ -46,6 +46,14 @@ def test_cli_import_loads_only_what_parsing_needs():
     assert "posetderiv.report" in loaded
 
 
+def test_homology_import_loads_no_relation_route():
+    loaded = fresh(
+        "import json, sys, posetderiv.homology; print(json.dumps([*sys.modules]))"
+    )
+    assert "posetderiv.homology" in loaded
+    assert {"posetderiv.derivations", "posetderiv.report"}.isdisjoint(loaded)
+
+
 def test_every_public_name_resolves_lazily():
     names = fresh(
         "import json, posetderiv as p\n"
