@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input error or size limit (a fixture above
-4096, a sweep outside 1..8, a canonical search past the recursion
+4096, a sweep outside 1..9, a canonical search past the recursion
 limit, order-complex chains longer than it, as in `homology --dim 1050`
 on 1100 stacked antichains), 4 internal cross-check failure (H1 read
 off the relation matrix's Smith divisors differs from H1 of the order

@@ -136,11 +136,6 @@ def _relations(P: Poset, x: int, targets, col: dict):
             yield z, path_a, ref[w] + (col[(names[w], names[z])],)
 
 
-# The (column, +-1) entries of relation rows, shared: a sweep keeps a whole
-# level's rows, and few distinct entries recur.
-_ENTRIES: dict = {}
-
-
 def _row(path_a, path_b) -> tuple:
     """The sparse row +path_a - path_b of a relation from ``_relations``.
 
@@ -152,7 +147,7 @@ def _row(path_a, path_b) -> tuple:
     while path_a[k] == path_b[k]:
         k += 1
     entries = [(c, 1) for c in path_a[k:]] + [(c, -1) for c in path_b[k:]]
-    return tuple(sorted(_ENTRIES.setdefault(e, e) for e in entries))
+    return tuple(sorted(entries))
 
 
 def parallel_pairs(P: Poset) -> list[ParallelPair]:

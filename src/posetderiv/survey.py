@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 # poset.canonical_form and homology.classify are looked up at each call:
 # this module may first load while bench/tracing.py has them wrapped, and
@@ -29,7 +29,9 @@ from .homology import routes_agree
 from .linalg import IntegerMatrix, smith_divisors
 from .poset import Poset, _bits, _canonical_search, _merge_orbits, _minimal
 
-SIZE_CAP = 8
+SIZE_CAP = 9
+# the sweep hands the subtrees below the classes on this many elements to map
+SPLIT_N = 5
 
 
 class SweepReport(
@@ -46,8 +48,8 @@ class SweepReport(
         return not self.identity_failures
 
 
-def _down_sets(P: Poset, gens) -> list[int]:
-    """One down-closed subset of P per orbit of the group ``gens`` generates.
+def _down_sets(P: Poset, gens):
+    """Yield one down-closed subset of P per orbit of the group ``gens`` generates.
 
     Down-sets are bitmasks (the empty set included), built over the
     elements in topological order; the first of each orbit is kept.
@@ -56,13 +58,12 @@ def _down_sets(P: Poset, gens) -> list[int]:
     downs = [0]
     for i in P.topological_order:
         downs += [d | 1 << i for d in downs if not below[i] & ~d]
-    out = []
     seen = set()
     for d in downs:
         if d in seen:
             continue
-        out.append(d)
         seen.add(d)
+        yield d
         stack = [d]
         while stack:
             x = stack.pop()
@@ -73,7 +74,6 @@ def _down_sets(P: Poset, gens) -> list[int]:
                 if y not in seen:
                     seen.add(y)
                     stack.append(y)
-    return out
 
 
 def _extend(P: Poset, down_set: int, tops) -> Poset:
@@ -91,15 +91,15 @@ def _extend(P: Poset, down_set: int, tops) -> Poset:
 
 def _top_key(down_set: int, covers, below) -> tuple:
     """Invariant of a maximal element with this down-set and these
-    down-covers: whether it has at most one (so that ``_job`` inherits
-    verdicts as often as possible), the down-set's size, the number of
-    down-covers and the sorted down-set sizes of those."""
+    down-covers: whether it has at most one (so that ``_job`` passes the
+    parent's verdict down the walk as often as possible), the down-set's
+    size, the number of down-covers and the sorted down-set sizes of those."""
     sizes = sorted(below[j].bit_count() for j in covers)
     return (len(sizes) <= 1, down_set.bit_count(), len(sizes), sizes)
 
 
-def _children(P: Poset) -> list[Poset]:
-    """The children of P accepted by canonical deletion of a maximal element.
+def _children(P: Poset):
+    """Yield the children of P accepted by canonical deletion of a maximal element.
 
     The child on ``P.n + 1`` elements puts its new top t above a down-set
     of P.  It is kept iff t lies in the child's canonical orbit of maximal
@@ -111,7 +111,6 @@ def _children(P: Poset) -> list[Poset]:
     # the empty poset, the tree's root, has only the trivial automorphism
     gens = _canonical_search(above, below)[2] if n else []
     maximal = [(i, _top_key(below[i], P.down_covers[i], below)) for i in range(n) if not above[i]]
-    kids = []
     for d in _down_sets(P, gens):
         tops = _minimal(d, above)
         key = _top_key(d, tops, below)
@@ -130,40 +129,34 @@ def _children(P: Poset) -> list[Poset]:
             first = min(rivals, key=lab.index)
             if not orbit.get(n, 1 << n) >> first & 1:
                 continue
-        kids.append(child)
-    return kids
+        yield child
 
 
 def enumerate_posets(n: int, parents=None):
     """Yield one representative per isomorphism class of posets on n elements.
 
-    ``parents`` is the list of classes on n - 1 elements in the order this
-    function yields them (for n = 1, the empty poset alone); the classes on
-    n elements are their children, in that order.  Without it, the lower
-    levels are grown first, from the empty poset.
+    ``parents`` are classes on n - 1 elements (the sweep passes one at a
+    time), and their children come in their order.  Without it, they are
+    the classes on n - 1 elements, enumerated lazily from the empty poset.
     """
     if not 1 <= n <= SIZE_CAP:
         raise SizeLimitError(f"enumeration supports 1 <= n <= {SIZE_CAP}, got {n}")
     if parents is None:
         parents = [Poset((), ())]
         for _ in range(n - 1):
-            parents = [child for P in parents for child in _children(P)]
+            parents = (child for P in parents for child in _children(P))
     for P in parents:
         yield from _children(P)
 
 
 def _record(job):
     """Sweep record of a ``(poset, verdict, parent rows, parent divisors)``
-    job: verdict, cross-route identity (``homology.routes_agree`` on P's
-    divisors), the rows and divisors that P's children carry, and whether
-    a Smith elimination ran; module-level so process pools can pickle it.
-
-    P's relation rows are its parent's, whose columns ``_extend`` keeps,
-    plus the rows into its new top.  Without new rows the matrix only
-    gains zero columns, so the parent's divisors carry over; otherwise
-    the combined rows get a Smith elimination.  P is classified when the
-    verdict is None.
-    """
+    job: verdict (P is classified when it is None), cross-route identity
+    (``homology.routes_agree``), the rows and divisors P's children carry,
+    and whether a Smith elimination ran.  P's relation rows are its
+    parent's, whose columns ``_extend`` keeps, plus the rows into its new
+    top.  Only those need an elimination of the combined rows: otherwise
+    the matrix just gains zero columns, and the divisors carry over."""
     P, verdict, rows, divisors = job
     if verdict is None:
         from .homology import classify
@@ -182,42 +175,67 @@ def _record(job):
     }
 
 
-def _job(previous: dict, P: Poset) -> tuple:
-    """P's sweep job: (P, inherited verdict or None, parent's relation rows,
-    parent's divisors), from the records of the level below by cover list.
-
-    ``_extend`` lists the parent's covers first and the new top's last, so
-    every class finds its parent; the point's is the empty poset.  The
-    verdict is inherited when the top has at most one down-cover: it is
-    then isolated or a beat point, and removing either leaves H1 unchanged
-    (Stong 1966), so every flag of the verdict is the parent's.
-    """
-    tops = len(P.down_covers[-1])
-    parent = previous[P.covers[: len(P.covers) - tops]]
-    verdict = parent["verdict"] if tops <= 1 else None
+def _job(parent: dict, P: Poset) -> tuple:
+    """P's sweep job from its parent's record: (P, inherited verdict or
+    None, parent's relation rows, parent's divisors).  A new top with at
+    most one down-cover is isolated or a beat point, and removing either
+    leaves H1 unchanged (Stong 1966), so P inherits every verdict flag."""
+    verdict = parent["verdict"] if len(P.down_covers[-1]) <= 1 else None
     return P, verdict, parent["rows"], parent["divisors"]
+
+
+def _walk(P: Poset, record: dict, max_n: int, tally: Counter):
+    """Walk the augmentation tree below P, which has fewer than max_n
+    elements, depth first, and yield each class on max_n with its record.
+    Each class below P is counted in ``tally`` by (field, level), and by
+    (field, name) if inconclusive or failing the identity check.  A
+    class's expansion, its children's enumeration and records, is timed
+    once and charged to their level."""
+    n = P.n + 1
+    start = time.perf_counter()
+    children = list(enumerate_posets(n, (P,)))
+    jobs = [_job(record, child) for child in children]
+    records = [_record(job) for job in jobs]
+    tally["seconds", n] += time.perf_counter() - start
+    tally["classes", n] += len(children)
+    tally["inherited", n] += sum(job[1] is not None for job in jobs)
+    tally["defective", n] += sum(r["verdict"].defective_uct for r in records)
+    tally["soluble", n] += sum(r["verdict"].soluble for r in records)
+    tally["smith", n] += sum(r["smith"] for r in records)
+    for child, r in zip(children, records):
+        # a class's canonical form is needed only to name it here
+        if r["verdict"].torsion1:
+            tally["inconclusive", poset.canonical_form(child).decode("ascii")] += 1
+        if not r["identity_ok"]:
+            tally["failure", poset.canonical_form(child).decode("ascii")] += 1
+        if n < max_n:
+            yield from _walk(child, r, max_n, tally)
+        else:
+            yield child, r
+
+
+def _subtree(root: tuple) -> Counter:
+    """The tally of every class below a (poset, record, max_n) root, picklable for pools."""
+    tally = Counter()
+    for _ in _walk(*root, tally):
+        pass
+    return tally
 
 
 def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepReport:
     """Classify every poset class up to max_n elements and cross-check.
 
-    The cross-check (homology.routes_agree, as in analyze) ties the
-    consistency-matrix route to homology: the Smith divisors of the
-    relation matrix must give betti1 = E - rank - (V - C) and, in the
-    divisors above 1, exactly the torsion of H1.
-    Each level is grown once, from the level below it, starting at the
-    augmentation tree's root, the empty poset.  Classes may inherit the
-    homology verdict (``_job``).  The relation route is carried down the
-    same tree: each class takes its parent's relation rows and
-    divisors, builds only the rows into its new top
-    (``derivations.relation_rows_into``) and runs a Smith elimination only
-    when there are some (``_record``).  Every class still gets its own
-    identity check.  Report content does not depend on
-    parallelism, which must be at least 1; at most ``os.cpu_count()``
-    worker processes start, since a forked pool starts every worker up
-    front.  With ``progress``, each level prints its class count, the
-    seconds since the sweep started, the level's classes per second,
-    inherited verdicts and Smith eliminations to stderr.
+    The cross-check (homology.routes_agree, as in analyze) compares H1
+    read off the relation matrix's Smith divisors with H1 of the order
+    complex.  The augmentation tree is walked from the empty poset
+    (``_walk``), serially down to ``SPLIT_N`` elements; the subtrees
+    below go through ``map``, in at most ``os.cpu_count()`` worker
+    processes if parallelism (at least 1) is above 1, and their tallies
+    are summed, so the report does not depend on it.  With ``progress``,
+    once the walk ends, each level prints its class count, the seconds
+    since the sweep started, its classes per second of expansion time
+    (summed across workers), inherited verdicts and Smith eliminations
+    to stderr.
     """
     if not 1 <= max_n <= SIZE_CAP:
         raise SizeLimitError(f"sweep supports 1 <= max_n <= {SIZE_CAP}, got {max_n}")
@@ -225,62 +243,43 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
         raise InputError(f"sweep needs at least 1 job, got {parallelism}")
     workers = min(parallelism, os.cpu_count() or 1)
     start = time.monotonic()
-    counts = []
-    defective = []
-    soluble = []
-    inconclusive: list[str] = []
-    failures: list[str] = []
     from .homology import classify
 
-    # the previous level and its records by cover list; level 0 is the
-    # tree's root, the empty poset, with no relation rows
-    posets = [Poset((), ())]
-    previous: dict = {(): {"verdict": classify(posets[0]), "rows": (), "divisors": ()}}
-    pool = None
+    # the tree's root, the empty poset, has no relation rows
+    empty = Poset((), ())
+    record = {"verdict": classify(empty), "rows": (), "divisors": ()}
+    tally = Counter()
+    leaves = _walk(empty, record, min(max_n, SPLIT_N), tally)
+    roots = [(P, r, max_n) for P, r in leaves if P.n < max_n]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=workers)
+        parts = pool.map(_subtree, roots, chunksize=max(1, len(roots) // (workers * 4)))
+    else:
+        parts = map(_subtree, roots)
     try:
-        for n in range(1, max_n + 1):
-            level_start = time.monotonic()
-            posets = list(enumerate_posets(n, posets))
-            jobs = [_job(previous, P) for P in posets]
-            if pool is not None:
-                chunk = max(1, len(jobs) // (workers * 4))
-                records = list(pool.map(_record, jobs, chunksize=chunk))
-            else:
-                records = [_record(job) for job in jobs]
-            previous = {P.covers: r for P, r in zip(posets, records)}
-            counts.append((n, len(records)))
-            defective.append((n, sum(r["verdict"].defective_uct for r in records)))
-            soluble.append((n, sum(r["verdict"].soluble for r in records)))
-            for P, r in zip(posets, records):
-                # a class's canonical form is needed only to name it here
-                if r["verdict"].torsion1:
-                    inconclusive.append(poset.canonical_form(P).decode("ascii"))
-                if not r["identity_ok"]:
-                    failures.append(poset.canonical_form(P).decode("ascii"))
-            if progress:
-                now = time.monotonic()
-                rate = len(records) / max(now - level_start, 1e-9)
-                print(
-                    f"sweep: n={n} classes={len(records)} elapsed_s={now - start:.2f}"
-                    f" classes_per_s={rate:.0f}"
-                    f" inherited={sum(job[1] is not None for job in jobs)}"
-                    f" smith={sum(r['smith'] for r in records)}",
-                    file=sys.stderr,
-                )
+        for part in parts:
+            tally.update(part)
     finally:
-        if pool is not None:
+        if workers > 1:
             pool.shutdown()
-    elapsed_ms = int((time.monotonic() - start) * 1000)
+    levels = range(1, max_n + 1)
+    if progress:
+        for n in levels:
+            print(
+                f"sweep: n={n} classes={tally['classes', n]}"
+                f" elapsed_s={time.monotonic() - start:.2f}"
+                f" classes_per_s={tally['classes', n] / max(tally['seconds', n], 1e-9):.0f}"
+                f" inherited={tally['inherited', n]} smith={tally['smith', n]}",
+                file=sys.stderr,
+            )
     return SweepReport(
         max_n=max_n,
-        counts_by_n=tuple(counts),
-        defective_by_n=tuple(defective),
-        soluble_by_n=tuple(soluble),
-        inconclusive_found=tuple(sorted(inconclusive)),
-        identity_failures=tuple(sorted(failures)),
-        elapsed_ms=elapsed_ms,
+        counts_by_n=tuple((n, tally["classes", n]) for n in levels),
+        defective_by_n=tuple((n, tally["defective", n]) for n in levels),
+        soluble_by_n=tuple((n, tally["soluble", n]) for n in levels),
+        inconclusive_found=tuple(sorted(k for field, k in tally if field == "inconclusive")),
+        identity_failures=tuple(sorted(k for field, k in tally if field == "failure")),
+        elapsed_ms=int((time.monotonic() - start) * 1000),
     )

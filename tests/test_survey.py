@@ -87,9 +87,8 @@ def test_sweep_grows_each_level_once(monkeypatch):
 
     monkeypatch.setattr(survey, "_children", counting)
     assert sweep(6).counts_by_n[-1] == (6, 318)
-    # once per class on levels 0..5, level by level
+    # once per class on levels 0..5
     assert len(calls) == 1 + 1 + 2 + 5 + 16 + 63 == 88
-    assert calls == sorted(calls)
 
 
 def test_level_eight_count():
@@ -101,9 +100,9 @@ def test_size_limits():
     with pytest.raises(SizeLimitError):
         list(enumerate_posets(0))
     with pytest.raises(SizeLimitError):
-        list(enumerate_posets(9))
+        list(enumerate_posets(10))
     with pytest.raises(SizeLimitError):
-        sweep(9)
+        sweep(10)
 
 
 def test_sweep_small():
@@ -124,8 +123,9 @@ def test_sweep_point():
 
 
 def test_sweep_independent_of_parallelism():
-    serial = sweep_json(sweep(4, parallelism=1))
-    parallel = sweep_json(sweep(4, parallelism=3))
+    # the subtrees below level 5 reach real workers only from max_n 6
+    serial = sweep_json(sweep(6, parallelism=1))
+    parallel = sweep_json(sweep(6, parallelism=2))
     serial.pop("elapsed_ms")
     parallel.pop("elapsed_ms")
     assert serial == parallel
@@ -177,15 +177,15 @@ def test_inherited_verdicts_equal_classify():
     from posetderiv.homology import classify
 
     for n in range(2, 8):
-        level = list(enumerate_posets(n - 1))
-        previous = {P.covers: {"verdict": classify(P), "rows": (), "divisors": ()} for P in level}
         inherited = 0
-        for P in enumerate_posets(n):
-            verdict = survey._job(previous, P)[1]
-            assert (verdict is not None) == (len(P.down_covers[-1]) <= 1)
-            if verdict is not None:
-                assert verdict == classify(P), P.covers
-                inherited += 1
+        for parent in enumerate_posets(n - 1):
+            record = {"verdict": classify(parent), "rows": (), "divisors": ()}
+            for P in enumerate_posets(n, (parent,)):
+                verdict = survey._job(record, P)[1]
+                assert (verdict is not None) == (len(P.down_covers[-1]) <= 1)
+                if verdict is not None:
+                    assert verdict == classify(P), P.covers
+                    inherited += 1
     # the deletion key prefers such tops: 63.8% of level 7
     assert inherited == 1305
 
@@ -201,16 +201,18 @@ def test_sweep_seven_counts():
 def test_sweep_hands_inherited_verdicts_to_workers(monkeypatch):
     import concurrent.futures
 
-    jobs = []
+    from posetderiv.homology import classify
+
+    roots = []
 
     class FakePool:
-        # records the jobs and runs them in this process
+        # records the subtree roots and walks them in this process
         def __init__(self, max_workers):
             pass
 
         def map(self, fn, items, chunksize=1):
             items = list(items)
-            jobs.extend(items)
+            roots.extend(items)
             return map(fn, items)
 
         def shutdown(self):
@@ -218,17 +220,17 @@ def test_sweep_hands_inherited_verdicts_to_workers(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
-    pooled = sweep_json(sweep(5, parallelism=2))
-    # jobs are (poset, inherited verdict, parent rows, parent divisors)
-    assert sum(verdict is not None for _, verdict, _, _ in jobs) == 1 + 2 + 4 + 12 + 45
-    # every class is a job, the point's parent is the empty poset
-    assert len(jobs) == 1 + 2 + 5 + 16 + 63
-    assert jobs[0][0].covers == () and jobs[0][2:] == ((), ())
-    for P, _, rows, divisors in jobs:
-        parent = Poset(P.elements[:-1], P.covers[: len(P.covers) - len(P.down_covers[-1])])
-        assert sorted(rows) == sorted(consistency_matrix(parent).matrix.sparse_rows)
-        assert divisors == relation_divisors(parent)
-    serial = sweep_json(sweep(5))
+    pooled = sweep_json(sweep(7, parallelism=2))
+    # roots are (class on 5 elements, its record, max_n)
+    assert [P.n for P, _, _ in roots] == [5] * 63
+    assert {canonical_form(P) for P, _, _ in roots} == {canonical_form(P) for P in enumerate_posets(5)}
+    for P, record, max_n in roots:
+        # the verdict that the root's children inherit, and its carried rows
+        assert max_n == 7
+        assert record["verdict"] == classify(P)
+        assert sorted(record["rows"]) == sorted(consistency_matrix(P).matrix.sparse_rows)
+        assert record["divisors"] == relation_divisors(P)
+    serial = sweep_json(sweep(7))
     pooled.pop("elapsed_ms")
     serial.pop("elapsed_ms")
     assert pooled == serial
