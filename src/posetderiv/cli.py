@@ -196,7 +196,10 @@ def _cmd_core(args) -> tuple[dict, int]:
 def _cmd_crowns(args) -> tuple[dict, int]:
     from .criteria import CrownReport
 
-    crowns = find_crowns(_load_poset(args), args.max_n)
+    P = _load_poset(args)
+    crowns = find_crowns(P, args.max_n)
+    # find_crowns gives walk order; the listing goes by n, then lower and upper indices
+    crowns.sort(key=lambda c: (c.n, [*map(P.index, c.lower)], [*map(P.index, c.upper)]))
     listing = [{"n": c.n, **c._asdict()} for c in crowns]  # n, lower, upper, join, meet
     return {**as_dict(CrownReport.from_crowns(crowns)), "crowns": listing}, 0
 

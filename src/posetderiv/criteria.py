@@ -150,7 +150,8 @@ def crown_obstruction_report(P: Poset) -> CrownReport:
 
 
 def crowns_without_bounds(P: Poset) -> list[Crown]:
-    """The crowns whose element set has neither a join nor a meet."""
+    """The crowns whose element set has neither a join nor a meet, in the
+    walk order of ``find_crowns``, which is fixed but not sorted."""
     return [c for c in poset.find_crowns(P) if _bare(c)]
 
 

@@ -362,70 +362,56 @@ def find_crowns(P: Poset, max_n: int = 6) -> list[Crown]:
     the smallest lower, until an upper above the anchor closes the cycle.  Only
     the direction whose first upper is smaller than its closing upper counts, so
     each crown is found once, up to rotation and reflection, and a walk stops
-    once no such closing upper is left.  Crowns come sorted by n, then by the
-    indices of their lowers and uppers.  Every lower lies below an upper, so a
-    crown's join is the join of its uppers and its meet the meet of its lowers;
-    ``_Bounds`` caches both by bitmask.
+    once no such closing upper is left.  Crowns come in walk order: fixed for a
+    given poset, but not sorted.  Every lower lies below an upper, so a crown's
+    join is the join of its uppers and its meet the meet of its lowers; each walk
+    state carries the AND of its lowers' down-sets and of its uppers' up-sets,
+    and ``_least`` reads both bounds off those masks where a crown closes.
     """
     if max_n < 2:
         raise InputError(f"crown size must be >= 2, got {max_n}")
     above, below, names = P.above, P.below, P.elements
-    joins, meets = _Bounds(above, below, names), _Bounds(below, above, names)
-    # near[i]: i and everything comparable to it
-    near = [up | down | 1 << i for i, (up, down) in enumerate(zip(above, below))]
-    walks = []
-    stack = []  # walk states, depth first: a stack, so no depth limit applies
+    # ups[i], downs[i]: i and everything above / below it; near[i]: their union
+    ups = [up | 1 << i for i, up in enumerate(above)]
+    downs = [down | 1 << i for i, down in enumerate(below)]
+    near = [up | down for up, down in zip(ups, downs)]
+    named = {None: None, **dict(enumerate(names))}  # a bound's name, or None
+    crowns = []
     for a in range(P.n):
-        lower_ok = ~near[a] & -(2 << a)
+        # the anchor's walk states, depth first: a stack, so no depth limit applies
+        stack, after_a = [], -(2 << a)
+        lower_ok = ~near[a] & after_a
         for v in _bits(above[a]):
             if closers := above[a] & -(2 << v) & ~near[v]:
                 for u in _bits(below[v] & lower_ok):  # near[v] has a, below[a]
-                    stack.append(((a, u), (v,), (names[a], names[u]), (names[v],),
-                                  1 << a | 1 << u, 1 << v, near[v], closers))
-    while stack:
-        lowers, uppers, lnames, unames, lmask, umask, block, closers = stack.pop()
-        # block: the placed elements and all below a lower, above an earlier middle
-        # lower or comparable to an upper; closers: the rest above the anchor after uppers[0]
-        up = above[lowers[-1]]
-        if found := up & closers:
-            n, meet = len(lowers), meets[lmask]
-            for v in _bits(found):
-                # (v,) + uppers puts lower[i] below upper[i] and upper[i + 1]
-                uppers_v, unames_v = (v,) + uppers, (names[v],) + unames
-                walks.append((n, lowers, uppers_v, lnames, unames_v, joins[umask | 1 << v], meet))
-        # lowers[-1] turns into a middle lower: nothing above it closes the crown,
-        # and a middle upper is not above the anchor, so neither is its new lower
-        if len(lowers) == max_n or not (closers := closers & ~up):
-            continue
-        middle = up & ~(block | above[lowers[0]])
-        block |= up
-        lower_ok = ~block & -(2 << lowers[0])  # free and after the anchor
-        for v in _bits(middle):
-            if vclosers := closers & ~near[v]:
-                uppers_v, unames_v = uppers + (v,), unames + (names[v],)
-                for u in _bits(below[v] & lower_ok):
-                    stack.append((lowers + (u,), uppers_v, lnames + (names[u],), unames_v,
-                                  lmask | 1 << u, umask | 1 << v, block | near[v], vclosers))
-    # walks differ in their lowers or uppers, so sorting compares only indices
-    walks.sort()
-    return [Crown(*walk[3:]) for walk in walks]
-
-
-class _Bounds(dict):
-    """Joins of nonempty bitmask sets, each computed on its first lookup;
-    ``(below, above)`` gives meets."""
-
-    def __init__(self, above, below, names):
-        self.order = above, below, names
-
-    def __missing__(self, mask: int) -> str | None:
-        above, below, names = self.order
-        bounds = -1
-        for i in _bits(mask):
-            bounds &= above[i] | (1 << i)
-        least = _least(bounds, below, above)
-        bound = self[mask] = None if least is None else names[least]
-        return bound
+                    stack.append((u, (names[a], names[u]), (names[v],),
+                                  downs[a] & downs[u], ups[v], near[v], closers))
+        while stack:
+            u, lnames, unames, lbound, ubound, block, closers = stack.pop()
+            # u: the last lower; block: the placed elements and all below a lower, above
+            # an earlier middle lower or comparable to an upper; closers: the rest above
+            # the anchor after the first upper
+            up = above[u]
+            if found := up & closers:
+                meet = named[_least(lbound, above, below)]
+                for v in _bits(found):
+                    # names[v] first puts lower[i] below upper[i] and upper[i + 1]
+                    join = named[_least(ubound & ups[v], below, above)]
+                    crowns.append(Crown(lnames, (names[v],) + unames, join, meet))
+            # u turns into a middle lower: nothing above it closes the crown,
+            # and a middle upper is not above the anchor, so neither is its new lower
+            if len(lnames) == max_n or not (closers := closers & ~up):
+                continue
+            middle = up & ~(block | above[a])
+            block |= up
+            lower_ok = ~block & after_a  # free and after the anchor
+            for v in _bits(middle):
+                if vclosers := closers & ~near[v]:
+                    unames_v, ubound_v = unames + (names[v],), ubound & ups[v]
+                    for w in _bits(below[v] & lower_ok):
+                        stack.append((w, lnames + (names[w],), unames_v, lbound & downs[w],
+                                      ubound_v, block | near[v], vclosers))
+    return crowns
 
 
 def _least(mask: int, below, above) -> int | None:
@@ -443,13 +429,15 @@ def _least(mask: int, below, above) -> int | None:
 
 def join_meet(P: Poset, subset) -> tuple[str | None, str | None]:
     """Least upper bound and greatest lower bound of a set, or None each."""
-    mask = 0
+    ups = downs = -1  # the AND of the elements' up-sets and of their down-sets
     for x in subset:
-        mask |= 1 << P.index(x)
-    if not mask:
+        i = P.index(x)
+        ups &= P.above[i] | 1 << i
+        downs &= P.below[i] | 1 << i
+    if ups == -1:
         raise ValueError("subset must be nonempty")
-    above, below, names = P.above, P.below, P.elements
-    return _Bounds(above, below, names)[mask], _Bounds(below, above, names)[mask]
+    bounds = _least(ups, P.below, P.above), _least(downs, P.above, P.below)
+    return tuple(None if i is None else P.elements[i] for i in bounds)
 
 
 def _refine(part: list[int], cells: int, queue: list[int], above, below) -> int:

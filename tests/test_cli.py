@@ -1,19 +1,28 @@
+import contextlib
 import importlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posetderiv
 from posetderiv.cli import main
 from posetderiv.fixtures import fixture_json
+from posetderiv.poset import find_crowns
+from posetderiv.report import poset_from_json
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR
+from test_poset import random_posets
 
 # the package's `homology` attribute is the function, not the module
 HOMOLOGY = importlib.import_module("posetderiv.homology")
@@ -513,6 +522,57 @@ def test_crowns_walk_has_no_depth_limit(capsys, tmp_path):
     assert code == 0
     assert payload["crowns_found"] == 1
     assert payload["crowns"][0]["n"] == 1100
+
+
+def _layered(seed, sizes=(5, 6, 6, 5), degree=2):
+    """A seeded graded poset: each element covers `degree` random elements
+    of the layer below."""
+    rng = random.Random(seed)
+    layers = [[f"l{d}_{i}" for i in range(s)] for d, s in enumerate(sizes)]
+    covers = [
+        [lo, hi]
+        for below, above in zip(layers, layers[1:])
+        for hi in above
+        for lo in rng.sample(below, degree)
+    ]
+    return {"elements": [e for layer in layers for e in layer], "covers": covers}
+
+
+def _check_crowns_listing(poset, max_n, path) -> int:
+    """Run `crowns` on poset; check that its listing is sorted by n, then by
+    lower and upper indices, and holds exactly the records of find_crowns.
+    Returns the number of crowns listed."""
+    path.write_text(json.dumps(poset))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["crowns", str(path), "--max-n", str(max_n)]) == 0
+    listing = json.loads(out.getvalue())["crowns"]
+    P = poset_from_json(poset)
+    keys = [
+        (c["n"], [P.index(x) for x in c["lower"]], [P.index(x) for x in c["upper"]])
+        for c in listing
+    ]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    records = [(tuple(c["lower"]), tuple(c["upper"]), c["join"], c["meet"]) for c in listing]
+    assert Counter(records) == Counter(map(tuple, find_crowns(P, max_n)))
+    return len(listing)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("source", ["rp2", "layered"])
+def test_crowns_listing_is_sorted_find_crowns_output(tmp_path, source, seed):
+    # find_crowns returns walk order; only the listing is sorted
+    poset = fixture_json("rp2") if source == "rp2" else _layered(seed)
+    relabeled = _relabeled(poset, seed)
+    assert _check_crowns_listing(relabeled, 6, tmp_path / "poset.json") > 0
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(random_posets(), st.integers(2, 4))
+def test_crowns_listing_is_sorted_on_random_posets(P, max_n):
+    poset = {"elements": list(P.elements), "covers": [list(c) for c in P.covers]}
+    with tempfile.TemporaryDirectory() as tmp:
+        _check_crowns_listing(poset, max_n, Path(tmp) / "poset.json")
 
 
 @pytest.mark.parametrize("command", ["core", "analyze"])
