@@ -26,7 +26,7 @@ _EXPORTS = {
     "UnknownElementError UnknownFixtureError UnsupportedRingError",
     "poset": "Crown Poset Relation ShapeStats beat_points canonical_form core "
     "find_crowns join_meet leq shape_stats transitive_reduction",
-    "linalg": "INTEGERS RATIONALS IntegerMatrix Ring SmithDecomposition "
+    "linalg": "RATIONALS IntegerMatrix Ring SmithDecomposition "
     "kernel_basis mod_ring prime_field rank_from_divisors rank_over "
     "ring_from_string smith_divisors smith_normal_form solve_linear",
     "homology": "ConclusiveVerdict HomologySummary OrderComplex boundary_matrix "

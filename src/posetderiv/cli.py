@@ -154,19 +154,12 @@ def _cmd_derivation(args) -> tuple[dict, int]:
             obj = {**obj, "ring": args.ring}
         ring, values = function_values_from_json(obj)
         f = from_cover_values(P, ring, values)
-        if f is None:
-            return {"transitive": False, "potential": False, "phi": None}, 0
-        phi = is_potential(f)
-        if phi is None:
-            return {"transitive": True, "potential": False, "phi": None}, 0
-        return (
-            {
-                "transitive": True,
-                "potential": True,
-                "phi": {x: encode_value(ring, v) for x, v in phi.items()},
-            },
-            0,
-        )
+        phi = None if f is None else is_potential(f)
+        return {
+            "transitive": f is not None,
+            "potential": phi is not None,
+            "phi": None if phi is None else {x: encode_value(ring, v) for x, v in phi.items()},
+        }, 0
     witness = outer_witness(P, args.prime)
     return {"witness": None if witness is None else function_json(witness)}, 0
 

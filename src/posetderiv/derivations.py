@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import InputError, NotComparableError, UnsupportedRingError
+from .errors import InputError, NotComparableError
 from .linalg import (
     IntegerMatrix,
     Ring,
@@ -221,9 +221,6 @@ def has_outer_derivation(P: Poset, k: Ring) -> bool:
     return der > pot
 
 
-_FUNCTION_RINGS = ("rationals", "prime_field", "mod_ring")
-
-
 def from_cover_values(P: Poset, ring: Ring, cover_values: dict):
     """Extend cover values to a transitive function, or None if inconsistent.
 
@@ -232,10 +229,6 @@ def from_cover_values(P: Poset, ring: Ring, cover_values: dict):
     cover inside the cone.  That edge-wise agreement is equivalent to all
     parallel-path relations, without enumerating paths.
     """
-    if ring.tag not in _FUNCTION_RINGS:
-        raise UnsupportedRingError(
-            f"transitive functions over {ring.label()} are not supported"
-        )
     cv: dict[tuple[int, int], object] = {}
     for edge in P.covers:
         if edge not in cover_values:

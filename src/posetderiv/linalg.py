@@ -126,17 +126,19 @@ def _is_prime(n: int) -> bool:
 
 
 class Ring(namedtuple("Ring", "tag n", defaults=(None,))):
-    """Coefficient ring: the rationals, the integers, GF(p) or Z/n.
+    """Coefficient ring: the rationals (q), GF(p) (gf:p) or Z/n (mod:n).
 
-    Values of the rationals are Fractions; ``fractions`` loads when the
-    first one is made."""
+    Every ring carries transitive functions and linear solves; which of
+    them also has a rank is decided by `_field_modulus`.  Values of the
+    rationals are Fractions; ``fractions`` loads when the first one is
+    made."""
 
     __slots__ = ()
 
     def __new__(cls, tag: str, n: int | None = None):
-        if tag in ("rationals", "integers"):
+        if tag == "rationals":
             if n is not None:
-                raise ValueError(f"{tag} takes no modulus")
+                raise ValueError("rationals takes no modulus")
         elif tag == "prime_field":
             if n is None or not _is_prime(n):
                 raise UnsupportedRingError(f"{n!r} is not prime")
@@ -158,8 +160,6 @@ class Ring(namedtuple("Ring", "tag n", defaults=(None,))):
             from fractions import Fraction
 
             return Fraction(v)
-        if self.tag == "integers":
-            return int(v)
         return int(v) % self.n
 
     def add(self, a, b):
@@ -168,24 +168,16 @@ class Ring(namedtuple("Ring", "tag n", defaults=(None,))):
     def sub(self, a, b):
         return self.normalize(a - b)
 
-    def neg(self, a):
-        return self.normalize(-a)
-
     def is_zero(self, v) -> bool:
         return self.normalize(v) == self.zero
 
     def label(self) -> str:
         if self.tag == "rationals":
             return "q"
-        if self.tag == "integers":
-            return "z"
-        if self.tag == "prime_field":
-            return f"gf:{self.n}"
-        return f"mod:{self.n}"
+        return f"gf:{self.n}" if self.tag == "prime_field" else f"mod:{self.n}"
 
 
 RATIONALS = Ring("rationals")
-INTEGERS = Ring("integers")
 
 
 def prime_field(p: int) -> Ring:
@@ -204,19 +196,14 @@ def ring_from_string(text: str) -> Ring:
     """Parse the ring grammar: "q" | "gf:<prime>" | "mod:<n>"."""
     if text == "q":
         return RATIONALS
-    if text.startswith("gf:"):
-        try:
-            p = int(text[3:])
-        except ValueError:
-            raise InputError(f"bad ring string {text!r}") from None
-        return prime_field(p)
-    if text.startswith("mod:"):
-        try:
-            n = int(text[4:])
-        except ValueError:
-            raise InputError(f"bad ring string {text!r}") from None
-        return mod_ring(n)
-    raise InputError(f"bad ring string {text!r} (expected q, gf:p or mod:n)")
+    kind, colon, modulus = text.partition(":")
+    make = {"gf": prime_field, "mod": mod_ring}.get(kind)
+    if make is None or not colon:
+        raise InputError(f"bad ring string {text!r} (expected q, gf:p or mod:n)")
+    try:
+        return make(int(modulus))
+    except ValueError:
+        raise InputError(f"bad ring string {text!r}") from None
 
 
 class SmithDecomposition(namedtuple("SmithDecomposition", "u s v divisors")):
@@ -372,15 +359,16 @@ def smith_divisors(a: IntegerMatrix) -> tuple[int, ...]:
 
 
 def _field_modulus(k: Ring) -> int | None:
-    """Return p when k is a field of prime characteristic, None for Q."""
+    """The characteristic of k when k is a field: None for Q, p for GF(p)
+    and for Z/p.  This is the one place that decides which rings have a
+    rank; any other Z/n raises, pointing to the ring-free homology route."""
     if k.tag == "rationals":
         return None
-    if k.tag == "prime_field":
-        return k.n
-    if k.tag == "mod_ring" and _is_prime(k.n):
+    if k.tag == "prime_field" or _is_prime(k.n):
         return k.n
     raise UnsupportedRingError(
-        f"rank over {k.label()} is not defined; use q or a prime field"
+        f"the rank criterion needs a field, not {k.label()}; use the "
+        "homology command for a coefficient-independent classification"
     )
 
 
@@ -396,25 +384,18 @@ def rank_over(a: IntegerMatrix, k: Ring) -> int:
 
 
 def _scalar_solve(d: int, c: int, k: Ring):
-    """One solution of d * y = c in k, or None.  d is a positive integer."""
+    """One solution of d * y = c in k, or None.  d is a positive integer.
+
+    Over Q, y = c / d.  Over Z/n, with GF(p) the case n = p, a solution
+    exists exactly when g = gcd(d, n) divides c, and then
+    y = (c/g) * (d/g)^-1 mod n/g is one, in [0, n/g)."""
     if k.tag == "rationals":
         return k.normalize(c) / d
-    if k.tag == "integers":
-        return c // d if c % d == 0 else None
-    if k.tag == "prime_field":
-        p = k.n
-        if d % p == 0:
-            return 0 if c % p == 0 else None
-        return (c % p) * pow(d % p, -1, p) % p
-    # mod_ring
-    nn = k.n
-    g = gcd(d, nn)
+    g = gcd(d, k.n)
     if c % g:
         return None
-    reduced = nn // g
-    if reduced == 1:
-        return 0
-    return ((c // g) % reduced) * pow((d // g) % reduced, -1, reduced) % reduced
+    m = k.n // g
+    return c // g * pow(d // g, -1, m) % m
 
 
 def solve_linear(a: IntegerMatrix, b, k: Ring):
@@ -446,7 +427,7 @@ def solve_linear(a: IntegerMatrix, b, k: Ring):
 
 
 def kernel_basis(a: IntegerMatrix, k: Ring) -> list[list[int]]:
-    """Basis of the null space of a over k (k the rationals or a prime field).
+    """Basis of the null space of a over k, a ring with a rank (Q or Z/p).
 
     The vectors are integer-valued; over a prime field they are reduced
     mod p.  The basis size is cols - rank_over(a, k).

@@ -9,7 +9,7 @@ from __future__ import annotations
 from .derivations import (
     TransitiveFunction, der_pot_from_divisors, outer_witness, relation_divisors
 )
-from .errors import InputError, UnsupportedRingError
+from .errors import InputError
 from .linalg import Ring, _field_modulus, ring_from_string
 from .poset import Poset, canonical_form, transitive_reduction
 
@@ -128,17 +128,6 @@ def canonical_sha256(P: Poset) -> str:
     return hashlib.sha256(canonical_form(P)).hexdigest()
 
 
-def require_rank_ring(ring: Ring) -> None:
-    """Reject rings without a well-defined matrix rank, with guidance."""
-    try:
-        _field_modulus(ring)
-    except UnsupportedRingError:
-        raise UnsupportedRingError(
-            f"the rank criterion needs a field, not {ring.label()}; use the "
-            "homology command for a coefficient-independent classification"
-        ) from None
-
-
 # Opens the `conflicts` entry that reports a failed cross-route identity.
 IDENTITY_CONFLICT = "cross-route identity fails"
 
@@ -153,8 +142,8 @@ def analysis_report(P: Poset, rings, include_witness: bool = False) -> dict:
     from .criteria import criteria_report, table2_conflict
     from .homology import classify, relation_h1, routes_agree
 
-    for ring in rings:
-        require_rank_ring(ring)
+    # characteristic of each ring; a ring without a rank raises here
+    moduli = [_field_modulus(ring) for ring in rings]
     verdict = classify(P)
     divisors = relation_divisors(P)
 
@@ -174,11 +163,10 @@ def analysis_report(P: Poset, rings, include_witness: bool = False) -> dict:
         )
     rings_out = []
     witness_prime = None
-    for ring in rings:
+    for ring, p in zip(rings, moduli):
         der, pot = der_pot_from_divisors(P, divisors, ring)
-        # require_rank_ring admitted only q and prime moduli: n is the characteristic
-        if witness_prime is None and der > pot and ring.n is not None:
-            witness_prime = ring.n
+        if witness_prime is None and der > pot and p is not None:
+            witness_prime = p
         rings_out.append(
             {
                 "ring": ring.label(),

@@ -204,6 +204,29 @@ def test_analyze_rejects_composite_mod_rank(capsys):
     assert "homology" in payload["error"]
 
 
+BAD_RING_STRINGS = {
+    "gf": "bad ring string 'gf' (expected q, gf:p or mod:n)",
+    "mod": "bad ring string 'mod' (expected q, gf:p or mod:n)",
+    "gf:": "bad ring string 'gf:'",
+    "mod:1": "modulus must be at least 2",
+    "gf:4": "4 is not prime",
+    "q ": "bad ring string 'q ' (expected q, gf:p or mod:n)",
+    "mod:x": "bad ring string 'mod:x'",
+    "gf:3:1": "bad ring string 'gf:3:1'",
+    "z": "bad ring string 'z' (expected q, gf:p or mod:n)",
+    "Q": "bad ring string 'Q' (expected q, gf:p or mod:n)",
+    "mod:6": "the rank criterion needs a field, not mod:6; use the homology "
+    "command for a coefficient-independent classification",
+}
+
+
+@pytest.mark.parametrize("ring", sorted(BAD_RING_STRINGS))
+def test_analyze_bad_ring_string_exits_2_with_its_message(capsys, ring):
+    code, payload = run_cli(capsys, "analyze", str(FIXTURE_DIR / "rp2.json"), "--ring", ring)
+    assert code == 2
+    assert payload == {"error": BAD_RING_STRINGS[ring]}
+
+
 def test_analyze_unreduced_input_needs_flag(capsys, tmp_path):
     obj = {"elements": ["x", "y", "z"], "covers": [["x", "y"], ["y", "z"], ["x", "z"]]}
     path = tmp_path / "p.json"

@@ -61,7 +61,7 @@ def test_every_public_name_resolves_lazily():
         " + sorted(set(p.__all__) - set(dir(p)))))"
     )
     assert names == []
-    assert len(posetderiv.__all__) == len(set(posetderiv.__all__)) == 76
+    assert len(posetderiv.__all__) == len(set(posetderiv.__all__)) == 75
     assert "from_covers" not in posetderiv.__all__
 
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 
 from posetderiv import (
-    INTEGERS,
     IntegerMatrix,
     RATIONALS,
     Ring,
@@ -206,8 +205,6 @@ def test_rank_unsupported_rings():
     a = IntegerMatrix.identity(2)
     with pytest.raises(UnsupportedRingError):
         rank_over(a, mod_ring(4))
-    with pytest.raises(UnsupportedRingError):
-        rank_over(a, INTEGERS)
     # a prime modulus is a field, so rank is defined
     assert rank_over(a, mod_ring(3)) == 2
 
@@ -225,8 +222,6 @@ def test_solve_examples():
 
 def test_solve_integers_and_composite():
     two = IntegerMatrix.from_rows([[2]])
-    assert solve_linear(two, [6], INTEGERS) == [3]
-    assert solve_linear(two, [3], INTEGERS) is None
     x = solve_linear(two, [2], mod_ring(4))
     assert x is not None and (2 * x[0]) % 4 == 2
     assert solve_linear(two, [1], mod_ring(4)) is None
@@ -242,7 +237,7 @@ def test_solve_soundness_random():
             continue
         a = IntegerMatrix.from_rows(mat)
         b = [rng.randint(-9, 9) for _ in range(a.rows)]
-        for k in (RATIONALS, prime_field(2), prime_field(5), mod_ring(6), INTEGERS):
+        for k in (RATIONALS, prime_field(2), prime_field(5), mod_ring(6)):
             x = solve_linear(a, b, k)
             if x is not None:
                 solved += 1
@@ -267,7 +262,7 @@ def test_solve_matches_the_transform_route():
     # pivots in another order, so it may pick another solution, but it
     # must agree on solvability.
     rng = random.Random(4242)
-    rings = [RATIONALS, INTEGERS, prime_field(2), prime_field(3)]
+    rings = [RATIONALS, prime_field(2), prime_field(3)]
     rings += [mod_ring(4), mod_ring(6)]
     outcomes = {(k.label(), solved) for k in rings for solved in (True, False)}
     shapes = [(0, 0), (0, 3), (3, 0)] + [
@@ -397,11 +392,32 @@ def test_ring_validation():
         Ring("weird")
 
 
+def test_integer_ring_is_gone():
+    with pytest.raises(ValueError):
+        Ring("integers")
+
+
+def test_scalar_solve_matches_brute_force_over_every_small_modulus():
+    # one gcd rule serves every Z/n; GF(p) is the case n = p
+    from posetderiv.linalg import _is_prime, _scalar_solve
+
+    for n in range(2, 31):
+        k = mod_ring(n)
+        for d in range(1, 2 * n + 1):
+            for c in range(-n, n + 1):
+                y = _scalar_solve(d, c, k)
+                solvable = any((d * t - c) % n == 0 for t in range(n))
+                assert (y is not None) == solvable, (n, d, c)
+                if y is not None:
+                    assert (d * y - c) % n == 0, (n, d, c, y)
+                if _is_prime(n):
+                    assert _scalar_solve(d, c, prime_field(n)) == y, (n, d, c)
+
+
 def test_ring_arithmetic():
     m = mod_ring(5)
     assert m.add(3, 4) == 2
     assert m.sub(1, 3) == 3
-    assert m.neg(2) == 3
     assert RATIONALS.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
     assert m.is_zero(10)
 
