@@ -24,8 +24,8 @@ _EXPORTS = {
     "errors": "CycleError DimensionError DuplicateError InputError "
     "NotComparableError NotReducedError PosetderivError SizeLimitError "
     "UnknownElementError UnknownFixtureError UnsupportedRingError",
-    "poset": "Crown Poset Relation ShapeStats beat_points canonical_form core "
-    "find_crowns join_meet leq shape_stats transitive_reduction",
+    "poset": "Crown Poset ShapeStats beat_points canonical_form core find_crowns "
+    "shape_stats transitive_reduction",
     "linalg": "RATIONALS IntegerMatrix Ring SmithDecomposition "
     "kernel_basis mod_ring prime_field rank_from_divisors rank_over "
     "ring_from_string smith_divisors smith_normal_form solve_linear",
@@ -33,11 +33,11 @@ _EXPORTS = {
     "classify euler_characteristic full_order_complex homology order_complex "
     "routes_agree",
     "derivations": "ConsistencyMatrix CycleWalk ParallelPair TransitiveFunction "
-    "circulation consistency_matrix der_pot_dims from_cover_values "
-    "has_outer_derivation is_potential outer_witness parallel_pairs",
+    "circulation consistency_matrix from_cover_values has_outer_derivation "
+    "is_potential outer_witness parallel_pairs",
     "criteria": "Co18Result CriteriaReport CrownReport co18_bound co18_threshold "
     "criteria_report crown_obstruction_report crowns_without_bounds "
-    "size_bound_check table2_conflict table2_lookup",
+    "table2_conflict table2_lookup",
     "survey": "SweepReport enumerate_posets sweep",
     "report": "analysis_report canonical_sha256 poset_from_json",
 }

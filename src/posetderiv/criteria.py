@@ -59,6 +59,9 @@ def _co18(stats: ShapeStats, beat_point_free: bool) -> Co18Result:
 
 
 def _size_bound(stats: ShapeStats, beat_point_free: bool) -> bool | None:
+    """V >= 2 * height for beat-point-free posets other than a single point,
+    or None where the bound does not apply.  The bound is a theorem, so
+    False would mean an internal bug."""
     if stats.vertex_count <= 1 or not beat_point_free:
         return None
     return stats.vertex_count >= 2 * stats.height
@@ -67,16 +70,6 @@ def _size_bound(stats: ShapeStats, beat_point_free: bool) -> bool | None:
 def co18_bound(P: Poset) -> Co18Result:
     """Middle-layer bound certifying conclusiveness for beat-point-free posets."""
     return _co18(shape_stats(P), not beat_points(P))
-
-
-def size_bound_check(P: Poset):
-    """V >= 2 * height for beat-point-free posets other than a single point.
-
-    Returns None when the bound does not apply.  A False result would
-    indicate an internal bug, since the bound is a theorem; it is used
-    as a self-test on cores.
-    """
-    return _size_bound(shape_stats(P), not beat_points(P))
 
 
 # One row per case: (case, d_lo, d_hi, e_lo, e_hi, l_lo, l_hi, h_lo, h_hi),

@@ -73,12 +73,6 @@ class TransitiveFunction:
         self.ring = ring
         self.values = dict(values)
 
-    def value(self, x: str, y: str):
-        try:
-            return self.values[(x, y)]
-        except KeyError:
-            raise NotComparableError(f"{x!r} < {y!r} does not hold") from None
-
     def __repr__(self):
         return (
             f"TransitiveFunction({self.ring.label()}, "
@@ -211,13 +205,8 @@ def der_pot_from_divisors(P: Poset, divisors, k: Ring) -> tuple[int, int]:
     return len(P.covers) - rank_from_divisors(divisors, k), P.n - P.component_count
 
 
-def der_pot_dims(P: Poset, k: Ring) -> tuple[int, int]:
-    """Dimensions of the transitive-function and potential-function spaces."""
-    return der_pot_from_divisors(P, relation_divisors(P), k)
-
-
 def has_outer_derivation(P: Poset, k: Ring) -> bool:
-    der, pot = der_pot_dims(P, k)
+    der, pot = der_pot_from_divisors(P, relation_divisors(P), k)
     return der > pot
 
 

@@ -106,9 +106,13 @@ def s5() -> Poset:
 
 
 def _parse_size(name: str, arg: str, minimum: int) -> int:
+    """The size in ASCII digits; int() would also take "+3", " 3", "1_0" and
+    other scripts' digits."""
     try:
+        if not (arg.isascii() and arg.isdigit()):
+            raise ValueError(arg)
         value = int(arg)
-    except ValueError:
+    except ValueError:  # also more digits than int() converts
         raise UnknownFixtureError(f"bad size in fixture {name!r}") from None
     if value < minimum:
         raise UnknownFixtureError(f"fixture {name!r} needs size >= {minimum}")

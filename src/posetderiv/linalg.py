@@ -37,57 +37,14 @@ class IntegerMatrix(namedtuple("IntegerMatrix", "rows cols sparse_rows")):
                 last = j
         return super().__new__(cls, rows, cols, sparse_rows)
 
-    @classmethod
-    def from_rows(cls, data, cols: int | None = None) -> "IntegerMatrix":
-        data = [list(row) for row in data]
-        if data:
-            cols = len(data[0])
-            if any(len(row) != cols for row in data):
-                raise ValueError("ragged rows")
-        elif cols is None:
-            cols = 0
-        sparse = (tuple((j, int(v)) for j, v in enumerate(row) if v) for row in data)
-        return cls(len(data), cols, tuple(sparse))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, tuple(((i, 1),) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, ((),) * rows)
-
     @property
     def entries(self) -> tuple[int, ...]:
         """The dense row-major view."""
         return tuple(x for i in range(self.rows) for x in self.row(i))
 
-    def entry(self, i: int, j: int) -> int:
-        return dict(self.sparse_rows[i]).get(j, 0)
-
     def row(self, i: int) -> list[int]:
         nonzero = dict(self.sparse_rows[i])
         return [nonzero.get(j, 0) for j in range(self.cols)]
-
-    def to_rows(self) -> list[list[int]]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def mul(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = []
-        for row in self.sparse_rows:
-            acc: dict[int, int] = {}
-            for t, x in row:
-                for j, y in other.sparse_rows[t]:
-                    acc[j] = acc.get(j, 0) + x * y
-            out.append(tuple(sorted((j, v) for j, v in acc.items() if v)))
-        return IntegerMatrix(self.rows, other.cols, tuple(out))
-
-    def mul_vector(self, vec) -> list:
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [sum(x * vec[j] for j, x in row) for row in self.sparse_rows]
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -193,7 +150,9 @@ def mod_ring(n: int) -> Ring:
 
 
 def ring_from_string(text: str) -> Ring:
-    """Parse the ring grammar: "q" | "gf:<prime>" | "mod:<n>"."""
+    """Parse the ring grammar: "q" | "gf:<prime>" | "mod:<n>", the modulus
+    in ASCII digits (int() would also take "+5", " 5", "1_1" and other
+    scripts' digits)."""
     if text == "q":
         return RATIONALS
     kind, colon, modulus = text.partition(":")
@@ -201,8 +160,10 @@ def ring_from_string(text: str) -> Ring:
     if make is None or not colon:
         raise InputError(f"bad ring string {text!r} (expected q, gf:p or mod:n)")
     try:
+        if not (modulus.isascii() and modulus.isdigit()):
+            raise ValueError(modulus)
         return make(int(modulus))
-    except ValueError:
+    except ValueError:  # also more digits than int() converts
         raise InputError(f"bad ring string {text!r}") from None
 
 

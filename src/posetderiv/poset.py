@@ -23,7 +23,6 @@ finds by walking down to one minimal element and checking it against S.
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 
 from .errors import (
     CycleError,
@@ -33,15 +32,6 @@ from .errors import (
     SizeLimitError,
     UnknownElementError,
 )
-
-
-class Relation(Enum):
-    """Outcome of comparing two elements."""
-
-    LESS = "less"
-    GREATER = "greater"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
 
 
 class ShapeStats(
@@ -73,9 +63,6 @@ class Crown(namedtuple("Crown", "lower upper join meet")):
     @property
     def n(self) -> int:
         return len(self.lower)
-
-    def element_set(self) -> frozenset[str]:
-        return frozenset(self.lower) | frozenset(self.upper)
 
 
 def _bits(mask: int):
@@ -157,12 +144,6 @@ class Poset:
             return self._index[x]
         except KeyError:
             raise UnknownElementError(f"unknown element {x!r}") from None
-
-    def strict_pairs(self):
-        """Yield all (x, y) with x < y, ordered by element indices."""
-        for i in range(self.n):
-            for j in _bits(self.above[i]):
-                yield (self.elements[i], self.elements[j])
 
     def __eq__(self, other):
         if not isinstance(other, Poset):
@@ -273,18 +254,6 @@ def transitive_reduction(elements, pairs) -> list[tuple[str, str]]:
     n = len(elems)
     above, below = _closure(up, down)
     return [(elems[i], elems[j]) for i in range(n) for j in _minimal(above[i], below)]
-
-
-def leq(P: Poset, x: str, y: str) -> Relation:
-    """Four-way comparison of two elements in the derived order."""
-    i, j = P.index(x), P.index(y)
-    if i == j:
-        return Relation.EQUAL
-    if P.above[i] >> j & 1:
-        return Relation.LESS
-    if P.below[i] >> j & 1:
-        return Relation.GREATER
-    return Relation.INCOMPARABLE
 
 
 def shape_stats(P: Poset) -> ShapeStats:
@@ -425,19 +394,6 @@ def _least(mask: int, below, above) -> int | None:
         i = lower.bit_length() - 1 if lower >> i else (lower & -lower).bit_length() - 1
     # i is minimal in mask, so it is the least element if there is one
     return None if mask & ~(above[i] | (1 << i)) else i
-
-
-def join_meet(P: Poset, subset) -> tuple[str | None, str | None]:
-    """Least upper bound and greatest lower bound of a set, or None each."""
-    ups = downs = -1  # the AND of the elements' up-sets and of their down-sets
-    for x in subset:
-        i = P.index(x)
-        ups &= P.above[i] | 1 << i
-        downs &= P.below[i] | 1 << i
-    if ups == -1:
-        raise ValueError("subset must be nonempty")
-    bounds = _least(ups, P.below, P.above), _least(downs, P.above, P.below)
-    return tuple(None if i is None else P.elements[i] for i in bounds)
 
 
 def _refine(part: list[int], cells: int, queue: list[int], above, below) -> int:

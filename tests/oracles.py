@@ -16,11 +16,16 @@ induced crowns by testing every subset of elements, beat points by
 counting cover pairs, cores by rebuilding the poset after each deletion,
 joins and meets by comparing every pair of bounds, a crown's join and
 meet from the bounds of all its elements (not of its uppers or lowers
-alone), canonical forms by one round of colour refinement and then a
+alone), strict pairs and comparisons read bit by bit off the order
+masks, canonical forms by one round of colour refinement and then a
 brute-force search over every cell-respecting element order,
 automorphisms by trying every element order that keeps the relation,
 and poset classes by extending every class with a new top above each
 down-set and keeping one poset per canonical form.
+
+Dense-matrix helpers build and multiply ``IntegerMatrix`` values for the
+tests: ``matrix`` from dense rows, ``identity``, ``zeros``, ``dense_rows``,
+``matmul`` and ``matvec``.
 """
 
 from __future__ import annotations
@@ -171,6 +176,49 @@ def all_labeled_strict_orders(n: int):
         yield lt, covers
 
 
+def matrix(rows, cols: int | None = None):
+    """IntegerMatrix of dense rows; ``cols`` counts the columns when there
+    is no row."""
+    from posetderiv import IntegerMatrix
+
+    rows = [list(row) for row in rows]
+    if rows:
+        cols = len(rows[0])
+    assert all(len(row) == cols for row in rows), "ragged rows"
+    sparse = tuple(tuple((j, int(v)) for j, v in enumerate(row) if v) for row in rows)
+    return IntegerMatrix(len(rows), cols or 0, sparse)
+
+
+def identity(n: int):
+    return matrix([[int(i == j) for j in range(n)] for i in range(n)], n)
+
+
+def zeros(rows: int, cols: int):
+    return matrix([[0] * cols for _ in range(rows)], cols)
+
+
+def dense_rows(a) -> list[list[int]]:
+    return [a.row(i) for i in range(a.rows)]
+
+
+def matmul(a, b):
+    """a * b, walking the sparse rows of both."""
+    assert a.cols == b.rows, "dimension mismatch"
+    out = []
+    for row in a.sparse_rows:
+        acc = [0] * b.cols
+        for t, x in row:
+            for j, y in b.sparse_rows[t]:
+                acc[j] += x * y
+        out.append(acc)
+    return matrix(out, b.cols)
+
+
+def matvec(a, vec) -> list:
+    assert len(vec) == a.cols, "dimension mismatch"
+    return [sum(x * vec[j] for j, x in row) for row in a.sparse_rows]
+
+
 def random_integer_matrix(rng, max_dim: int = 6, bound: int = 9):
     rows = rng.randint(0, max_dim)
     cols = rng.randint(0, max_dim)
@@ -234,6 +282,24 @@ def is_forest(n: int, edges) -> bool:
             return False
         parent[ra] = rb
     return True
+
+
+def strict_pairs(P) -> list[tuple[str, str]]:
+    """Every (x, y) with x < y, ordered by element indices."""
+    return [
+        (P.elements[i], P.elements[j])
+        for i in range(P.n)
+        for j in range(P.n)
+        if P.above[i] >> j & 1
+    ]
+
+
+def is_less(P, x: str, y: str) -> bool:
+    return bool(P.above[P.index(x)] >> P.index(y) & 1)
+
+
+def crown_elements(c) -> frozenset[str]:
+    return frozenset(c.lower) | frozenset(c.upper)
 
 
 def cover_graph_components(P) -> tuple[int, ...]:
@@ -471,16 +537,16 @@ def _dense_smith_loop(s: list[list[int]], rows: int, cols: int):
 def dense_smith_normal_form(a):
     """Smith form with its unimodular transforms by a dense loop on
     [a | I_m] over I_n: the right block ends as u and the bottom rows as v."""
-    from posetderiv.linalg import IntegerMatrix, SmithDecomposition
+    from posetderiv.linalg import SmithDecomposition
 
     m, n = a.rows, a.cols
-    s = [x + e for x, e in zip(a.to_rows(), IntegerMatrix.identity(m).to_rows())]
-    s += IntegerMatrix.identity(n).to_rows()
+    s = [x + e for x, e in zip(dense_rows(a), dense_rows(identity(m)))]
+    s += dense_rows(identity(n))
     divisors = _dense_smith_loop(s, m, n)
     return SmithDecomposition(
-        u=IntegerMatrix.from_rows([row[n:] for row in s[:m]], cols=m),
-        s=IntegerMatrix.from_rows([row[:n] for row in s[:m]], cols=n),
-        v=IntegerMatrix.from_rows(s[m:], cols=n),
+        u=matrix([row[n:] for row in s[:m]], m),
+        s=matrix([row[:n] for row in s[:m]], n),
+        v=matrix(s[m:], n),
         divisors=divisors,
     )
 
@@ -514,7 +580,7 @@ def transform_solve(a, b, k, snf=dense_smith_normal_form):
     from posetderiv.linalg import _scalar_solve
 
     dec = snf(a)
-    c = dec.u.mul_vector([k.normalize(x) for x in b])
+    c = matvec(dec.u, [k.normalize(x) for x in b])
     y = [0] * a.cols
     for i, ci in enumerate(c):
         if i < len(dec.divisors):
@@ -523,7 +589,7 @@ def transform_solve(a, b, k, snf=dense_smith_normal_form):
                 return None
         elif not k.is_zero(ci):
             return None
-    return [k.normalize(v) for v in dec.v.mul_vector(y)]
+    return [k.normalize(v) for v in matvec(dec.v, y)]
 
 
 def brute_force_crowns(P, max_n: int) -> list[frozenset]:

@@ -107,6 +107,13 @@ def test_fixture_sizes_above_4096_exit_2(capsys, family):
     assert payload == {"error": f"fixture '{family}:4097' needs size <= 4096"}
 
 
+@pytest.mark.parametrize("name", ["crown: 3", "crown:+3", "chain:1_0", "chain:\u0663"])
+def test_fixture_size_takes_ascii_digits_only(capsys, name):
+    code, payload = run_cli(capsys, "fixture", name)
+    assert code == 2
+    assert payload == {"error": f"bad size in fixture {name!r}"}
+
+
 def test_fixture_is_deterministic(capsys):
     _, first = run_cli(capsys, "fixture", "rp2")
     _, second = run_cli(capsys, "fixture", "rp2")
@@ -215,6 +222,12 @@ BAD_RING_STRINGS = {
     "gf:3:1": "bad ring string 'gf:3:1'",
     "z": "bad ring string 'z' (expected q, gf:p or mod:n)",
     "Q": "bad ring string 'Q' (expected q, gf:p or mod:n)",
+    # moduli are ASCII digits, though int() takes all of these
+    "gf: 5": "bad ring string 'gf: 5'",
+    "gf:+5": "bad ring string 'gf:+5'",
+    "gf:1_1": "bad ring string 'gf:1_1'",
+    "gf:\u0665": "bad ring string 'gf:\u0665'",
+    "mod:-3": "bad ring string 'mod:-3'",
     "mod:6": "the rank criterion needs a field, not mod:6; use the homology "
     "command for a coefficient-independent classification",
 }

@@ -17,7 +17,6 @@ from posetderiv import (
     has_outer_derivation,
     prime_field,
     RATIONALS,
-    size_bound_check,
     table2_conflict,
     table2_lookup,
 )
@@ -101,22 +100,22 @@ def test_co18_sound_on_small_posets():
 
 
 def test_size_bound_s5_sharp(s5):
-    assert size_bound_check(s5) is True
+    assert criteria_report(s5).size_bound_ok is True
     assert s5.n == 12 == 2 * 6
 
 
 def test_size_bound_rp2(rp2):
-    assert size_bound_check(rp2) is True
+    assert criteria_report(rp2).size_bound_ok is True
 
 
 def test_size_bound_not_applicable():
-    assert size_bound_check(fx.chain(1)) is None
-    assert size_bound_check(fx.chain(3)) is None  # beat points
+    assert criteria_report(fx.chain(1)).size_bound_ok is None
+    assert criteria_report(fx.chain(3)).size_bound_ok is None  # beat points
 
 
 def test_size_bound_holds_on_all_cores():
     for P in beat_free_posets_up_to(7):
-        assert size_bound_check(P) in (None, True)
+        assert criteria_report(P).size_bound_ok in (None, True)
 
 
 # -- the 17-row table ---------------------------------------------------------

@@ -33,12 +33,18 @@ from oracles import (
     dense_boundary_entries,
     dense_incidence_entries,
     dense_relation_entries,
+    dense_rows,
     dense_smith_normal_form,
     det_int,
+    identity,
+    matmul,
+    matrix,
+    matvec,
     minor_gcd_divisors,
     modp_rank,
     random_integer_matrix,
     transform_solve,
+    zeros,
 )
 from test_poset import all_posets_up_to, random_posets
 
@@ -47,13 +53,13 @@ from conftest import FIXTURE_DIR
 
 def snf_invariants_hold(mat):
     """S = U*A*V, unimodular transforms, positive divisors in a chain."""
-    a = IntegerMatrix.from_rows(mat, cols=len(mat[0]) if mat else 0)
+    a = matrix(mat)
     dec = smith_normal_form(a)
-    if dec.u.mul(a).mul(dec.v) != dec.s:
+    if matmul(matmul(dec.u, a), dec.v) != dec.s:
         return False
-    if det_int(dec.u.to_rows()) not in (1, -1):
+    if det_int(dense_rows(dec.u)) not in (1, -1):
         return False
-    if det_int(dec.v.to_rows()) not in (1, -1):
+    if det_int(dense_rows(dec.v)) not in (1, -1):
         return False
     divisors = dec.divisors
     if any(d < 1 for d in divisors):
@@ -65,7 +71,7 @@ def snf_invariants_hold(mat):
     for i in range(dec.s.rows):
         for j in range(dec.s.cols):
             expect = divisors[i] if i == j and i < len(divisors) else 0
-            if dec.s.entry(i, j) != expect:
+            if dec.s.row(i)[j] != expect:
                 return False
     return True
 
@@ -78,7 +84,7 @@ def run_snf_trials(count, seed, max_dim=6, bound=9):
         if not snf_invariants_hold(mat):
             failures.append(mat)
             continue
-        a = IntegerMatrix.from_rows(mat, cols=len(mat[0]) if mat else 0)
+        a = matrix(mat)
         if rank_over(a, RATIONALS) != bareiss_rank(mat):
             failures.append(mat)
     return failures
@@ -88,27 +94,27 @@ def run_snf_trials(count, seed, max_dim=6, bound=9):
 
 
 def test_snf_identity():
-    dec = smith_normal_form(IntegerMatrix.identity(3))
+    dec = smith_normal_form(identity(3))
     assert dec.divisors == (1, 1, 1)
 
 
 def test_snf_2x2_example():
     mat = [[2, 4], [2, 2]]
-    dec = smith_normal_form(IntegerMatrix.from_rows(mat))
+    dec = smith_normal_form(matrix(mat))
     assert dec.divisors == (2, 2)
     assert minor_gcd_divisors(mat) == [2, 2]
 
 
 def test_snf_zero_matrix():
-    dec = smith_normal_form(IntegerMatrix.zeros(2, 3))
+    dec = smith_normal_form(zeros(2, 3))
     assert dec.divisors == ()
-    assert dec.u == IntegerMatrix.identity(2)
-    assert dec.v == IntegerMatrix.identity(3)
+    assert dec.u == identity(2)
+    assert dec.v == identity(3)
 
 
 def test_snf_empty_matrices():
     for rows, cols in ((0, 0), (0, 3), (3, 0)):
-        dec = smith_normal_form(IntegerMatrix.zeros(rows, cols))
+        dec = smith_normal_form(zeros(rows, cols))
         assert dec.divisors == ()
 
 
@@ -116,7 +122,7 @@ def test_snf_divisors_match_minor_gcds():
     rng = random.Random(42)
     for _ in range(60):
         mat = random_integer_matrix(rng, 4, 6)
-        a = IntegerMatrix.from_rows(mat, cols=len(mat[0]) if mat else 0)
+        a = matrix(mat)
         assert list(smith_normal_form(a).divisors) == minor_gcd_divisors(mat)
 
 
@@ -134,15 +140,15 @@ def test_smith_divisors_match_oracles():
         elif t % 3 == 2:
             # mostly zeros, like boundary and relation matrices
             mat = [[x if rng.random() < 0.3 else 0 for x in row] for row in mat]
-        a = IntegerMatrix.from_rows(mat, cols=len(mat[0]) if mat else 0)
+        a = matrix(mat)
         expected = smith_normal_form(a).divisors
         assert smith_divisors(a) == expected
         assert list(expected) == minor_gcd_divisors(mat)
         assert dense_smith_normal_form(a).divisors == expected
     for rows, cols in ((0, 0), (0, 3), (3, 0), (2, 3)):
-        assert smith_divisors(IntegerMatrix.zeros(rows, cols)) == ()
-    assert smith_divisors(IntegerMatrix.from_rows([[2, 4], [2, 2]])) == (2, 2)
-    assert smith_divisors(IntegerMatrix.from_rows([[1, 2], [3, 4], [0, 6]])) == (1, 2)
+        assert smith_divisors(zeros(rows, cols)) == ()
+    assert smith_divisors(matrix([[2, 4], [2, 2]])) == (2, 2)
+    assert smith_divisors(matrix([[1, 2], [3, 4], [0, 6]])) == (1, 2)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -159,9 +165,7 @@ def test_smith_divisors_match_on_relation_and_boundary_matrices(P):
 def _incidence(P):
     """The cover incidence matrix that is_potential solves against."""
     entries = dense_incidence_entries(P)
-    return IntegerMatrix.from_rows(
-        [entries[r * P.n : (r + 1) * P.n] for r in range(len(P.covers))], cols=P.n
-    )
+    return matrix([entries[r * P.n : (r + 1) * P.n] for r in range(len(P.covers))], P.n)
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -174,9 +178,9 @@ def test_snf_invariants_on_producer_matrices(P):
     mats += [boundary_matrix(K, d) for d in (1, 2, 3)]
     for a in mats:
         dec = smith_normal_form(a)
-        assert dec.u.mul(a).mul(dec.v) == dec.s
-        assert det_int(dec.u.to_rows()) in (1, -1)
-        assert det_int(dec.v.to_rows()) in (1, -1)
+        assert matmul(matmul(dec.u, a), dec.v) == dec.s
+        assert det_int(dense_rows(dec.u)) in (1, -1)
+        assert det_int(dense_rows(dec.v)) in (1, -1)
         assert dec.divisors == dense_smith_normal_form(a).divisors
 
 
@@ -184,25 +188,25 @@ def test_snf_invariants_on_producer_matrices(P):
 
 
 def test_rank_examples():
-    two = IntegerMatrix.from_rows([[2]])
+    two = matrix([[2]])
     assert rank_over(two, RATIONALS) == 1
     assert rank_over(two, prime_field(2)) == 0
-    assert rank_over(IntegerMatrix.zeros(3, 2), RATIONALS) == 0
-    assert rank_over(IntegerMatrix.zeros(3, 2), prime_field(5)) == 0
+    assert rank_over(zeros(3, 2), RATIONALS) == 0
+    assert rank_over(zeros(3, 2), prime_field(5)) == 0
 
 
 def test_rank_agreement_with_elimination():
     rng = random.Random(77)
     for _ in range(80):
         mat = random_integer_matrix(rng, 6, 9)
-        a = IntegerMatrix.from_rows(mat, cols=len(mat[0]) if mat else 0)
+        a = matrix(mat)
         assert rank_over(a, RATIONALS) == bareiss_rank(mat)
         for p in (2, 3, 5):
             assert rank_over(a, prime_field(p)) == modp_rank(mat, p)
 
 
 def test_rank_unsupported_rings():
-    a = IntegerMatrix.identity(2)
+    a = identity(2)
     with pytest.raises(UnsupportedRingError):
         rank_over(a, mod_ring(4))
     # a prime modulus is a field, so rank is defined
@@ -213,15 +217,15 @@ def test_rank_unsupported_rings():
 
 
 def test_solve_examples():
-    one = IntegerMatrix.from_rows([[1]])
-    two = IntegerMatrix.from_rows([[2]])
+    one = matrix([[1]])
+    two = matrix([[2]])
     assert solve_linear(one, [5], mod_ring(2)) == [1]
     assert solve_linear(two, [1], mod_ring(2)) is None
     assert solve_linear(two, [1], RATIONALS) == [Fraction(1, 2)]
 
 
 def test_solve_integers_and_composite():
-    two = IntegerMatrix.from_rows([[2]])
+    two = matrix([[2]])
     x = solve_linear(two, [2], mod_ring(4))
     assert x is not None and (2 * x[0]) % 4 == 2
     assert solve_linear(two, [1], mod_ring(4)) is None
@@ -235,13 +239,13 @@ def test_solve_soundness_random():
         mat = random_integer_matrix(rng, 5, 6)
         if not mat or not mat[0]:
             continue
-        a = IntegerMatrix.from_rows(mat)
+        a = matrix(mat)
         b = [rng.randint(-9, 9) for _ in range(a.rows)]
         for k in (RATIONALS, prime_field(2), prime_field(5), mod_ring(6)):
             x = solve_linear(a, b, k)
             if x is not None:
                 solved += 1
-                residual = a.mul_vector(x)
+                residual = matvec(a, x)
                 assert all(k.is_zero(k.sub(r, t)) for r, t in zip(residual, b))
             else:
                 unsolved += 1
@@ -270,16 +274,16 @@ def test_solve_matches_the_transform_route():
     ]
     for rows, cols in shapes:
         mat = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        a = IntegerMatrix.from_rows(mat, cols=cols)
+        a = matrix(mat, cols)
         x0 = [rng.randint(-5, 5) for _ in range(cols)]
-        for b in (a.mul_vector(x0), [rng.randint(-9, 9) for _ in range(rows)]):
+        for b in (matvec(a, x0), [rng.randint(-9, 9) for _ in range(rows)]):
             for k in rings:
                 x = solve_linear(a, b, k)
                 assert x == transform_solve(a, b, k, smith_normal_form)
                 assert (x is None) == (transform_solve(a, b, k) is None)
                 outcomes.discard((k.label(), x is not None))
                 if x is not None:
-                    residual = a.mul_vector(x)
+                    residual = matvec(a, x)
                     assert all(k.is_zero(k.sub(r, t)) for r, t in zip(residual, b))
         # fractions on the right-hand side over the rationals
         b = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rows)]
@@ -287,7 +291,7 @@ def test_solve_matches_the_transform_route():
         assert x == transform_solve(a, b, RATIONALS, smith_normal_form)
         assert (x is None) == (transform_solve(a, b, RATIONALS) is None)
     for rows, cols in ((0, 0), (0, 3), (3, 0)):
-        a = IntegerMatrix.zeros(rows, cols)
+        a = zeros(rows, cols)
         assert solve_linear(a, [0] * rows, RATIONALS) == [0] * cols
         if rows:
             assert solve_linear(a, [1] * rows, RATIONALS) is None
@@ -303,9 +307,9 @@ def test_solve_rationals_takes_fractions_like_the_rescaled_route():
         mat = random_integer_matrix(rng, 5, 6)
         if not mat or not mat[0]:
             continue
-        a = IntegerMatrix.from_rows(mat)
+        a = matrix(mat)
         x0 = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(a.cols)]
-        b = a.mul_vector(x0)
+        b = matvec(a, x0)
         scale = lcm(*(Fraction(v).denominator for v in b))
         scaled = solve_linear(a, [int(v * scale) for v in b], RATIONALS)
         assert scaled is not None
@@ -318,20 +322,20 @@ def test_solve_rationals_takes_fractions_like_the_rescaled_route():
 
 
 def test_kernel_examples():
-    assert kernel_basis(IntegerMatrix.identity(2), RATIONALS) == []
-    assert kernel_basis(IntegerMatrix.from_rows([[2]]), prime_field(2)) == [[1]]
+    assert kernel_basis(identity(2), RATIONALS) == []
+    assert kernel_basis(matrix([[2]]), prime_field(2)) == [[1]]
 
 
 def test_kernel_size_and_membership():
     rng = random.Random(55)
     for _ in range(60):
         mat = random_integer_matrix(rng, 5, 7)
-        a = IntegerMatrix.from_rows(mat, cols=len(mat[0]) if mat else 0)
+        a = matrix(mat)
         for k in (RATIONALS, prime_field(2), prime_field(3)):
             basis = kernel_basis(a, k)
             assert len(basis) == a.cols - rank_over(a, k)
             for vec in basis:
-                assert all(k.is_zero(v) for v in a.mul_vector(vec))
+                assert all(k.is_zero(v) for v in matvec(a, vec))
                 assert any(not k.is_zero(v) for v in vec)
 
 
@@ -361,7 +365,7 @@ def test_producers_emit_the_dense_reference_matrices(monkeypatch):
             derivations.is_potential(f)
             assert incidence.pop().entries == dense_incidence_entries(P)
 
-    dense = IntegerMatrix.from_rows([[0, 2, 0], [-1, 0, 3]])
+    dense = matrix([[0, 2, 0], [-1, 0, 3]])
     sparse = IntegerMatrix(2, 3, (((1, 2),), ((0, -1), (2, 3))))
     assert dense == sparse and hash(dense) == hash(sparse)
     for bad in (((2, 3), (0, -1)), ((1, 1), (1, 2)), ((0, 0),), ((3, 1),), ((-1, 1),)):

@@ -10,15 +10,12 @@ from posetderiv import (
     DuplicateError,
     NotReducedError,
     Poset,
-    Relation,
     SizeLimitError,
     UnknownElementError,
     beat_points,
     canonical_form,
     core,
     find_crowns,
-    join_meet,
-    leq,
     shape_stats,
     transitive_reduction,
 )
@@ -35,9 +32,12 @@ from oracles import (
     cover_count_beat_points,
     cover_graph_components,
     crown_bounds,
+    crown_elements,
     is_forest,
+    is_less,
     iterated_core,
     random_poset_covers,
+    strict_pairs,
 )
 
 
@@ -117,40 +117,12 @@ def test_poset_and_transitive_reduction_check_cover_lists_alike(
 # -- order queries ----------------------------------------------------------
 
 
-def test_leq_chain():
-    P = fx.chain(3)
-    assert leq(P, "c1", "c3") is Relation.LESS
-    assert leq(P, "c3", "c1") is Relation.GREATER
-    assert leq(P, "c2", "c2") is Relation.EQUAL
-
-
-def test_leq_rp2(rp2):
-    assert leq(rp2, "n1", "m1") is Relation.LESS
-    assert leq(rp2, "a1", "a2") is Relation.INCOMPARABLE
-
-
-def test_leq_symmetric_consistency():
-    rng = random.Random(7)
-    for _ in range(25):
-        elements, covers = random_poset_covers(rng, 7)
-        P = Poset(elements, covers)
-        for x in elements:
-            for y in elements:
-                fwd, bwd = leq(P, x, y), leq(P, y, x)
-                if fwd is Relation.LESS:
-                    assert bwd is Relation.GREATER
-                elif fwd is Relation.GREATER:
-                    assert bwd is Relation.LESS
-                else:
-                    assert fwd is bwd
-
-
 def test_closure_is_idempotent_and_strict():
     rng = random.Random(11)
     for _ in range(25):
         elements, covers = random_poset_covers(rng, 7)
         P = Poset(elements, covers)
-        lt = {pair for pair in P.strict_pairs()}
+        lt = set(strict_pairs(P))
         for x, y in lt:
             assert x != y
             for z, w in lt:
@@ -286,12 +258,7 @@ def _crown_is_induced(P, crown):
     for i in range(n):
         expected.add((crown.lower[i], crown.upper[i]))
         expected.add((crown.lower[i], crown.upper[(i + 1) % n]))
-    actual = {
-        (x, y)
-        for x in elems
-        for y in elems
-        if leq(P, x, y) is Relation.LESS
-    }
+    actual = {(x, y) for x in elems for y in elems if is_less(P, x, y)}
     return actual == expected
 
 
@@ -316,7 +283,7 @@ def test_rp2_crowns(rp2):
     )
     for crown in crowns:
         assert _crown_is_induced(rp2, crown)
-    assert {c.element_set() for c in crowns} == set(brute_force_crowns(rp2, 6))
+    assert {crown_elements(c) for c in crowns} == set(brute_force_crowns(rp2, 6))
 
 
 def test_crown_fixtures_found_at_every_size():
@@ -339,7 +306,7 @@ def test_crowns_validated_on_small_posets():
 def test_crowns_unique_up_to_symmetry():
     for P in all_posets_up_to(6):
         crowns = find_crowns(P, max_n=3)
-        assert len({frozenset(c.element_set()) for c in crowns}) == len(crowns)
+        assert len({crown_elements(c) for c in crowns}) == len(crowns)
 
 
 @st.composite
@@ -377,7 +344,7 @@ def random_posets(draw, max_size=9):
 @given(random_posets())
 def test_find_crowns_matches_brute_force(P):
     for max_n in range(2, 5):
-        found = [c.element_set() for c in find_crowns(P, max_n)]
+        found = [crown_elements(c) for c in find_crowns(P, max_n)]
         assert len(set(found)) == len(found)
         assert set(found) == set(brute_force_crowns(P, max_n))
 
@@ -388,7 +355,7 @@ def test_crown_join_and_meet_on_small_posets():
     bounded = 0
     for P in all_posets_up_to(6):
         for c in find_crowns(P):
-            assert (c.join, c.meet) == brute_force_join_meet(P, c.element_set())
+            assert (c.join, c.meet) == brute_force_join_meet(P, crown_elements(c))
             bounded += c.join is not None or c.meet is not None
     assert bounded > 0  # some crowns do have a join or a meet
 
@@ -399,23 +366,19 @@ def test_crown_join_and_meet_match_oracles(P):
     crowns = find_crowns(P)
     assert [(c.join, c.meet) for c in crowns] == crown_bounds(P, crowns)
     for c in crowns:
-        assert (c.join, c.meet) == brute_force_join_meet(P, c.element_set())
+        assert (c.join, c.meet) == brute_force_join_meet(P, crown_elements(c))
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(random_posets(max_size=12), st.randoms(use_true_random=True))
 def test_minimal_element_rule_matches_oracles(P, rng):
-    # covers, beat points and cores come from poset._minimal, joins and
-    # meets from poset._least
+    # covers, beat points and cores come from poset._minimal
     C, D = core(P), iterated_core(P)
     assert (C.elements, C.covers) == (D.elements, D.covers)
     assert beat_points(P) == cover_count_beat_points(P)
     if not beat_points(P):
         assert C is P
-    for _ in range(6):
-        subset = rng.sample(P.elements, rng.randint(1, P.n))
-        assert join_meet(P, subset) == brute_force_join_meet(P, subset)
-    pairs = list(P.strict_pairs())
+    pairs = strict_pairs(P)
     rng.shuffle(pairs)
     assert transitive_reduction(P.elements, pairs) == list(P.covers)
 
@@ -437,7 +400,7 @@ def test_least_and_greatest_match_brute_force(P, rng):
 def _assert_order_fields(P):
     position = {i: k for k, i in enumerate(P.topological_order)}
     assert sorted(position) == list(range(P.n))
-    for x, y in P.strict_pairs():
+    for x, y in strict_pairs(P):
         assert position[P.index(x)] < position[P.index(y)], (x, y, P.covers)
     # the documented rule: ascending down-set size, ties by index
     by_size = sorted(range(P.n), key=lambda i: (P.below[i].bit_count(), i))
@@ -463,60 +426,6 @@ def test_order_fields_on_fixtures_and_small_classes():
     for P in all_posets_up_to(6):
         _assert_order_fields(P)
         _assert_order_fields(core(P))
-
-
-# -- join and meet ------------------------------------------------------
-
-
-def test_join_meet_diamond(diamond):
-    assert join_meet(diamond, {"a", "b"}) == ("y", "x")
-
-
-def test_join_meet_crown():
-    # y1, y2 are incomparable minimal upper bounds, so no join exists
-    join, meet = join_meet(fx.crown(2), {"x1", "x2"})
-    assert join is None
-
-
-def test_join_meet_chain():
-    assert join_meet(fx.chain(3), {"c1", "c3"}) == ("c3", "c1")
-
-
-def test_join_meet_unknown():
-    with pytest.raises(UnknownElementError):
-        join_meet(fx.chain(2), {"nope"})
-
-
-def test_join_is_least_upper_bound():
-    rng = random.Random(5)
-    for P in all_posets_up_to(5):
-        names = list(P.elements)
-        for _ in range(4):
-            k = rng.randint(1, len(names))
-            subset = rng.sample(names, k)
-            join, meet = join_meet(P, subset)
-            ubs = [
-                u
-                for u in names
-                if all(leq(P, s, u) in (Relation.LESS, Relation.EQUAL) for s in subset)
-            ]
-            least = [
-                u
-                for u in ubs
-                if all(leq(P, u, v) in (Relation.LESS, Relation.EQUAL) for v in ubs)
-            ]
-            assert join == (least[0] if least else None)
-            lbs = [
-                u
-                for u in names
-                if all(leq(P, u, s) in (Relation.LESS, Relation.EQUAL) for s in subset)
-            ]
-            greatest = [
-                u
-                for u in lbs
-                if all(leq(P, v, u) in (Relation.LESS, Relation.EQUAL) for v in lbs)
-            ]
-            assert meet == (greatest[0] if greatest else None)
 
 
 # -- canonical form ------------------------------------------------------
