@@ -18,6 +18,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _escape
 
 from .derivations import from_cover_values, is_potential, outer_witness
 from .errors import InputError, PosetderivError
@@ -120,6 +121,66 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for a report.
+
+    Reports hold only dicts with string keys, lists, tuples, strings,
+    integers, booleans and None; anything else raises TypeError.  The
+    standard library falls back to its pure-Python encoder whenever an
+    indent is given, which this walk outruns.
+    """
+    out: list[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: list[str]) -> None:
+    if isinstance(value, str):
+        out.append(_escape(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, not {type(key).__name__}")
+            out.append(sep)
+            out.append(_escape(key))
+            out.append(": ")
+            if type(item) is str:  # the common leaf, without a call
+                out.append(_escape(item))
+            else:
+                _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            if type(item) is str:
+                out.append(_escape(item))
+            else:
+                _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"cannot write a {type(value).__name__} in a report")
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -212,8 +273,7 @@ def _cmd_sweep(args) -> tuple[dict, int]:
     code = 0 if report.ok else 4
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(_json_text(payload) + "\n")
         return {"written": args.out, "ok": report.ok}, code
     return payload, code
 
@@ -243,7 +303,7 @@ def main(argv=None) -> int:
     except (PosetderivError, OSError) as exc:
         payload, code = {"error": str(exc)}, 2
     try:
-        print(json.dumps(payload, indent=2), flush=True)
+        print(_json_text(payload), flush=True)
     except BrokenPipeError:
         # the reader left early (`| grep -q`); keep the flush at exit quiet
         with open(os.devnull, "w") as devnull:

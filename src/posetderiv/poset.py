@@ -403,11 +403,17 @@ def _refine(part: list[int], cells: int, queue: list[int], above, below) -> int:
     where no cell starts; ``cells`` has bit s set where a cell of two or
     more elements starts, and the updated mask is returned.  Each splitter
     cell W taken from ``queue`` (cell starts, first in first out) splits
-    every cell by the counts ``(|above[v] & W|, |below[v] & W|)``; the
-    pieces take consecutive starts in increasing count order, so the
-    result depends only on the order structure, not on labels.  New
-    pieces join the queue, except the first largest one when its cell was
-    not queued (Hopcroft's rule).
+    every cell by the counts ``(|above[v] & W|, |below[v] & W|)``.  Only
+    the elements comparable to some element of W are counted; the rest
+    share the counts (0, 0) and form the first piece in one mask
+    operation, and a one-element W = {x} needs no count at all: the
+    elements above x have (0, 1) and those below it (1, 0).  The pieces
+    take consecutive starts in increasing count order, so the result
+    depends only on the order structure, not on labels.  New pieces join
+    the queue in that order, except the first largest one when its cell
+    was not queued (Hopcroft's rule).  Which cell the search splits next
+    and every certificate depend on the piece and queue order, so a
+    change to either changes canonical forms.
     """
     mul = len(part) + 1
     queued = 0
@@ -419,50 +425,63 @@ def _refine(part: list[int], cells: int, queue: list[int], above, below) -> int:
         head += 1
         queued ^= 1 << w
         W = part[w]
-        touched = 0
-        rest = W
-        while rest:
-            low = rest & -rest
-            x = low.bit_length() - 1
-            touched |= above[x] | below[x]
-            rest ^= low
+        if W & (W - 1):
+            up = None
+            touched = 0
+            rest = W
+            while rest:
+                low = rest & -rest
+                x = low.bit_length() - 1
+                touched |= above[x] | below[x]
+                rest ^= low
+        else:
+            x = W.bit_length() - 1
+            up, down = above[x], below[x]
+            touched = up | down
         todo = cells
         while todo:
             bit = todo & -todo
             todo ^= bit
             s = bit.bit_length() - 1
             C = part[s]
-            if not C & touched:
+            hit = C & touched
+            if not hit:
                 continue
-            groups: dict[int, int] = {}
-            rest = C
-            while rest:
-                low = rest & -rest
-                v = low.bit_length() - 1
-                rest ^= low
-                key = (above[v] & W).bit_count() * mul + (below[v] & W).bit_count()
-                groups[key] = groups.get(key, 0) | low
-            if len(groups) == 1:
+            if up is not None:
+                pieces = [piece for piece in (C ^ hit, C & up, C & down) if piece]
+            else:
+                groups: dict[int, int] = {}
+                rest = hit
+                while rest:
+                    low = rest & -rest
+                    v = low.bit_length() - 1
+                    rest ^= low
+                    key = (above[v] & W).bit_count() * mul + (below[v] & W).bit_count()
+                    groups[key] = groups.get(key, 0) | low
+                pieces = [C ^ hit] if hit != C else []
+                pieces += [groups[key] for key in sorted(groups)]
+            if len(pieces) == 1:
                 continue
-            pieces = []
+            starts = []
+            big = size_big = 0
             t = s
-            for key in sorted(groups):
-                piece = groups[key]
+            for piece in pieces:
                 size = piece.bit_count()
                 part[t] = piece
-                pieces.append((t, size))
+                starts.append(t)
                 if size > 1:
                     cells |= 1 << t
+                    if size > size_big:
+                        big, size_big = t, size
                 else:
                     cells &= ~(1 << t)
                 t += size
-            if queued & bit:
-                del pieces[0]
-            else:
-                del pieces[max(range(len(pieces)), key=lambda k: pieces[k][1])]
-            for t, _ in pieces:
-                queued |= 1 << t
-                queue.append(t)
+            # a queued cell keeps its start in the queue for the first piece
+            skip = s if queued & bit or not size_big else big
+            for t in starts:
+                if t != skip:
+                    queued |= 1 << t
+                    queue.append(t)
     return cells
 
 
@@ -489,11 +508,23 @@ def _canonical_search(above, below):
     tree is an equitable ordered cell partition (``_refine``); its
     children individualize each element of its first non-singleton cell
     and refine again.  A leaf orders every element, and its certificate
-    is the list of ``above`` bitmasks relabeled to that order.  A leaf
-    whose certificate equals the first or the best one gives an
-    automorphism.  Automorphisms prune each node's children to one per
-    orbit of those that fix the node's prefix pointwise, and the search
-    jumps back to the common ancestor of the two leaves.
+    is the list of ``above`` bitmasks relabeled to that order.
+
+    A leaf whose certificate equals that of a reference leaf gives an
+    automorphism, which maps the leaf's path onto the reference's.  The
+    references are the first leaf, the best one so far and the first leaf
+    of every subtree on the current path that was entered through a
+    non-first child.  Each reference lies below an earlier child of the
+    two leaves' common ancestor, so the search has finished that child's
+    subtree, the leaf's branch is its image and the search jumps back to
+    the ancestor.  A subtree's
+    reference is dropped when the search leaves it, so a leaf is compared
+    only with the references that can still match.  Automorphisms prune
+    each node's children to one per orbit of those that fix the node's
+    prefix pointwise.  Every pruned subtree is equivalent to one searched
+    before it, so pruning never skips the first leaf, in search order,
+    with the least certificate: the certificate and labeling returned do
+    not depend on how much is pruned, only on ``_refine``.
 
     Returns the least certificate, the labeling ``lab`` of its leaf
     (``lab[k]`` is the element at position k) and the automorphisms found,
@@ -503,12 +534,14 @@ def _canonical_search(above, below):
     n = len(above)
     root = [0] * n
     root[0] = (1 << n) - 1
-    first = best = None
+    best = None
+    refs: list[tuple[list[int], list[int], list[int]]] = []  # the first leaf, then subtrees'
+    pending = False  # the next leaf is the first of a subtree entered through a non-first child
     gens: list[tuple[list[int], int]] = []
     path: list[int] = []
 
     def leaf(part):
-        nonlocal first, best
+        nonlocal best, pending
         lab = [m.bit_length() - 1 for m in part]
         pos = [0] * n
         for k, v in enumerate(lab):
@@ -522,11 +555,13 @@ def _canonical_search(above, below):
                 r |= 1 << pos[low.bit_length() - 1]
                 rest ^= low
             cert.append(r)
-        if first is None:
-            first = best = (cert, lab, path[:])
+        if best is None:
+            best = (cert, lab, path[:])
+            refs.append(best)
             return len(path)
-        for ref_cert, ref_lab, ref_path in (first, best):
+        for ref_cert, ref_lab, ref_path in (best, *refs):
             if cert == ref_cert:
+                pending = False
                 g = [0] * n
                 moved = 0
                 for a, b in zip(lab, ref_lab):
@@ -538,11 +573,17 @@ def _canonical_search(above, below):
                 while path[k] == ref_path[k]:
                     k += 1
                 return k
-        if cert < best[0]:
-            best = (cert, lab, path[:])
+        if pending or cert < best[0]:
+            found = (cert, lab, path[:])
+            if pending:
+                pending = False
+                refs.append(found)
+            if cert < best[0]:
+                best = found
         return len(path)
 
     def search(part, cells, fixed):
+        nonlocal pending
         if not cells:
             return leaf(part)
         depth = len(path)
@@ -566,6 +607,8 @@ def _canonical_search(above, below):
                 seen = len(gens)
                 if orbit.get(v, 0) & explored:
                     continue
+                pending = True
+                live = len(refs)
             child = part[:]
             child[s] = low
             child[s + 1] = C ^ low
@@ -574,6 +617,8 @@ def _canonical_search(above, below):
             path.append(v)
             back = search(child, child_cells, fixed | low)
             path.pop()
+            if explored:
+                del refs[live:]
             explored |= low
             if back < depth:
                 return back

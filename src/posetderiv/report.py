@@ -6,6 +6,8 @@ rationals are rendered as "p/q" strings.  No floats appear anywhere.
 
 from __future__ import annotations
 
+import re
+
 from .derivations import (
     TransitiveFunction, der_pot_from_divisors, outer_witness, relation_divisors
 )
@@ -24,12 +26,12 @@ def as_dict(value):
     return value
 
 
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
+
+
 def _identifier_ok(value) -> bool:
-    return (
-        isinstance(value, str)
-        and len(value) > 0
-        and not any(ord(ch) < 32 or ord(ch) == 127 for ch in value)
-    )
+    """A nonempty string without an ASCII control character."""
+    return isinstance(value, str) and value != "" and _CONTROL.search(value) is None
 
 
 def poset_from_json(obj, reduce: bool = False) -> Poset:
@@ -42,7 +44,7 @@ def poset_from_json(obj, reduce: bool = False) -> Poset:
         raise InputError("poset JSON must be an object")
     elements = obj.get("elements")
     covers = obj.get("covers")
-    if not isinstance(elements, list) or not all(_identifier_ok(e) for e in elements):
+    if not isinstance(elements, list) or not all(map(_identifier_ok, elements)):
         raise InputError(
             "'elements' must be a list of nonempty strings without control characters"
         )

@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posetderiv
-from posetderiv.cli import main
+from posetderiv.cli import _json_text, main
+from posetderiv.errors import InputError
 from posetderiv.fixtures import fixture_json
 from posetderiv.poset import find_crowns
-from posetderiv.report import poset_from_json
+from posetderiv.report import _identifier_ok, poset_from_json
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR
 from test_poset import random_posets
@@ -826,6 +827,25 @@ def test_identifier_validation(capsys, tmp_path):
     assert code == 2
 
 
+def test_identifier_rule_matches_the_character_scan():
+    def scanned(value):
+        return (
+            isinstance(value, str)
+            and len(value) > 0
+            and not any(ord(ch) < 32 or ord(ch) == 127 for ch in value)
+        )
+
+    controls = [chr(c) for c in range(32)] + ["\x7f"]
+    values = controls + [f"a{ch}b" for ch in controls] + ["\x85", " ", "\u00e9", "", 7, None]
+    for value in values:
+        assert _identifier_ok(value) == scanned(value), repr(value)
+        if scanned(value):
+            assert poset_from_json({"elements": [value], "covers": []}).elements == (value,)
+        else:
+            with pytest.raises(InputError, match="nonempty strings without control characters"):
+                poset_from_json({"elements": ["a", value], "covers": []})
+
+
 @pytest.mark.parametrize("name", ["", "b\x01"])
 @pytest.mark.parametrize("flags", [[], ["--reduce"]])
 def test_cover_naming_a_bad_identifier_is_an_unknown_element(capsys, tmp_path, name, flags):
@@ -891,6 +911,41 @@ def test_golden_crowns_and_criteria_reports(capsys, command, name, extra):
     assert code == 0
     expected = json.loads((GOLDEN_DIR / f"{name}.{command}.json").read_text())
     assert json.dumps(report, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_report_writer_matches_json_dumps_on_goldens(path):
+    report = json.loads(path.read_text())
+    assert _json_text(report) == json.dumps(report, indent=2)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_json_values)
+def test_report_writer_matches_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, {"a": [0.0]}, {1: "a"}, {None: 1}, {"a": {"b": object()}}, [b"x"], {"s"}]
+)
+def test_report_writer_raises_on_other_types_and_keys(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+def test_report_writer_on_non_ascii_and_empty_containers():
+    value = {"\u00e9l\u00e9ment": ["\u2203", "\U0001d538", "\x00\x1f\\\""], "": {}, "e": [], "t": ()}
+    assert _json_text(value) == json.dumps(value, indent=2)
+    assert "\\u00e9" in _json_text(value)
 
 
 def test_golden_witness_bytes(capsys):

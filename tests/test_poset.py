@@ -609,6 +609,49 @@ def test_canonical_form_prunes_only_by_automorphisms_fixing_the_prefix():
     assert {canonical_form(_relabeled(P, rng)) for _ in range(30)} == {form}
 
 
+def test_canonical_bytes_of_the_classes_up_to_seven_elements_are_pinned():
+    # pins each certificate, the labelings that settle enumeration's ties
+    # (through the representatives) and the yield order; a faster search
+    # must keep all three
+    import hashlib
+
+    digest = hashlib.sha256()
+    for P in all_posets_up_to(7):
+        digest.update(canonical_form(P) + b" " + repr(P.covers).encode() + b"\n")
+    assert digest.hexdigest() == "a9b8bc37616fcb1aef8467fcc0ee9389ceb8bd8660eb51bd560c15858525f323"
+
+
+def _rook_shrikhande_union():
+    def rook(u, v):
+        return u[0] == v[0] or u[1] == v[1]
+
+    def shrikhande(u, v):
+        return ((v[0] - u[0]) % 4, (v[1] - u[1]) % 4) in {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+
+    return _disjoint_union(_incidence_poset(rook), _incidence_poset(shrikhande))
+
+
+def test_canonical_search_cost_is_flat_across_relabelings(monkeypatch):
+    # the search tree's size must not hinge on the labeling: a labeling whose
+    # first leaves sit in an unlucky branch must still find the automorphisms
+    # that prune the rest, through the first leaves of the later subtrees
+    import posetderiv.poset as poset
+
+    P = _rook_shrikhande_union()
+    refine = poset._refine
+    calls = []
+
+    def counted(*args):
+        calls[-1] += 1
+        return refine(*args)
+
+    monkeypatch.setattr(poset, "_refine", counted)
+    for seed in range(10):
+        calls.append(0)
+        canonical_form(_relabeled(P, random.Random(seed)))
+    assert max(calls) <= 3 * min(calls), calls
+
+
 def _orbit_partition(items, gens, act):
     # the orbits of ``items`` under the group the permutations generate
     orbit_of = {}
