@@ -91,7 +91,7 @@ def _extend(P: Poset, down_set: int, tops) -> Poset:
 
 def _top_key(down_set: int, covers, below) -> tuple:
     """Invariant of a maximal element with this down-set and these
-    down-covers: whether it has at most one (so that ``_job`` passes the
+    down-covers: whether it has at most one (so that ``_record`` passes the
     parent's verdict down the walk as often as possible), the down-set's
     size, the number of down-covers and the sorted down-set sizes of those."""
     sizes = sorted(below[j].bit_count() for j in covers)
@@ -149,65 +149,52 @@ def enumerate_posets(n: int, parents=None):
         yield from _children(P)
 
 
-def _record(job):
-    """Sweep record of a ``(poset, verdict, parent rows, parent divisors)``
-    job: verdict (P is classified when it is None), cross-route identity
-    (``homology.routes_agree``), the rows and divisors P's children carry,
-    and whether a Smith elimination ran.  P's relation rows are its
-    parent's, whose columns ``_extend`` keeps, plus the rows into its new
-    top.  Only those need an elimination of the combined rows: otherwise
-    the matrix just gains zero columns, and the divisors carry over."""
-    P, verdict, rows, divisors = job
-    if verdict is None:
+def _record(parent: tuple, P: Poset, tally: Counter) -> tuple:
+    """P's sweep record, (verdict, relation rows, Smith divisors), made from
+    its parent's and counted in ``tally`` by (field, level), and by (field,
+    name) if inconclusive or failing ``routes_agree``.  A new top with at
+    most one down-cover is isolated or a beat point, and removing either
+    leaves H1 unchanged (Stong 1966), so P inherits its parent's verdict.
+    P's relation rows are its parent's, whose columns ``_extend`` keeps,
+    plus the rows into its new top; only those need an elimination of the
+    combined rows, otherwise the divisors carry over."""
+    verdict, rows, divisors = parent
+    n = P.n
+    tally["classes", n] += 1
+    if len(P.down_covers[-1]) <= 1:
+        tally["inherited", n] += 1
+    else:
         from .homology import classify
 
         verdict = classify(P)
-    new = relation_rows_into(P, P.n - 1)
+    new = relation_rows_into(P, n - 1)
     if new:
         rows += tuple(new)
         divisors = smith_divisors(IntegerMatrix._make((len(rows), len(P.covers), rows)))
-    return {
-        "verdict": verdict,
-        "identity_ok": routes_agree(P, verdict, divisors),
-        "rows": rows,
-        "divisors": divisors,
-        "smith": bool(new),
-    }
+        tally["smith", n] += 1
+    tally["defective", n] += verdict.defective_uct
+    tally["soluble", n] += verdict.soluble
+    # a class's canonical form is needed only to name it here
+    if verdict.torsion1:
+        tally["inconclusive", poset.canonical_form(P).decode("ascii")] += 1
+    if not routes_agree(P, verdict, divisors):
+        tally["failure", poset.canonical_form(P).decode("ascii")] += 1
+    return verdict, rows, divisors
 
 
-def _job(parent: dict, P: Poset) -> tuple:
-    """P's sweep job from its parent's record: (P, inherited verdict or
-    None, parent's relation rows, parent's divisors).  A new top with at
-    most one down-cover is isolated or a beat point, and removing either
-    leaves H1 unchanged (Stong 1966), so P inherits every verdict flag."""
-    verdict = parent["verdict"] if len(P.down_covers[-1]) <= 1 else None
-    return P, verdict, parent["rows"], parent["divisors"]
-
-
-def _walk(P: Poset, record: dict, max_n: int, tally: Counter):
+def _walk(P: Poset, record: tuple, max_n: int, tally: Counter):
     """Walk the augmentation tree below P, which has fewer than max_n
     elements, depth first, and yield each class on max_n with its record.
-    Each class below P is counted in ``tally`` by (field, level), and by
-    (field, name) if inconclusive or failing the identity check.  A
-    class's expansion, its children's enumeration and records, is timed
-    once and charged to their level."""
+    Each class below P is counted in ``tally`` by ``_record``.  A class's
+    expansion, its children's enumeration and records, is timed once and
+    charged to their level."""
     n = P.n + 1
     start = time.perf_counter()
-    children = list(enumerate_posets(n, (P,)))
-    jobs = [_job(record, child) for child in children]
-    records = [_record(job) for job in jobs]
+    # the children are listed before their records, so that a traced
+    # enumeration span holds enumeration alone
+    children = [(child, _record(record, child, tally)) for child in list(enumerate_posets(n, (P,)))]
     tally["seconds", n] += time.perf_counter() - start
-    tally["classes", n] += len(children)
-    tally["inherited", n] += sum(job[1] is not None for job in jobs)
-    tally["defective", n] += sum(r["verdict"].defective_uct for r in records)
-    tally["soluble", n] += sum(r["verdict"].soluble for r in records)
-    tally["smith", n] += sum(r["smith"] for r in records)
-    for child, r in zip(children, records):
-        # a class's canonical form is needed only to name it here
-        if r["verdict"].torsion1:
-            tally["inconclusive", poset.canonical_form(child).decode("ascii")] += 1
-        if not r["identity_ok"]:
-            tally["failure", poset.canonical_form(child).decode("ascii")] += 1
+    for child, r in children:
         if n < max_n:
             yield from _walk(child, r, max_n, tally)
         else:
@@ -247,7 +234,7 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
 
     # the tree's root, the empty poset, has no relation rows
     empty = Poset((), ())
-    record = {"verdict": classify(empty), "rows": (), "divisors": ()}
+    record = (classify(empty), (), ())
     tally = Counter()
     leaves = _walk(empty, record, min(max_n, SPLIT_N), tally)
     roots = [(P, r, max_n) for P, r in leaves if P.n < max_n]

@@ -734,14 +734,7 @@ def test_sweep_starts_at_most_cpu_count_workers(capsys, monkeypatch):
 def test_sweep_exit_code_on_identity_failure(capsys, monkeypatch):
     import posetderiv.survey as survey
 
-    real = survey._record
-
-    def broken(job):
-        record = real(job)
-        record["identity_ok"] = False
-        return record
-
-    monkeypatch.setattr(survey, "_record", broken)
+    monkeypatch.setattr(survey, "routes_agree", lambda P, verdict, divisors: False)
     code, payload = run_cli(capsys, "sweep", "--max-n", "2")
     assert code == 4
     assert payload["identity_failures"]

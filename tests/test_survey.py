@@ -1,3 +1,6 @@
+import importlib
+from collections import Counter
+
 import pytest
 
 import posetderiv.derivations as derivations
@@ -134,13 +137,13 @@ def test_sweep_independent_of_parallelism():
 def _identity_failures(fault):
     """Classes that analyze and sweep(5) each flag when every nonempty
     relation matrix gets its divisors through ``fault``; they must agree."""
-    records = []
-    real_record = survey._record
+    verdicts = []
+    real_agree = survey.routes_agree
 
-    def recording(job):
-        record = real_record(job)
-        records.append((job[0], record))
-        return record
+    def recording(P, verdict, divisors):
+        agree = real_agree(P, verdict, divisors)
+        verdicts.append((P, agree))
+        return agree
 
     # analyze and the sweep's carried rows both reach their divisors
     # through smith_divisors
@@ -149,14 +152,14 @@ def _identity_failures(fault):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(derivations, "smith_divisors", divisors)
         mp.setattr(survey, "smith_divisors", divisors)
-        mp.setattr(survey, "_record", recording)
+        mp.setattr(survey, "routes_agree", recording)
         sweep(5)
-        assert len(records) == 87
+        assert len(verdicts) == 87
         failures = 0
-        for P, record in records:
+        for P, sweep_ok in verdicts:
             conflicts = report.analysis_report(P, [RATIONALS])["conflicts"]
             analyze_ok = not any(c.startswith(report.IDENTITY_CONFLICT) for c in conflicts)
-            assert analyze_ok == record["identity_ok"], P.covers
+            assert analyze_ok == sweep_ok, P.covers
             failures += not analyze_ok
     return failures
 
@@ -176,18 +179,19 @@ def test_analyze_and_sweep_give_the_same_identity_verdict_per_ring(broken):
 def test_inherited_verdicts_equal_classify():
     from posetderiv.homology import classify
 
+    inherited = Counter()
     for n in range(2, 8):
-        inherited = 0
         for parent in enumerate_posets(n - 1):
-            record = {"verdict": classify(parent), "rows": (), "divisors": ()}
+            rows = tuple(consistency_matrix(parent).matrix.sparse_rows)
+            record = (classify(parent), rows, relation_divisors(parent))
             for P in enumerate_posets(n, (parent,)):
-                verdict = survey._job(record, P)[1]
-                assert (verdict is not None) == (len(P.down_covers[-1]) <= 1)
-                if verdict is not None:
-                    assert verdict == classify(P), P.covers
-                    inherited += 1
+                tally = Counter()
+                verdict = survey._record(record, P, tally)[0]
+                assert tally["inherited", n] == (len(P.down_covers[-1]) <= 1)
+                assert verdict == classify(P), P.covers
+                inherited.update(tally)
     # the deletion key prefers such tops: 63.8% of level 7
-    assert inherited == 1305
+    assert inherited["inherited", 7] == 1305
 
 
 def test_sweep_seven_counts():
@@ -196,6 +200,33 @@ def test_sweep_seven_counts():
     assert report.defective_by_n[4:] == ((5, 8), (6, 71), (7, 662))
     assert report.soluble_by_n[4:] == ((5, 55), (6, 247), (7, 1383))
     assert report.inconclusive_found == () and report.ok
+
+
+def test_sweep_names_an_inconclusive_class(capsys, monkeypatch):
+    from posetderiv.cli import main
+
+    # the package's name homology is the function
+    homology = importlib.import_module("posetderiv.homology")
+
+    # a class on 5 elements whose top has two down-covers, so it is classified
+    P = next(P for P in enumerate_posets(5) if len(P.down_covers[-1]) >= 2)
+    name = canonical_form(P).decode("ascii")
+    real = homology.classify
+
+    def torsion(Q):
+        verdict = real(Q)
+        if Q.n == 5 and canonical_form(Q) == canonical_form(P):
+            verdict = verdict._replace(torsion1=(2,), soluble=False, conclusive_torsion_free=False)
+        return verdict
+
+    monkeypatch.setattr(homology, "classify", torsion)
+    report = sweep(5)
+    # the relation route has no torsion, so the identity fails too
+    assert report.inconclusive_found == (name,)
+    assert report.identity_failures == (name,)
+    assert not report.ok
+    assert main(["sweep", "--max-n", "5"]) == 4
+    capsys.readouterr()
 
 
 def test_sweep_hands_inherited_verdicts_to_workers(monkeypatch):
@@ -227,9 +258,10 @@ def test_sweep_hands_inherited_verdicts_to_workers(monkeypatch):
     for P, record, max_n in roots:
         # the verdict that the root's children inherit, and its carried rows
         assert max_n == 7
-        assert record["verdict"] == classify(P)
-        assert sorted(record["rows"]) == sorted(consistency_matrix(P).matrix.sparse_rows)
-        assert record["divisors"] == relation_divisors(P)
+        verdict, rows, divisors = record
+        assert verdict == classify(P)
+        assert sorted(rows) == sorted(consistency_matrix(P).matrix.sparse_rows)
+        assert divisors == relation_divisors(P)
     serial = sweep_json(sweep(7))
     pooled.pop("elapsed_ms")
     serial.pop("elapsed_ms")
@@ -237,23 +269,24 @@ def test_sweep_hands_inherited_verdicts_to_workers(monkeypatch):
 
 
 def test_sweep_carries_relation_rows_down_the_augmentation_tree(monkeypatch):
-    pairs = []
+    triples = []
     real = survey._record
 
-    def recording(job):
-        record = real(job)
-        pairs.append((job, record))
+    def recording(parent, P, tally):
+        smith = tally["smith", P.n]
+        record = real(parent, P, tally)
+        triples.append((parent, P, record, tally["smith", P.n] - smith))
         return record
 
     monkeypatch.setattr(survey, "_record", recording)
     assert sweep(7).ok
-    assert len(pairs) == sum(CLASS_COUNTS)
-    for (P, _, rows, _), record in pairs:
+    assert len(triples) == sum(CLASS_COUNTS)
+    for (_, rows, _), P, (_, child_rows, divisors), smith in triples:
         new = tuple(relation_rows_into(P, P.n - 1))
-        assert record["rows"] == rows + new
-        assert sorted(record["rows"]) == sorted(consistency_matrix(P).matrix.sparse_rows)
-        assert record["divisors"] == relation_divisors(P)
-        assert record["smith"] == bool(new)
+        assert child_rows == rows + new
+        assert sorted(child_rows) == sorted(consistency_matrix(P).matrix.sparse_rows)
+        assert divisors == relation_divisors(P)
+        assert smith == bool(new)
 
 
 def test_sweep_builds_no_relation_matrix_from_scratch(monkeypatch):
