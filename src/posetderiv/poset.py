@@ -485,17 +485,23 @@ def _refine(part: list[int], cells: int, queue: list[int], above, below) -> int:
     return cells
 
 
-def _merge_orbits(orbit: dict[int, int], g, moved: int) -> None:
-    """Join in ``orbit`` (element -> orbit bitmask) the cycles of permutation g.
+def _merge_orbits(orbit: dict[int, list[int]], g, moved: int) -> None:
+    """Join in ``orbit`` the cycles of permutation g.
 
-    ``g`` is an image list and ``moved`` the bitmask of the elements it
-    moves; elements missing from ``orbit`` are alone in their orbit.
+    ``orbit`` maps an element to a one-item list, shared by its whole
+    orbit, that holds the orbit's bitmask; elements missing from it are
+    alone in their orbit.  ``g`` is an image list and ``moved`` the
+    bitmask of the elements it moves.  The smaller orbit joins the
+    larger, so an element changes orbit at most log2(n) times.
     """
     for x in _bits(moved):
-        a = orbit.get(x, 1 << x)
-        if not a >> g[x] & 1:
-            a |= orbit.get(g[x], 1 << g[x])
-            for y in _bits(a):
+        a = orbit.setdefault(x, [1 << x])
+        b = orbit.get(g[x]) or [1 << g[x]]
+        if a is not b:
+            if a[0].bit_count() < b[0].bit_count():
+                a, b = b, a
+            a[0] |= b[0]
+            for y in _bits(b[0]):
                 orbit[y] = a
 
 
@@ -510,23 +516,18 @@ def _canonical_search(above, below):
     and refine again.  A leaf orders every element, and its certificate
     is the list of ``above`` bitmasks relabeled to that order.
 
-    A leaf whose certificate equals that of a reference leaf gives an
-    automorphism, which maps the leaf's path onto the reference's.  The
-    references are the first leaf, the best one so far and the first leaf
-    of every subtree on the current path that was entered through a
-    non-first child.  Each reference lies below an earlier child of the
-    two leaves' common ancestor, so the search has finished that child's
-    subtree, the leaf's branch is its image and the search jumps back to
-    the ancestor.  A subtree's
-    reference is dropped when the search leaves it, so a leaf is compared
-    only with the references that can still match.  Automorphisms prune
-    each node's children to one per orbit of those that fix the node's
-    prefix pointwise.  Every pruned subtree is equivalent to one searched
-    before it, so pruning never skips the first leaf, in search order,
-    with the least certificate: the certificate and labeling returned do
-    not depend on how much is pruned, only on ``_refine``.
+    ``leaves`` keeps the first leaf of each certificate.  A leaf whose
+    certificate is already there gives an automorphism that maps it onto
+    that earlier leaf and fixes the prefix the two paths share.  The
+    earlier leaf lies below an earlier, finished child of their common
+    ancestor, so the leaf's branch is the image of that child and the
+    search jumps back to the ancestor.  Automorphisms prune each node's
+    children to one per orbit of those that fix the node's prefix
+    pointwise.  Every pruned subtree is equivalent to one searched
+    before it, so the least certificate and the labeling of its first
+    leaf do not depend on how much is pruned, only on ``_refine``.
 
-    Returns the least certificate, the labeling ``lab`` of its leaf
+    Returns the least certificate, the labeling ``lab`` of its first leaf
     (``lab[k]`` is the element at position k) and the automorphisms found,
     each a pair (image list, bitmask of moved elements); they generate
     the full automorphism group.
@@ -534,14 +535,11 @@ def _canonical_search(above, below):
     n = len(above)
     root = [0] * n
     root[0] = (1 << n) - 1
-    best = None
-    refs: list[tuple[list[int], list[int], list[int]]] = []  # the first leaf, then subtrees'
-    pending = False  # the next leaf is the first of a subtree entered through a non-first child
+    leaves: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     gens: list[tuple[list[int], int]] = []
     path: list[int] = []
 
     def leaf(part):
-        nonlocal best, pending
         lab = [m.bit_length() - 1 for m in part]
         pos = [0] * n
         for k, v in enumerate(lab):
@@ -555,35 +553,22 @@ def _canonical_search(above, below):
                 r |= 1 << pos[low.bit_length() - 1]
                 rest ^= low
             cert.append(r)
-        if best is None:
-            best = (cert, lab, path[:])
-            refs.append(best)
+        first_lab, first_path = leaves.setdefault(tuple(cert), (lab, path[:]))
+        if first_lab is lab:
             return len(path)
-        for ref_cert, ref_lab, ref_path in (best, *refs):
-            if cert == ref_cert:
-                pending = False
-                g = [0] * n
-                moved = 0
-                for a, b in zip(lab, ref_lab):
-                    g[a] = b
-                    if a != b:
-                        moved |= 1 << a
-                gens.append((g, moved))
-                k = 0
-                while path[k] == ref_path[k]:
-                    k += 1
-                return k
-        if pending or cert < best[0]:
-            found = (cert, lab, path[:])
-            if pending:
-                pending = False
-                refs.append(found)
-            if cert < best[0]:
-                best = found
-        return len(path)
+        g = [0] * n
+        moved = 0
+        for a, b in zip(lab, first_lab):
+            g[a] = b
+            if a != b:
+                moved |= 1 << a
+        gens.append((g, moved))
+        k = 0
+        while path[k] == first_path[k]:
+            k += 1
+        return k
 
     def search(part, cells, fixed):
-        nonlocal pending
         if not cells:
             return leaf(part)
         depth = len(path)
@@ -592,7 +577,7 @@ def _canonical_search(above, below):
         C = part[s]
         explored = 0
         seen = 0
-        orbit: dict[int, int] = {}
+        orbit: dict[int, list[int]] = {}
         rest = C
         while rest:
             low = rest & -rest
@@ -605,10 +590,8 @@ def _canonical_search(above, below):
                     if not fixed & moved:
                         _merge_orbits(orbit, g, moved)
                 seen = len(gens)
-                if orbit.get(v, 0) & explored:
+                if orbit.get(v, (0,))[0] & explored:
                     continue
-                pending = True
-                live = len(refs)
             child = part[:]
             child[s] = low
             child[s + 1] = C ^ low
@@ -617,8 +600,6 @@ def _canonical_search(above, below):
             path.append(v)
             back = search(child, child_cells, fixed | low)
             path.pop()
-            if explored:
-                del refs[live:]
             explored |= low
             if back < depth:
                 return back
@@ -628,7 +609,8 @@ def _canonical_search(above, below):
         search(root, _refine(root, 1 if n > 1 else 0, [0], above, below), 0)
     finally:
         del search  # it holds itself: free the search state now, not at a later collection
-    return best[0], best[1], gens
+    cert, (lab, _) = min(leaves.items())
+    return list(cert), lab, gens
 
 
 def canonical_form(P: Poset) -> bytes:

@@ -122,12 +122,12 @@ def _children(P: Poset):
         if rivals:
             # a tie: only the child's canonical search can decide
             _, lab, child_gens = _canonical_search(child.above, child.below)
-            orbit: dict[int, int] = {}
+            orbit: dict[int, list[int]] = {}
             for g, moved in child_gens:
                 _merge_orbits(orbit, g, moved)
             rivals.append(n)
             first = min(rivals, key=lab.index)
-            if not orbit.get(n, 1 << n) >> first & 1:
+            if not orbit.get(n, (1 << n,))[0] >> first & 1:
                 continue
         yield child
 
