@@ -5,10 +5,12 @@ pair so that values add along chains.  On cover values alone, that
 additivity is equivalent to the relations between parallel cover paths.
 One reference path per comparable pair generates them all: each extra
 incoming cover inside an upward cone gives one row, at most V * E rows
-in total, and no path is ever enumerated.  The signed incidence matrix
-of those rows decides, by its rank over a coefficient field, whether
-every transitive function is a potential (difference of a vertex
-function) or outer derivations exist: der = E - rank_k, pot = V - C.
+in total, and no path is ever enumerated.  Cover values are transitive
+exactly when every row sums to zero on them, so a transitive function is
+held as its cover values.  The signed incidence matrix of those rows
+decides, by its rank over a coefficient field, whether every transitive
+function is a potential (difference of a vertex function) or outer
+derivations exist: der = E - rank_k, pot = V - C.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ class CycleWalk(namedtuple("CycleWalk", "vertices")):
 
 
 class TransitiveFunction:
-    """Ring values on every strictly comparable pair, additive on chains."""
+    """Ring values on the cover edges, ``values[(lower, upper)]``, with equal
+    sums along parallel cover paths: f(x, z) is the sum along any of them."""
 
     __slots__ = ("poset", "ring", "values")
 
@@ -76,7 +79,7 @@ class TransitiveFunction:
     def __repr__(self):
         return (
             f"TransitiveFunction({self.ring.label()}, "
-            f"{len(self.values)} pairs)"
+            f"{len(self.values)} covers)"
         )
 
 
@@ -87,15 +90,6 @@ def _inner_covers(P: Poset, inside: int, z: int) -> list[int]:
     ref(x, z) = ref(x, w0) + (w0, z).
     """
     return [w for w in P.down_covers[z] if inside >> w & 1]
-
-
-def _cone_walk(P: Poset, x: int):
-    """Yield each z above x in topological order, with ``_inner_covers``."""
-    cone = P.above[x]
-    inside = cone | (1 << x)
-    for z in P.topological_order:
-        if (cone >> z) & 1:
-            yield z, _inner_covers(P, inside, z)
 
 
 def _relations(P: Poset, x: int, targets, col: dict):
@@ -128,6 +122,16 @@ def _relations(P: Poset, x: int, targets, col: dict):
         ref[z] = path_a = ref[w0] + (col[(names[w0], names[z])],)
         for w in rest:
             yield z, path_a, ref[w] + (col[(names[w], names[z])],)
+
+
+def _every_relation(P: Poset):
+    """(x, z, path_a, path_b) for each relation of ``_relations``, by source
+    index; only a target with two down-covers or more can have one."""
+    col = {edge: c for c, edge in enumerate(P.covers)}
+    joins = sum(1 << z for z, downs in enumerate(P.down_covers) if len(downs) > 1)
+    for x in range(P.n):
+        for z, a, b in _relations(P, x, _bits(P.above[x] & joins), col):
+            yield x, z, a, b
 
 
 def _row(path_a, path_b) -> tuple:
@@ -167,21 +171,16 @@ def parallel_pairs(P: Poset) -> list[ParallelPair]:
     more than its number of paths minus one; in total at most V * E.
     """
     names, edges = P.elements, P.covers
-    col = {edge: c for c, edge in enumerate(edges)}
     return [
         ParallelPair(names[x], names[z], tuple(edges[c] for c in a), tuple(edges[c] for c in b))
-        for x in range(P.n)
-        for z, a, b in _relations(P, x, _bits(P.above[x]), col)
+        for x, z, a, b in _every_relation(P)
     ]
 
 
 def consistency_matrix(P: Poset) -> ConsistencyMatrix:
-    col = {edge: c for c, edge in enumerate(P.covers)}
-    rows = tuple(
-        _row(a, b) for x in range(P.n) for _, a, b in _relations(P, x, _bits(P.above[x]), col)
-    )
+    rows = tuple(_row(a, b) for *_, a, b in _every_relation(P))
     return ConsistencyMatrix(
-        matrix=IntegerMatrix._make((len(rows), len(col), rows)),
+        matrix=IntegerMatrix._make((len(rows), len(P.covers), rows)),
         column_edges=P.covers,
     )
 
@@ -211,37 +210,21 @@ def has_outer_derivation(P: Poset, k: Ring) -> bool:
 
 
 def from_cover_values(P: Poset, ring: Ring, cover_values: dict):
-    """Extend cover values to a transitive function, or None if inconsistent.
-
-    The check walks each upward cone once: a value for (x, z) computed
-    through one incoming cover of z must agree with every other incoming
-    cover inside the cone.  That edge-wise agreement is equivalent to all
-    parallel-path relations, without enumerating paths.
-    """
-    cv: dict[tuple[int, int], object] = {}
+    """The transitive function with these cover values, or None when a
+    relation of ``consistency_matrix(P)`` does not sum to zero on them."""
+    values = {}
     for edge in P.covers:
         if edge not in cover_values:
             raise InputError(f"cover edge {edge!r} has no assigned value")
-        cv[(P.index(edge[0]), P.index(edge[1]))] = ring.normalize(cover_values[edge])
-    for edge in cover_values:
-        lo, hi = edge
-        if (P.index(lo), P.index(hi)) not in cv:
-            raise InputError(f"pair {edge!r} is not a cover edge")
-
-    names = P.elements
-    values: dict[tuple[str, str], object] = {}
-    for i in range(P.n):
-        local = {i: ring.zero}
-        for j, downs in _cone_walk(P, i):
-            val = None
-            for w in downs:
-                cand = ring.add(local[w], cv[(w, j)])
-                if val is None:
-                    val = cand
-                elif cand != val:
-                    return None
-            local[j] = val
-            values[(names[i], names[j])] = val
+        values[edge] = ring.normalize(cover_values[edge])
+    for lo, hi in cover_values:
+        P.index(lo), P.index(hi)  # an unknown element is reported as such
+        if (lo, hi) not in values:
+            raise InputError(f"pair {(lo, hi)!r} is not a cover edge")
+    column = list(values.values())
+    for *_, a, b in _every_relation(P):
+        if not ring.is_zero(sum(column[c] for c in a) - sum(column[c] for c in b)):
+            return None
     return TransitiveFunction(P, ring, values)
 
 
@@ -255,9 +238,6 @@ def is_potential(f: TransitiveFunction):
     P = f.poset
     ring = f.ring
     n = P.n
-    if not P.covers:
-        return {x: ring.zero for x in P.elements}
-
     rows = tuple(
         tuple(sorted(((P.index(lo), -1), (P.index(hi), 1)))) for lo, hi in P.covers
     )
@@ -278,20 +258,26 @@ def is_potential(f: TransitiveFunction):
 
 
 def circulation(f: TransitiveFunction, C: CycleWalk):
-    """Signed sum of f along a closed walk of comparable steps."""
+    """Signed sum of f along a closed walk of comparable steps.
+
+    A step's value is the sum along its reference path, walked down from
+    the upper end through first inner covers, as ``_relations`` builds it.
+    """
     P = f.poset
-    ring = f.ring
-    total = ring.zero
-    verts = C.vertices
-    for a, b in zip(verts, verts[1:]):
-        ia, ib = P.index(a), P.index(b)
-        if P.above[ia] >> ib & 1:
-            total = ring.add(total, f.values[(a, b)])
-        elif P.below[ia] >> ib & 1:
-            total = ring.sub(total, f.values[(b, a)])
-        else:
+    names = P.elements
+    total = 0
+    for a, b in zip(C.vertices, C.vertices[1:]):
+        lo, hi, sign = P.index(a), P.index(b), 1
+        if P.below[lo] >> hi & 1:
+            lo, hi, sign = hi, lo, -1
+        elif not P.above[lo] >> hi & 1:
             raise NotComparableError(f"{a!r} and {b!r} are not comparable")
-    return total
+        inside = P.above[lo] | 1 << lo
+        while hi != lo:
+            w = _inner_covers(P, inside, hi)[0]
+            total += sign * f.values[(names[w], names[hi])]
+            hi = w
+    return f.ring.normalize(total)
 
 
 def outer_witness(P: Poset, p: int):

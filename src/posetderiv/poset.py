@@ -133,7 +133,7 @@ class Poset:
         # anything below i has fewer elements below it than i has
         sizes = [b.bit_count() for b in below]
         self.topological_order = tuple(sorted(range(len(below)), key=sizes.__getitem__))
-        self.component_ids, self.component_count = _components(above, below)
+        self.component_ids, self.component_count = _components(self.down_covers)
 
     @property
     def n(self) -> int:
@@ -190,25 +190,26 @@ def _index_covers(elements, covers):
     return elems, index, pairs, up, down
 
 
-def _components(above, below) -> tuple[tuple[int, ...], int]:
+def _components(down_covers) -> tuple[tuple[int, ...], int]:
     """Component number of each element, in order of the components' first
-    elements, and the number of components; a component grows by the
-    ``above | below`` masks of the elements it reached last."""
-    component = [-1] * len(above)
-    count = 0
-    for start, label in enumerate(component):  # sees the labels set below
-        if label >= 0:
-            continue
-        reached = new = 1 << start
-        while new:
-            near = 0
-            for i in _bits(new):
-                near |= above[i] | below[i]
-            new = near & ~reached
-            reached |= new
-        for i in _bits(reached):
-            component[i] = count
-        count += 1
+    elements, and the number of components: union-find over the covers that
+    links the larger root under the smaller, so each root is its least element."""
+    parent = list(range(len(down_covers)))
+    for j, downs in enumerate(down_covers):
+        r = j
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        for i in downs:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            if i < r:
+                i, r = r, i
+            parent[i] = r
+    component, count = [], 0
+    for i, p in enumerate(parent):
+        parent[i] = r = parent[p]  # p <= i already points at its root
+        component.append(component[r] if r < i else count)
+        count += r == i
     return tuple(component), count
 
 

@@ -32,6 +32,7 @@ from conftest import FIXTURE_DIR
 from oracles import (
     cone_walk_parallel_pairs,
     cone_walk_relation_rows,
+    cover_paths,
     dense_relation_entries,
     is_forest,
     is_less,
@@ -40,7 +41,6 @@ from oracles import (
     modp_rank,
     path_relation_rows,
     random_poset_covers,
-    strict_pairs,
 )
 from test_poset import random_posets
 
@@ -211,18 +211,47 @@ def test_rank_monotone_in_characteristic():
 # -- transitive functions --------------------------------------------------
 
 
+def _path_sums(ring, values, paths) -> set:
+    """The sums of the cover values along each of the given cover paths."""
+    return {ring.normalize(sum(values[edge] for edge in path)) for path in paths}
+
+
 def test_zero_cover_values_extend(rp2):
     f = from_cover_values(rp2, mod_ring(2), {e: 0 for e in rp2.covers})
     assert f is not None
-    assert all(v == 0 for v in f.values.values())
-    assert len(f.values) == len(strict_pairs(rp2))
+    assert f.values == {e: 0 for e in rp2.covers}
+    paths = cover_paths(rp2.elements, rp2.covers, "n1")["m2"]
+    assert _path_sums(f.ring, f.values, paths) == {0}
 
 
 def test_table1_extends_and_is_outer(rp2):
     f = from_cover_values(rp2, mod_ring(2), fx.table1_cover_values())
     assert f is not None
-    assert f.values[("n1", "m2")] == 1  # 1 + 0 through a1
+    assert f.values == fx.table1_cover_values()
+    paths = cover_paths(rp2.elements, rp2.covers, "n1")["m2"]
+    assert _path_sums(f.ring, f.values, paths) == {1}  # 1 + 0 through a1
     assert is_potential(f) is None
+
+
+def test_transitive_iff_parallel_paths_sum_equally():
+    # the oracle lists every cover path; values are random, potentials or
+    # potentials with one cover changed, so both verdicts occur
+    rng = random.Random(23)
+    verdicts = set()
+    for P in all_posets_up_to(5):
+        ends = [g for x in P.elements for g in cover_paths(P.elements, P.covers, x).values()]
+        for ring in (mod_ring(6), prime_field(3), RATIONALS):
+            for kind in ("random", "potential", "changed"):
+                vertex = {x: rng.randint(0, 5) for x in P.elements}
+                values = {(lo, hi): vertex[hi] - vertex[lo] for lo, hi in P.covers}
+                if kind == "random":
+                    values = {edge: rng.randint(0, 5) for edge in P.covers}
+                elif kind == "changed" and P.covers:
+                    values[rng.choice(P.covers)] += 1
+                transitive = all(len(_path_sums(ring, values, paths)) == 1 for paths in ends)
+                assert (from_cover_values(P, ring, values) is not None) == transitive
+                verdicts.add(transitive)
+    assert verdicts == {False, True}
 
 
 def test_inconsistent_diamond_values(diamond):
@@ -325,6 +354,33 @@ def test_potential_circulations_vanish():
             walk = _random_closed_walk(P, names, rng)
             if walk is not None:
                 assert circulation(f, walk) == 0
+
+
+def test_circulation_is_the_sum_along_oracle_paths():
+    # outer witnesses and random cover values that extend; each step is
+    # summed along a random one of the oracle's cover paths between its ends
+    rng = random.Random(37)
+    circulations = []
+    for P in all_posets_up_to(6):
+        names = list(P.elements)
+        paths = {x: cover_paths(names, P.covers, x) for x in names}
+        functions = [w for p in (2, 3) if (w := outer_witness(P, p)) is not None]
+        values = {edge: rng.randint(0, 5) for edge in P.covers}
+        functions += [f for f in [from_cover_values(P, mod_ring(6), values)] if f is not None]
+        for f in functions:
+            for _ in range(5):
+                walk = _random_closed_walk(P, names, rng)
+                if walk is None:
+                    continue
+                total = 0
+                for a, b in zip(walk.vertices, walk.vertices[1:]):
+                    if b in paths[a]:
+                        total += sum(f.values[edge] for edge in rng.choice(paths[a][b]))
+                    else:
+                        total -= sum(f.values[edge] for edge in rng.choice(paths[b][a]))
+                circulations.append(circulation(f, walk))
+                assert circulations[-1] == f.ring.normalize(total)
+    assert len(circulations) > 500 and any(circulations)
 
 
 def _random_closed_walk(P, names, rng, tries=30):

@@ -423,6 +423,7 @@ def test_ring_arithmetic():
     assert m.add(3, 4) == 2
     assert m.sub(1, 3) == 3
     assert RATIONALS.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+    assert RATIONALS.sub(Fraction(1, 2), Fraction(1, 3)) == Fraction(1, 6)
     assert m.is_zero(10)
 
 
