@@ -3,14 +3,15 @@
 A transitive function assigns a ring value to every strictly comparable
 pair so that values add along chains.  On cover values alone, that
 additivity is equivalent to the relations between parallel cover paths.
-One reference path per comparable pair generates them all: each extra
-incoming cover inside an upward cone gives one row, at most V * E rows
-in total, and no path is ever enumerated.  Cover values are transitive
-exactly when every row sums to zero on them, so a transitive function is
-held as its cover values.  The signed incidence matrix of those rows
-decides, by its rank over a coefficient field, whether every transitive
-function is a potential (difference of a vertex function) or outer
-derivations exist: der = E - rank_k, pot = V - C.
+A few generate them all, as monotone path pairs present the fundamental
+group of a finite space (Barmak, LNM 2032, 2011): one per element z, pair
+of its down-covers w1 < w2 and maximal common lower bound m of them, and
+no path is ever enumerated.  Cover values are transitive exactly when
+every row sums to zero on them, so a transitive function is held as its
+cover values.  The signed incidence matrix of those rows decides, by its
+rank over a coefficient field, whether every transitive function is a
+potential (difference of a vertex function) or outer derivations exist:
+der = E - rank_k, pot = V - C.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .linalg import (
     smith_divisors,
     solve_linear,
 )
-from .poset import Poset, _bits
+from .poset import Poset, _minimal
 
 
 class ParallelPair(namedtuple("ParallelPair", "source target path_a path_b")):
@@ -41,8 +42,8 @@ class ConsistencyMatrix(namedtuple("ConsistencyMatrix", "matrix column_edges")):
     """Signed incidence of parallel-path relations over the cover edges.
 
     Row i carries +1 on the edges of ``path_a`` of the i-th pair of
-    ``parallel_pairs(P)`` and -1 on the edges of ``path_b``; an edge on
-    both paths nets 0.
+    ``parallel_pairs(P)`` and -1 on the edges of ``path_b``; the two
+    paths share no edge.
     """
 
     __slots__ = ()
@@ -83,97 +84,86 @@ class TransitiveFunction:
         )
 
 
-def _inner_covers(P: Poset, inside: int, z: int) -> list[int]:
-    """The down-covers of z in ``inside`` = {x} | cone(x), in index order.
+def _route(P: Poset, x: int, z: int) -> list[tuple[int, int]]:
+    """The covers (w, v) of the reference path from x up to z, upward.
 
-    The first, w0, is the last step of the reference path:
-    ref(x, z) = ref(x, w0) + (w0, z).
+    Walked down from z, each v steps to its first down-cover in
+    {x} | cone(x), in index order.
     """
-    return [w for w in P.down_covers[z] if inside >> w & 1]
-
-
-def _relations(P: Poset, x: int, targets, col: dict):
-    """Yield (z, ref(x, z), ref(x, w) + (w, z)) for each relation of source x
-    into ``targets`` (ascending, above x), paths as ``col`` columns upward.
-
-    Each ref(x, w) is walked back through first inner covers only until it
-    meets a path already kept for x, and every path built is kept.  The
-    store starts at the first target with two inner covers: most sources
-    have no relation into a given target.
-    """
-    names = P.elements
     inside = P.above[x] | 1 << x
-    ref = None
-    for z in targets:
-        inner = _inner_covers(P, inside, z)
-        if len(inner) < 2:
-            continue
-        if ref is None:
-            ref = {x: ()}
-        for w in inner:
-            steps = []
-            while w not in ref:
-                v = _inner_covers(P, inside, w)[0]
-                steps.append((v, w))
-                w = v
-            for v, w in reversed(steps):
-                ref[w] = ref[v] + (col[(names[v], names[w])],)
-        w0, *rest = inner
-        ref[z] = path_a = ref[w0] + (col[(names[w0], names[z])],)
-        for w in rest:
-            yield z, path_a, ref[w] + (col[(names[w], names[z])],)
+    steps = []
+    while z != x:
+        for w in P.down_covers[z]:
+            if inside >> w & 1:
+                break
+        steps.append((w, z))
+        z = w
+    return steps[::-1]
 
 
-def _every_relation(P: Poset):
-    """(x, z, path_a, path_b) for each relation of ``_relations``, by source
-    index; only a target with two down-covers or more can have one."""
+def _relations_into(P: Poset, z: int, col: dict):
+    """Yield (m, path_a, path_b) for each relation into z, paths as ``col``
+    columns upward: for each pair w1 < w2 of z's down-covers and each
+    maximal common lower bound m of them, the reference paths from m to
+    w1 and to w2, each followed by its cover into z."""
+    names = P.elements
+
+    def path(m, w):
+        return [col[names[a], names[b]] for a, b in _route(P, m, w) + [(w, z)]]
+
+    downs = P.down_covers[z]
+    for i, w1 in enumerate(downs):
+        for w2 in downs[i + 1 :]:
+            for m in _minimal(P.below[w1] & P.below[w2], P.above):
+                yield m, path(m, w1), path(m, w2)
+
+
+def _every_relation(P: Poset) -> list[tuple]:
+    """(m, z, path_a, path_b) for each relation of ``_relations_into``,
+    ordered by m, then z, then the down-cover pair."""
     col = {edge: c for c, edge in enumerate(P.covers)}
-    joins = sum(1 << z for z, downs in enumerate(P.down_covers) if len(downs) > 1)
-    for x in range(P.n):
-        for z, a, b in _relations(P, x, _bits(P.above[x] & joins), col):
-            yield x, z, a, b
+    found = [(m, z, a, b) for z in range(P.n) for m, a, b in _relations_into(P, z, col)]
+    found.sort(key=lambda r: r[:2])  # stable, so pairs keep their order
+    return found
 
 
 def _row(path_a, path_b) -> tuple:
-    """The sparse row +path_a - path_b of a relation from ``_relations``.
-
-    Reference paths of one source form a tree, and the two paths extend two
-    of them by distinct covers into one target: they share a prefix, which
-    cancels, and no column after it.
-    """
-    k = 0
-    while path_a[k] == path_b[k]:
-        k += 1
-    entries = [(c, 1) for c in path_a[k:]] + [(c, -1) for c in path_b[k:]]
-    return tuple(sorted(entries))
+    """The sparse row +path_a - path_b; the two paths share no cover."""
+    return tuple(sorted([(c, 1) for c in path_a] + [(c, -1) for c in path_b]))
 
 
 def parallel_pairs(P: Poset) -> list[ParallelPair]:
-    """One relation per extra incoming cover inside each upward cone.
+    """One relation per pair of down-covers and maximal common lower bound.
 
-    For every source x, a reference path ref(x, z) is fixed for each z
-    in the cone of x: ref(x, z) = ref(x, w0) + (w0, z), where w0 is the
-    smallest-index down-cover of z in {x} | cone(x).  Every other such
-    down-cover w yields the pair (x, z) with path_a = ref(x, z) and
-    path_b = ref(x, w) + (w, z).  Rows come ordered by source index,
-    then target index, then w.
+    For each z, each pair w1 < w2 of its down-covers and each maximal
+    element m of below(w1) & below(w2), the pair (m, z) has path_a =
+    ref(m, w1) + (w1, z) and path_b = ref(m, w2) + (w2, z).  The
+    reference path ref(m, w) is walked down from w, each step to the
+    smallest-index down-cover in {m} | cone(m).  Pairs come ordered by
+    source index, then target index, then (w1, w2).  The two paths share
+    no element but m and z: another would be a common lower bound of w1
+    and w2 above m.
 
     These rows span the same Z-lattice as the relations between all
     pairs of parallel cover paths.  Each row is such a relation.
-    Conversely, every cover path p from x to z is congruent to
-    ref(x, z) modulo the rows, by induction on z in topological order:
-    p ends with some cover (w, z), its prefix is congruent to ref(x, w)
-    by induction (or empty when w = x), and ref(x, w) + (w, z) is either
-    ref(x, z) itself (w = w0) or differs from it by one row.  So any two
-    parallel paths differ by a combination of rows, and the Smith
-    divisors of the relation matrix are unchanged.  A pair (x, z) gives
-    one row fewer than the covers entering z from within the cone, never
-    more than its number of paths minus one; in total at most V * E.
+    Conversely, any two cover paths from x to z are congruent modulo the
+    rows, by induction on the size of the interval [x, z].  If both end
+    with the same cover (w, z), their prefixes are congruent inside the
+    smaller [x, w] (or both empty when w = x).  If they end with (w1, z)
+    and (w2, z), w1 != w2, then x is a common lower bound of w1 and w2,
+    so it lies below or at some maximal one, m.  By induction inside the
+    smaller [x, w1] and [x, w2], the first path is congruent to any path
+    x -> m followed by ref(m, w1) + (w1, z), and the second to the same
+    path x -> m followed by ref(m, w2) + (w2, z); the two differ by the
+    row of (m, z, w1, w2).  So the Smith divisors of the relation matrix
+    are those of all parallel-path relations.  There are at most
+    sum over z of C(d_z, 2) * |maximal common lower bounds| rows, where
+    d_z is the number of down-covers of z.
     """
     names, edges = P.elements, P.covers
     return [
-        ParallelPair(names[x], names[z], tuple(edges[c] for c in a), tuple(edges[c] for c in b))
-        for x, z, a, b in _every_relation(P)
+        ParallelPair(names[m], names[z], tuple(edges[c] for c in a), tuple(edges[c] for c in b))
+        for m, z, a, b in _every_relation(P)
     ]
 
 
@@ -187,11 +177,9 @@ def consistency_matrix(P: Poset) -> ConsistencyMatrix:
 
 def relation_rows_into(P: Poset, z: int) -> list[tuple]:
     """The sparse rows of ``consistency_matrix(P)`` whose pair ends at z,
-    in source order."""
-    if len(P.down_covers[z]) < 2:
-        return []
+    by down-cover pair, then source."""
     col = {edge: c for c, edge in enumerate(P.covers)}
-    return [_row(a, b) for x in _bits(P.below[z]) for _, a, b in _relations(P, x, (z,), col)]
+    return [_row(a, b) for _, a, b in _relations_into(P, z, col)]
 
 
 def relation_divisors(P: Poset) -> tuple[int, ...]:
@@ -222,9 +210,11 @@ def from_cover_values(P: Poset, ring: Ring, cover_values: dict):
         if (lo, hi) not in values:
             raise InputError(f"pair {(lo, hi)!r} is not a cover edge")
     column = list(values.values())
-    for *_, a, b in _every_relation(P):
-        if not ring.is_zero(sum(column[c] for c in a) - sum(column[c] for c in b)):
-            return None
+    col = {edge: c for c, edge in enumerate(P.covers)}
+    for z in range(P.n):
+        for _, a, b in _relations_into(P, z, col):
+            if not ring.is_zero(sum(column[c] for c in a) - sum(column[c] for c in b)):
+                return None
     return TransitiveFunction(P, ring, values)
 
 
@@ -260,8 +250,8 @@ def is_potential(f: TransitiveFunction):
 def circulation(f: TransitiveFunction, C: CycleWalk):
     """Signed sum of f along a closed walk of comparable steps.
 
-    A step's value is the sum along its reference path, walked down from
-    the upper end through first inner covers, as ``_relations`` builds it.
+    A step's value is the sum along its reference path, the ``_route``
+    that the relations use.
     """
     P = f.poset
     names = P.elements
@@ -272,11 +262,7 @@ def circulation(f: TransitiveFunction, C: CycleWalk):
             lo, hi, sign = hi, lo, -1
         elif not P.above[lo] >> hi & 1:
             raise NotComparableError(f"{a!r} and {b!r} are not comparable")
-        inside = P.above[lo] | 1 << lo
-        while hi != lo:
-            w = _inner_covers(P, inside, hi)[0]
-            total += sign * f.values[(names[w], names[hi])]
-            hi = w
+        total += sign * sum(f.values[names[w], names[v]] for w, v in _route(P, lo, hi))
     return f.ring.normalize(total)
 
 

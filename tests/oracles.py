@@ -5,8 +5,9 @@ kernel and enumeration code paths: rank via fraction-free (Bareiss)
 elimination, modular rank via straightforward Gaussian elimination, Smith
 divisors via gcds of k x k minors, determinants via Bareiss, labeled
 posets via brute force over all antisymmetric transitive relations,
-parallel-path relations by listing every cover path, the exact relation
-rows by walking each upward cone forward, relation, boundary
+parallel-path relations by listing every cover path, the earlier relation
+rows by walking each upward cone forward, the exact ones by testing every
+element against each pair of down-covers, relation, boundary
 and incidence matrices by filling dense row-major buffers, homology of the
 whole order complex, never its core, through a dense Smith form with
 transforms (the package's loop before it went sparse), linear systems
@@ -374,8 +375,9 @@ def path_relation_rows(elements, covers):
 
 
 def cone_walk_parallel_pairs(P) -> list[tuple]:
-    """The package's parallel pairs (source, target, path_a, path_b), by
-    walking each upward cone forward in topological order.
+    """Parallel pairs (source, target, path_a, path_b) of the earlier
+    relation walk, one per extra incoming cover in each upward cone: a
+    larger generating set of the same relations.
 
     ref(x, z) = ref(x, w0) + (w0, z) for the first down-cover w0 of z in
     {x} | cone(x), fixed before any z above it is reached; every later
@@ -399,12 +401,48 @@ def cone_walk_parallel_pairs(P) -> list[tuple]:
     return out
 
 
-def cone_walk_relation_rows(P) -> list[tuple]:
-    """Sparse rows (column, +-1) of ``cone_walk_parallel_pairs``, in order:
-    +1 on path_a, -1 on path_b, zeros dropped."""
+def pair_walk_parallel_pairs(P) -> list[tuple]:
+    """The package's parallel pairs (source, target, path_a, path_b), by
+    testing every element against each pair of down-covers.
+
+    A pair w1 < w2 of down-covers of z, read off the cover list, gives a
+    pair with source m for each common lower bound m of w1 and w2 that
+    lies below no other.  Its paths are ref(m, w1) + (w1, z) and
+    ref(m, w2) + (w2, z), where ref(m, v) = ref(m, u) + (u, v) for the
+    first down-cover u of v in {m} | cone(m), built forward from m in
+    topological order.  Pairs come by source index, then target index,
+    then (w1, w2).
+    """
+    names = P.elements
+    less = [[bool(P.above[a] >> b & 1) for b in range(P.n)] for a in range(P.n)]
+    downs = [sorted(P.index(lo) for lo, hi in P.covers if hi == z) for z in names]
+    sources = {}
+    for z in range(P.n):
+        for i, w1 in enumerate(downs[z]):
+            for w2 in downs[z][i + 1 :]:
+                common = [y for y in range(P.n) if less[y][w1] and less[y][w2]]
+                for m in common:
+                    if not any(less[m][y] for y in common):
+                        sources.setdefault(m, []).append((z, w1, w2))
+    out = []
+    for m in sorted(sources):
+        ref = {m: ()}
+        for v in P.topological_order:
+            if less[m][v]:
+                u = next(u for u in downs[v] if u == m or less[m][u])
+                ref[v] = ref[u] + ((names[u], names[v]),)
+        for z, w1, w2 in sorted(sources[m]):
+            path_a = ref[w1] + ((names[w1], names[z]),)
+            out.append((names[m], names[z], path_a, ref[w2] + ((names[w2], names[z]),)))
+    return out
+
+
+def sparse_relation_rows(P, pairs) -> list[tuple]:
+    """Sparse rows (column, +-1) of parallel pairs, in order: +1 on
+    path_a, -1 on path_b, zeros dropped."""
     col = {edge: c for c, edge in enumerate(P.covers)}
     rows = []
-    for _, _, path_a, path_b in cone_walk_parallel_pairs(P):
+    for _, _, path_a, path_b in pairs:
         acc = {col[edge]: 1 for edge in path_a}
         for edge in path_b:
             acc[col[edge]] = acc.get(col[edge], 0) - 1
@@ -414,10 +452,10 @@ def cone_walk_relation_rows(P) -> list[tuple]:
 
 def dense_relation_entries(P) -> tuple[int, ...]:
     """The consistency matrix of P as a dense row-major tuple, filled by
-    r * cols + c arithmetic from ``cone_walk_parallel_pairs``."""
+    r * cols + c arithmetic from ``pair_walk_parallel_pairs``."""
     col = {edge: c for c, edge in enumerate(P.covers)}
     ncols = len(P.covers)
-    pairs = cone_walk_parallel_pairs(P)
+    pairs = pair_walk_parallel_pairs(P)
     entries = [0] * (len(pairs) * ncols)
     for r, (_, _, path_a, path_b) in enumerate(pairs):
         for edge in path_a:

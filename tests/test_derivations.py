@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from posetderiv import (
     CycleWalk,
+    IntegerMatrix,
     NotComparableError,
     Poset,
     RATIONALS,
@@ -22,6 +23,7 @@ from posetderiv import (
     prime_field,
     rank_over,
     shape_stats,
+    smith_divisors,
     smith_normal_form,
 )
 from posetderiv import fixtures as fx
@@ -31,7 +33,6 @@ from posetderiv.report import poset_from_json
 from conftest import FIXTURE_DIR
 from oracles import (
     cone_walk_parallel_pairs,
-    cone_walk_relation_rows,
     cover_paths,
     dense_relation_entries,
     is_forest,
@@ -39,10 +40,13 @@ from oracles import (
     matrix,
     matvec,
     modp_rank,
+    pair_walk_parallel_pairs,
     path_relation_rows,
     random_poset_covers,
+    sparse_relation_rows,
 )
-from test_poset import random_posets
+from test_cli import _layered
+from test_poset import _chain_product, random_posets
 
 
 def _der_pot(P, k):
@@ -124,18 +128,17 @@ def _stacked_diamonds(levels):
 
 
 def test_stacked_diamonds_relations_without_path_limit():
-    # 16384 cover paths bottom to top, yet one row per extra incoming cover
+    # 16384 cover paths bottom to top, yet one row per diamond
     P = _stacked_diamonds(14)
-    assert len(parallel_pairs(P)) == 287
+    assert len(parallel_pairs(P)) == 14
     assert _der_pot(P, RATIONALS) == (42, 42)
 
 
 def test_tree_relations_match_path_oracle(rp2, s5):
-    # same Z-lattice as all parallel-path relations, never more rows
+    # same Z-lattice as all parallel-path relations
     for P in [*all_posets_up_to(6), rp2, s5, _stacked_diamonds(3)]:
         tree = consistency_matrix(P).matrix
         rows = path_relation_rows(P.elements, P.covers)
-        assert tree.rows <= len(rows)
         oracle = matrix(rows, len(P.covers))
         assert (
             smith_normal_form(tree).divisors == smith_normal_form(oracle).divisors
@@ -145,24 +148,25 @@ def test_tree_relations_match_path_oracle(rp2, s5):
         assert sorted(into) == sorted(tree.sparse_rows)
 
 
-def _assert_cone_walk_rows(P):
+def _assert_pair_walk_rows(P):
     # exact pairs and rows, in order: the witness scan depends on row order
-    assert parallel_pairs(P) == cone_walk_parallel_pairs(P)
-    assert list(consistency_matrix(P).matrix.sparse_rows) == cone_walk_relation_rows(P)
+    pairs = pair_walk_parallel_pairs(P)
+    assert parallel_pairs(P) == pairs
+    assert list(consistency_matrix(P).matrix.sparse_rows) == sparse_relation_rows(P, pairs)
 
 
-def test_pairs_and_rows_equal_the_cone_walk_oracle():
+def test_pairs_and_rows_equal_the_pair_walk_oracle():
     files = [json.loads(path.read_text()) for path in sorted(FIXTURE_DIR.glob("*.json"))]
     fixtures = [poset_from_json(obj) for obj in files if "elements" in obj]
     assert len(fixtures) == 5
     for P in [*all_posets_up_to(6), *fixtures, _stacked_diamonds(3), _stacked_diamonds(14)]:
-        _assert_cone_walk_rows(P)
+        _assert_pair_walk_rows(P)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(random_posets(max_size=10))
-def test_pairs_and_rows_equal_the_cone_walk_oracle_on_relabelled_posets(P):
-    _assert_cone_walk_rows(P)
+def test_pairs_and_rows_equal_the_pair_walk_oracle_on_relabelled_posets(P):
+    _assert_pair_walk_rows(P)
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -170,6 +174,37 @@ def test_pairs_and_rows_equal_the_cone_walk_oracle_on_relabelled_posets(P):
 def test_rows_into_each_target_partition_the_matrix_on_relabelled_posets(P):
     into = [row for z in range(P.n) for row in relation_rows_into(P, z)]
     assert sorted(into) == sorted(consistency_matrix(P).matrix.sparse_rows)
+
+
+def test_pair_rows_agree_with_the_cone_walk_rows():
+    # the same divisors, and the same transitivity verdict on random cover
+    # values, as the larger row set of the earlier per-source cone walk
+    rng = random.Random(41)
+    layered = []
+    for seed in range(60):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 5))]
+        layered.append(poset_from_json(_layered(seed, sizes, rng.randint(1, min(sizes)))))
+    verdicts = set()
+    for P in [*all_posets_up_to(7), *layered]:
+        old = sparse_relation_rows(P, cone_walk_parallel_pairs(P))
+        e = len(P.covers)
+        assert relation_divisors(P) == smith_divisors(IntegerMatrix._make((len(old), e, tuple(old))))
+        if not old:
+            continue
+        for ring, values in ((RATIONALS, (-1, 0, 1)), (prime_field(2), (0, 1)), (mod_ring(4), range(4))):
+            column = [rng.choice(values) for _ in range(e)]
+            transitive = all(ring.is_zero(sum(v * column[c] for c, v in row)) for row in old)
+            f = from_cover_values(P, ring, dict(zip(P.covers, column)))
+            assert (f is not None) == transitive
+            verdicts.add((ring.tag, transitive))
+    assert len(verdicts) == 6
+
+
+def test_a_grid_has_one_row_per_unit_square():
+    # (k - 1)^2 rows on the k x k grid, which is the rank
+    for k in range(2, 9):
+        m = consistency_matrix(_chain_product(k, k)).matrix
+        assert m.rows == rank_over(m, RATIONALS) == (k - 1) ** 2
 
 
 # -- dimensions and the rank criterion ----------------------------------------
