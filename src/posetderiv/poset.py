@@ -336,7 +336,9 @@ def find_crowns(P: Poset, max_n: int = 6) -> list[Crown]:
     given poset, but not sorted.  Every lower lies below an upper, so a crown's
     join is the join of its uppers and its meet the meet of its lowers; each walk
     state carries the AND of its lowers' down-sets and of its uppers' up-sets,
-    and ``_least`` reads both bounds off those masks where a crown closes.
+    and ``_least`` reads both bounds off those masks where a crown closes, once
+    per call for each distinct mask: two call-local dicts keep the meet of each
+    lower-bound mask and the join of each upper-bound mask.
     """
     if max_n < 2:
         raise InputError(f"crown size must be >= 2, got {max_n}")
@@ -346,7 +348,8 @@ def find_crowns(P: Poset, max_n: int = 6) -> list[Crown]:
     downs = [down | 1 << i for i, down in enumerate(below)]
     near = [up | down for up, down in zip(ups, downs)]
     named = {None: None, **dict(enumerate(names))}  # a bound's name, or None
-    crowns = []
+    meets, joins = {}, {}  # bound mask -> the name of its meet / join, or None
+    crowns, new = [], tuple.__new__  # new(Crown, ...) skips Crown's generated __new__
     for a in range(P.n):
         # the anchor's walk states, depth first: a stack, so no depth limit applies
         stack, after_a = [], -(2 << a)
@@ -363,11 +366,16 @@ def find_crowns(P: Poset, max_n: int = 6) -> list[Crown]:
             # the anchor after the first upper
             up = above[u]
             if found := up & closers:
-                meet = named[_least(lbound, above, below)]
-                for v in _bits(found):
+                if lbound not in meets:
+                    meets[lbound] = named[_least(lbound, above, below)]
+                meet = meets[lbound]
+                while found:  # the bits of found, ascending, as in _bits
+                    v = (low := found & -found).bit_length() - 1
+                    found ^= low
                     # names[v] first puts lower[i] below upper[i] and upper[i + 1]
-                    join = named[_least(ubound & ups[v], below, above)]
-                    crowns.append(Crown(lnames, (names[v],) + unames, join, meet))
+                    if (bound := ubound & ups[v]) not in joins:
+                        joins[bound] = named[_least(bound, below, above)]
+                    crowns.append(new(Crown, (lnames, (names[v],) + unames, joins[bound], meet)))
             # u turns into a middle lower: nothing above it closes the crown,
             # and a middle upper is not above the anchor, so neither is its new lower
             if len(lnames) == max_n or not (closers := closers & ~up):
@@ -375,10 +383,15 @@ def find_crowns(P: Poset, max_n: int = 6) -> list[Crown]:
             middle = up & ~(block | above[a])
             block |= up
             lower_ok = ~block & after_a  # free and after the anchor
-            for v in _bits(middle):
+            while middle:
+                v = (low := middle & -middle).bit_length() - 1
+                middle ^= low
                 if vclosers := closers & ~near[v]:
                     unames_v, ubound_v = unames + (names[v],), ubound & ups[v]
-                    for w in _bits(below[v] & lower_ok):
+                    lowers = below[v] & lower_ok
+                    while lowers:
+                        w = (low := lowers & -lowers).bit_length() - 1
+                        lowers ^= low
                         stack.append((w, lnames + (names[w],), unames_v, lbound & downs[w],
                                       ubound_v, block | near[v], vclosers))
     return crowns

@@ -13,7 +13,9 @@ whole order complex, never its core, through a dense Smith form with
 transforms (the package's loop before it went sparse), linear systems
 through the explicit transforms u and v,
 connected components by breadth-first search on the cover graph,
-induced crowns by testing every subset of elements, beat points by
+induced crowns by testing every subset of elements, the crown walk's
+order by the same stack walk with one bit test per element and bounds
+read by scanning every element, beat points by
 counting cover pairs, cores by rebuilding the poset after each deletion,
 joins and meets by comparing every pair of bounds, a crown's join and
 meet from the bounds of all its elements (not of its uppers or lowers
@@ -660,6 +662,56 @@ def brute_force_crowns(P, max_n: int) -> list[frozenset]:
             if len(seen) == 2 * k:
                 found.append(frozenset(P.elements[x] for x in subset))
     return found
+
+
+def stack_walk_crowns(P, max_n: int = 6) -> list[tuple]:
+    """(lower, upper, join, meet) of each induced crown with 2 <= n <= max_n,
+    in the walk order ``find_crowns`` documents.
+
+    The same depth-first stack walk from each anchor, without a bound memo:
+    the bits of a mask are tested one element at a time, and each crown's
+    join (meet) is the element of the AND of its uppers' up-sets (lowers'
+    down-sets) whose own up-set (down-set) holds that AND, found by testing
+    every element of it.
+    """
+    above, below, names, n = P.above, P.below, P.elements, P.n
+    bits = lambda mask: [i for i in range(n) if mask >> i & 1]
+    ups = [above[i] | 1 << i for i in range(n)]
+    downs = [below[i] | 1 << i for i in range(n)]
+    near = [ups[i] | downs[i] for i in range(n)]
+
+    def bound(mask, sets):
+        found = [i for i in bits(mask) if not mask & ~sets[i]]
+        return names[found[0]] if found else None
+
+    crowns = []
+    for a in range(n):
+        stack, after_a = [], -(2 << a)
+        lower_ok = ~near[a] & after_a
+        for v in bits(above[a]):
+            if closers := above[a] & -(2 << v) & ~near[v]:
+                for u in bits(below[v] & lower_ok):
+                    stack.append((u, (names[a], names[u]), (names[v],),
+                                  downs[a] & downs[u], ups[v], near[v], closers))
+        while stack:
+            u, lnames, unames, lbound, ubound, block, closers = stack.pop()
+            up = above[u]
+            if found := up & closers:
+                meet = bound(lbound, downs)
+                for v in bits(found):
+                    crowns.append((lnames, (names[v],) + unames, bound(ubound & ups[v], ups), meet))
+            if len(lnames) == max_n or not (closers := closers & ~up):
+                continue
+            middle = up & ~(block | above[a])
+            block |= up
+            lower_ok = ~block & after_a
+            for v in bits(middle):
+                if vclosers := closers & ~near[v]:
+                    for w in bits(below[v] & lower_ok):
+                        stack.append((w, lnames + (names[w],), unames + (names[v],),
+                                      lbound & downs[w], ubound & ups[v], block | near[v],
+                                      vclosers))
+    return crowns
 
 
 def crown_bounds(P, crowns) -> list[tuple[str | None, str | None]]:

@@ -20,6 +20,7 @@ from posetderiv import (
     transitive_reduction,
 )
 from posetderiv import fixtures as fx
+from posetderiv.report import poset_from_json
 from posetderiv.poset import _canonical_search, _least, _merge_orbits
 
 from oracles import (
@@ -37,6 +38,7 @@ from oracles import (
     is_less,
     iterated_core,
     random_poset_covers,
+    stack_walk_crowns,
     strict_pairs,
 )
 
@@ -367,6 +369,36 @@ def test_crown_join_and_meet_match_oracles(P):
     assert [(c.join, c.meet) for c in crowns] == crown_bounds(P, crowns)
     for c in crowns:
         assert (c.join, c.meet) == brute_force_join_meet(P, crown_elements(c))
+
+
+def test_find_crowns_keeps_the_stack_walk_order():
+    # the same records in the same order, bounds included
+    for P in [*all_posets_up_to(6), _chain_product(2, 2, 2, 2), _chain_product(2, 2, 2, 2, 2)]:
+        assert find_crowns(P) == stack_walk_crowns(P)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(random_posets())
+def test_find_crowns_keeps_the_stack_walk_order_on_random_posets(P):
+    for max_n in range(2, 5):
+        assert find_crowns(P, max_n) == stack_walk_crowns(P, max_n)
+
+
+def test_crown_bounds_match_oracle_on_bench_sized_posets():
+    # layered posets shaped like the bench lattice inputs: not lattices, so
+    # bare crowns occur beside crowns with a join or a meet
+    from test_cli import _layered  # test_cli imports this module
+
+    kinds = set()
+    for seed, sizes in enumerate(((5, 5, 5), (4, 6, 6, 4), (5, 6, 6, 5), (6, 6, 6, 6)) * 2):
+        P = poset_from_json(_layered(seed, sizes))
+        crowns = find_crowns(P)
+        assert [(c.join, c.meet) for c in crowns] == crown_bounds(P, crowns)
+        assert len({crown_elements(c) for c in crowns}) == len(crowns)
+        shape = lambda cs: sorted((c.n, c.join is None, c.meet is None) for c in cs)
+        assert shape(find_crowns(_relabeled(P, random.Random(seed)))) == shape(crowns)
+        kinds |= {(c.join is None, c.meet is None) for c in crowns}
+    assert kinds >= {(True, True), (False, True), (True, False)}
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
