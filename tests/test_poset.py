@@ -389,13 +389,13 @@ def test_crown_bounds_match_oracle_on_bench_sized_posets():
     # bare crowns occur beside crowns with a join or a meet
     from test_cli import _layered  # test_cli imports this module
 
+    shape = lambda cs: sorted((c.n, c.join is None, c.meet is None) for c in cs)
     kinds = set()
     for seed, sizes in enumerate(((5, 5, 5), (4, 6, 6, 4), (5, 6, 6, 5), (6, 6, 6, 6)) * 2):
         P = poset_from_json(_layered(seed, sizes))
         crowns = find_crowns(P)
         assert [(c.join, c.meet) for c in crowns] == crown_bounds(P, crowns)
         assert len({crown_elements(c) for c in crowns}) == len(crowns)
-        shape = lambda cs: sorted((c.n, c.join is None, c.meet is None) for c in cs)
         assert shape(find_crowns(_relabeled(P, random.Random(seed)))) == shape(crowns)
         kinds |= {(c.join is None, c.meet is None) for c in crowns}
     assert kinds >= {(True, True), (False, True), (True, False)}
