@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 input error or size limit (a fixture above
-4096, a sweep outside 1..9, a canonical search past the recursion
-limit, order-complex chains longer than it, as in `homology --dim 1050`
-on 1100 stacked antichains), 4 internal cross-check failure (H1 read
-off the relation matrix's Smith divisors differs from H1 of the order
-complex) in `analyze` or a sweep.  All output is JSON on stdout;
+4096, a sweep outside 1..9, a canonical search past the recursion limit,
+order-complex chains past the chain limit of 900 elements, as in
+`homology --dim 950` on 1100 stacked antichains, since a chain of k
+elements alone spans 2**k - 1 simplices), 4 internal cross-check failure
+(H1 read off the relation matrix's Smith divisors differs from H1 of the
+order complex) in `analyze` or a sweep.  All output is JSON on stdout;
 progress goes to stderr.  `main` may be called many times in one
 process: the argument parser is built on the first call only, and each
 call parses its arguments afresh.
@@ -22,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _escape
 
 from .derivations import from_cover_values, is_potential, outer_witness
 from .errors import InputError, PosetderivError
-from .linalg import DEFAULT_FIELDS, ring_from_string
+from .linalg import DEFAULT_FIELDS, _ascii_int, ring_from_string
 from .poset import core, find_crowns
 from .report import (
     IDENTITY_CONFLICT,
@@ -51,6 +52,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def integer(text):
+        # ASCII digits; a leading "-" passes, for the commands to reject
+        return -_ascii_int(text[1:]) if text[:1] == "-" else _ascii_int(text)
 
     def add_poset_arg(p):
         p.add_argument("poset", help="path to a poset JSON file")
@@ -82,11 +87,11 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--ring", help="override the ring declared in the file")
     w = dsub.add_parser("witness", help="emit an outer derivation over Z/p")
     add_poset_arg(w)
-    w.add_argument("--prime", type=int, required=True, metavar="P")
+    w.add_argument("--prime", type=integer, required=True, metavar="P")
 
     p = sub.add_parser("homology", help="integral homology of the order complex")
     add_poset_arg(p)
-    p.add_argument("--dim", type=int, default=1, metavar="N")
+    p.add_argument("--dim", type=integer, default=1, metavar="N")
     p.add_argument(
         "--euler",
         action="store_true",
@@ -99,16 +104,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crowns", help="list induced crowns and their join/meet")
     add_poset_arg(p)
-    p.add_argument("--max-n", type=int, default=6, metavar="N")
+    p.add_argument("--max-n", type=integer, default=6, metavar="N")
 
     p = sub.add_parser("criteria", help="combinatorial conclusiveness criteria")
     add_poset_arg(p)
 
     p = sub.add_parser("sweep", help="classify all posets up to a size")
-    p.add_argument("--max-n", type=int, required=True, metavar="N")
+    p.add_argument("--max-n", type=integer, required=True, metavar="N")
     p.add_argument(
         "--jobs",
-        type=int,
+        type=integer,
         default=1,
         metavar="J",
         help="worker processes, at least 1; no more than the CPU count start",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from .errors import SizeLimitError, UnknownFixtureError
+from .linalg import _ascii_int
 from .poset import Poset
 
 # 13-element minimal finite model of the real projective plane: three
@@ -106,13 +107,10 @@ def s5() -> Poset:
 
 
 def _parse_size(name: str, arg: str, minimum: int) -> int:
-    """The size in ASCII digits; int() would also take "+3", " 3", "1_0" and
-    other scripts' digits."""
+    """The size in ASCII digits."""
     try:
-        if not (arg.isascii() and arg.isdigit()):
-            raise ValueError(arg)
-        value = int(arg)
-    except ValueError:  # also more digits than int() converts
+        value = _ascii_int(arg)
+    except ValueError:
         raise UnknownFixtureError(f"bad size in fixture {name!r}") from None
     if value < minimum:
         raise UnknownFixtureError(f"fixture {name!r} needs size >= {minimum}")

@@ -11,6 +11,8 @@ from .errors import DimensionError, SizeLimitError
 from .linalg import IntegerMatrix, smith_divisors
 from .poset import Poset, _bits, shape_stats
 
+_CHAIN_LIMIT = 900  # elements in a chain; see order_complex
+
 
 class OrderComplex(namedtuple("OrderComplex", "elements simplices_by_dim")):
     """Chains of a poset grouped by dimension.
@@ -61,34 +63,24 @@ class ConclusiveVerdict(
 def order_complex(P: Poset, max_dim: int) -> OrderComplex:
     """All chains of P with at most max_dim + 1 elements, by dimension.
 
-    The walk takes starts and children in ascending order, so each
-    dimension comes out sorted lexicographically.  It recurses once per
-    chain element, so chains longer than the interpreter's recursion
-    limit raise SizeLimitError."""
+    Each dimension extends every chain of the one below by each element
+    above its top, ascending, so each comes out sorted lexicographically.
+    The chain limit is _CHAIN_LIMIT elements: from that dimension up, a
+    taller poset raises SizeLimitError before anything is built, since a
+    chain of k elements alone spans 2**k - 1 simplices."""
     if max_dim < 1:
         raise ValueError("max_dim must be >= 1")
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(max_dim + 1)]
-    chain: list[int] = []
-
-    def extend(vertex):
-        chain.append(vertex)
-        by_dim[len(chain) - 1].append(tuple(chain))
-        if len(chain) <= max_dim:
-            for nxt in _bits(P.above[vertex]):
-                extend(nxt)
-        chain.pop()
-
-    try:
-        for start in range(P.n):
-            extend(start)
-    except RecursionError:
-        raise SizeLimitError(f"chains up to dimension {max_dim} exceed the recursion limit") from None
-    finally:
-        del extend  # it holds itself: free the walk's state now, not at a later collection
-    return OrderComplex(
-        elements=P.elements,
-        simplices_by_dim=tuple(map(tuple, by_dim)),
-    )
+    if max_dim >= _CHAIN_LIMIT and shape_stats(P).height > _CHAIN_LIMIT:
+        raise SizeLimitError(
+            f"chains up to dimension {max_dim} pass the chain limit of {_CHAIN_LIMIT} elements"
+        )
+    above = P.above
+    layer = [(v,) for v in range(P.n)]
+    layers = [layer]
+    for _ in range(max_dim):
+        layer = [c + (v,) for c in layer for v in _bits(above[c[-1]])]
+        layers.append(layer)
+    return OrderComplex(P.elements, tuple(map(tuple, layers)))
 
 
 def full_order_complex(P: Poset) -> OrderComplex:

@@ -149,10 +149,16 @@ def mod_ring(n: int) -> Ring:
     return Ring("mod_ring", n)
 
 
+def _ascii_int(text: str) -> int:
+    """ASCII digits as an int, else ValueError; int() also takes "+5", " 5", "1_1"."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not ASCII digits: {text!r}")
+    return int(text)
+
+
 def ring_from_string(text: str) -> Ring:
     """Parse the ring grammar: "q" | "gf:<prime>" | "mod:<n>", the modulus
-    in ASCII digits (int() would also take "+5", " 5", "1_1" and other
-    scripts' digits)."""
+    in ASCII digits."""
     if text == "q":
         return RATIONALS
     kind, colon, modulus = text.partition(":")
@@ -160,10 +166,8 @@ def ring_from_string(text: str) -> Ring:
     if make is None or not colon:
         raise InputError(f"bad ring string {text!r} (expected q, gf:p or mod:n)")
     try:
-        if not (modulus.isascii() and modulus.isdigit()):
-            raise ValueError(modulus)
-        return make(int(modulus))
-    except ValueError:  # also more digits than int() converts
+        return make(_ascii_int(modulus))
+    except ValueError:
         raise InputError(f"bad ring string {text!r}") from None
 
 

@@ -8,7 +8,8 @@ posets via brute force over all antisymmetric transitive relations,
 parallel-path relations by listing every cover path, the earlier relation
 rows by walking each upward cone forward, the exact ones by testing every
 element against each pair of down-covers, relation, boundary
-and incidence matrices by filling dense row-major buffers, homology of the
+and incidence matrices by filling dense row-major buffers, order complexes by a
+recursive depth-first chain walk, homology of the
 whole order complex, never its core, through a dense Smith form with
 transforms (the package's loop before it went sparse), linear systems
 through the explicit transforms u and v,
@@ -589,6 +590,27 @@ def dense_smith_normal_form(a):
         v=matrix(s[m:], n),
         divisors=divisors,
     )
+
+
+def recursive_order_complex(P, max_dim: int):
+    """(elements, simplices_by_dim) of the order complex of P, by a
+    depth-first walk that recurses once per chain element and appends
+    each chain to its dimension's list as it is reached."""
+    by_dim = [[] for _ in range(max_dim + 1)]
+    chain = []
+
+    def extend(vertex):
+        chain.append(vertex)
+        by_dim[len(chain) - 1].append(tuple(chain))
+        if len(chain) <= max_dim:
+            for nxt in range(P.n):
+                if P.above[vertex] >> nxt & 1:
+                    extend(nxt)
+        chain.pop()
+
+    for start in range(P.n):
+        extend(start)
+    return P.elements, tuple(map(tuple, by_dim))
 
 
 def uncored_homology(P, n: int):

@@ -693,6 +693,25 @@ def test_sweep_progress_on_stderr(capsys):
     assert all(float(f["classes_per_s"]) > 0 for f in fields)
 
 
+INTEGER_OPTIONS = {
+    "--prime": ["derivation", "witness", str(FIXTURE_DIR / "rp2.json"), "--prime"],
+    "--dim": ["homology", str(FIXTURE_DIR / "rp2.json"), "--dim"],
+    "crowns --max-n": ["crowns", str(FIXTURE_DIR / "rp2.json"), "--max-n"],
+    "sweep --max-n": ["sweep", "--max-n"],
+    "--jobs": ["sweep", "--max-n", "2", "--jobs"],
+}
+
+
+@pytest.mark.parametrize("spelling", ["+2", " 2", "2_0", "\u0662"])
+@pytest.mark.parametrize("option", sorted(INTEGER_OPTIONS))
+def test_integer_options_take_only_ascii_digits(capsys, option, spelling):
+    # int() reads each of these as 2 or 20; the ring and fixture sizes refuse them too
+    with pytest.raises(SystemExit) as exit_info:
+        main(INTEGER_OPTIONS[option] + [spelling])
+    assert exit_info.value.code == 2
+    assert "invalid integer value" in capsys.readouterr().err
+
+
 def test_sweep_size_guard(capsys):
     code, payload = run_cli(capsys, "sweep", "--max-n", "10")
     assert code == 2
@@ -948,17 +967,18 @@ def test_golden_witness_bytes(capsys):
     assert capsys.readouterr().out == (GOLDEN_DIR / "rp2.witness.json").read_text()
 
 
-def test_homology_on_chains_deeper_than_the_recursion_limit_exits_2(capsys, tmp_path):
+def test_homology_on_chains_longer_than_the_chain_limit_exits_2(capsys, tmp_path):
     # 1100 stacked two-element antichains: no beat points, height 1100
     levels = [(f"a{k}", f"b{k}") for k in range(1100)]
     covers = [[lo, hi] for low, high in zip(levels, levels[1:]) for lo in low for hi in high]
     path = tmp_path / "stack.json"
     path.write_text(json.dumps({"elements": [e for pair in levels for e in pair], "covers": covers}))
-    start = time.monotonic()
-    code, payload = run_cli(capsys, "homology", str(path), "--dim", "1050")
-    assert code == 2
-    assert "recursion limit" in payload["error"]
-    assert time.monotonic() - start < 30
+    for dim in ("950", "1050"):
+        start = time.monotonic()
+        code, payload = run_cli(capsys, "homology", str(path), "--dim", dim)
+        assert code == 2
+        assert "the chain limit of 900 elements" in payload["error"]
+        assert time.monotonic() - start < 30
 
 
 def test_sweep_progress_counts_inherited_verdicts(capsys):

@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 import tracemalloc
 
 import pytest
@@ -9,6 +11,7 @@ from posetderiv import (
     DimensionError,
     Poset,
     RATIONALS,
+    SizeLimitError,
     beat_points,
     boundary_matrix,
     classify,
@@ -25,9 +28,16 @@ from posetderiv import (
 )
 from posetderiv import fixtures as fx
 from posetderiv.derivations import relation_divisors
-from posetderiv.homology import euler_by_moebius
+from posetderiv.homology import _CHAIN_LIMIT, euler_by_moebius
 
-from oracles import dense_rows, matmul, random_poset_covers, uncored_homology, zeros
+from oracles import (
+    dense_rows,
+    matmul,
+    random_poset_covers,
+    recursive_order_complex,
+    uncored_homology,
+    zeros,
+)
 
 
 def all_posets_up_to(n):
@@ -244,6 +254,51 @@ def test_order_complex_lists_each_dimension_in_increasing_order(rng, max_dim):
     K = order_complex(Poset(elements, covers), max_dim)
     for simplices in K.simplices_by_dim:
         assert all(a < b for a, b in zip(simplices, simplices[1:]))
+
+
+def product(P, Q):
+    """The product order on P x Q, elements named "p,q"."""
+    name = "{},{}".format
+    covers = [(name(a, q), name(b, q)) for a, b in P.covers for q in Q.elements]
+    covers += [(name(p, a), name(p, b)) for p in P.elements for a, b in Q.covers]
+    return Poset([name(p, q) for p in P.elements for q in Q.elements], covers)
+
+
+def assert_matches_recursive_walk(P):
+    for d in range(1, shape_stats(P).height + 1):
+        assert order_complex(P, d) == recursive_order_complex(P, d), (P, d)
+
+
+def test_order_complex_matches_recursive_walk():
+    named = [fx.rp2(), fx.s5(), product(fx.crown(4), fx.chain(3))]
+    for P in list(all_posets_up_to(6)) + named:
+        assert_matches_recursive_walk(P)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=True))
+def test_order_complex_matches_recursive_walk_on_random_posets(rng):
+    elements, covers = random_poset_covers(rng, 12)
+    rng.shuffle(elements)
+    assert_matches_recursive_walk(Poset(elements, covers))
+
+
+def test_order_complex_refuses_chains_past_the_limit_before_building(monkeypatch):
+    P = fx.chain(_CHAIN_LIMIT + 1)
+
+    def refuse(mask):
+        raise AssertionError("a chain was extended")
+
+    with monkeypatch.context() as patch:
+        # without the guard the walk would list 2**901 - 1 chains
+        patch.setattr(sys.modules["posetderiv.homology"], "_bits", refuse)
+        start = time.monotonic()
+        with pytest.raises(SizeLimitError, match=f"chain limit of {_CHAIN_LIMIT}"):
+            order_complex(P, _CHAIN_LIMIT)
+        assert time.monotonic() - start < 1
+    K = order_complex(fx.rp2(), _CHAIN_LIMIT)
+    assert [len(s) for s in K.simplices_by_dim[:3]] == [13, 36, 24]
+    assert not any(K.simplices_by_dim[3:])
 
 
 # -- classification ----------------------------------------------------------
