@@ -1,15 +1,17 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 input error or size limit (a fixture above
-4096, a sweep outside 1..9, a canonical search past the recursion limit,
-order-complex chains past the chain limit of 900 elements, as in
+Exit codes: 0 success, 2 input error, usage error (an unknown command
+or option, a missing or malformed argument) or size limit (a fixture
+above 4096, a sweep outside 1..9, a canonical search past the recursion
+limit, order-complex chains past the chain limit of 900 elements, as in
 `homology --dim 950` on 1100 stacked antichains, since a chain of k
 elements alone spans 2**k - 1 simplices), 4 internal cross-check failure
 (H1 read off the relation matrix's Smith divisors differs from H1 of the
-order complex) in `analyze` or a sweep.  All output is JSON on stdout;
-progress goes to stderr.  `main` may be called many times in one
-process: the argument parser is built on the first call only, and each
-call parses its arguments afresh.
+order complex) in `analyze` or a sweep, or a sweep level whose class
+count differs from OEIS A000112.  All output is JSON on stdout, errors
+included, except `--help`; progress goes to stderr.  `main` may be
+called many times in one process: the argument parser is built on the
+first call only, and each call parses its arguments afresh.
 """
 
 from __future__ import annotations
@@ -41,9 +43,17 @@ from .report import (
 # imports it inside the command, so no call loads what it does not use.
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as InputError, so that it reaches stdout as
+    JSON like any other error; subparsers are made of the same class."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="posetderiv",
         description=(
             "Decide whether the incidence algebra of a finite poset admits "
@@ -302,8 +312,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         payload, code = _COMMANDS[args.command](args)
     except (PosetderivError, OSError) as exc:
         payload, code = {"error": str(exc)}, 2

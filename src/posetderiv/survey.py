@@ -29,7 +29,10 @@ from .homology import routes_agree
 from .linalg import IntegerMatrix, smith_divisors
 from .poset import Poset, _bits, _canonical_search, _merge_orbits, _minimal
 
-SIZE_CAP = 9
+# OEIS A000112: the poset classes on 1, 2, ... elements; the sweep checks
+# its levels against them, so it goes no further than they do
+CLASS_COUNTS = (1, 2, 5, 16, 63, 318, 2045, 16999, 183231)
+SIZE_CAP = len(CLASS_COUNTS)
 # the sweep hands the subtrees below the classes on this many elements to map
 SPLIT_N = 5
 
@@ -38,14 +41,17 @@ class SweepReport(
     namedtuple(
         "SweepReport",
         "max_n counts_by_n defective_by_n soluble_by_n inconclusive_found "
-        "identity_failures elapsed_ms",
+        "identity_failures count_failures elapsed_ms",
     )
 ):
     __slots__ = ()
 
     @property
     def ok(self) -> bool:
-        return not self.identity_failures
+        """No class failed the cross-check, and every level has its
+        A000112 count (``count_failures`` holds (n, found, expected) per
+        level that does not)."""
+        return not self.identity_failures and not self.count_failures
 
 
 def _down_sets(P: Poset, gens):
@@ -216,13 +222,15 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
     read off the relation matrix's Smith divisors with H1 of the order
     complex.  The augmentation tree is walked from the empty poset
     (``_walk``), serially down to ``SPLIT_N`` elements; the subtrees
-    below go through ``map``, in at most ``os.cpu_count()`` worker
-    processes if parallelism (at least 1) is above 1, and their tallies
-    are summed, so the report does not depend on it.  With ``progress``,
-    once the walk ends, each level prints its class count, the seconds
-    since the sweep started, its classes per second of expansion time
-    (summed across workers), inherited verdicts and Smith eliminations
-    to stderr.
+    below go through ``map``, one pool task each in at most
+    ``os.cpu_count()`` worker processes if parallelism (at least 1) is
+    above 1, and their tallies are summed, so the report does not depend
+    on it.  The report is ok only if no class fails the cross-check and
+    each level counts the classes ``CLASS_COUNTS`` gives.  With
+    ``progress``, once the walk ends, each level prints its class count,
+    the seconds since the sweep started, its classes per second of
+    expansion time (summed across workers), inherited verdicts and Smith
+    eliminations to stderr.
     """
     if not 1 <= max_n <= SIZE_CAP:
         raise SizeLimitError(f"sweep supports 1 <= max_n <= {SIZE_CAP}, got {max_n}")
@@ -241,17 +249,14 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=workers)
-        parts = pool.map(_subtree, roots, chunksize=max(1, len(roots) // (workers * 4)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(_subtree, roots)
     else:
         parts = map(_subtree, roots)
-    try:
-        for part in parts:
-            tally.update(part)
-    finally:
-        if workers > 1:
-            pool.shutdown()
+    for part in parts:
+        tally.update(part)
     levels = range(1, max_n + 1)
+    counts = tuple((n, tally["classes", n]) for n in levels)
     if progress:
         for n in levels:
             print(
@@ -263,10 +268,11 @@ def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepRepo
             )
     return SweepReport(
         max_n=max_n,
-        counts_by_n=tuple((n, tally["classes", n]) for n in levels),
+        counts_by_n=counts,
         defective_by_n=tuple((n, tally["defective", n]) for n in levels),
         soluble_by_n=tuple((n, tally["soluble", n]) for n in levels),
         inconclusive_found=tuple(sorted(k for field, k in tally if field == "inconclusive")),
         identity_failures=tuple(sorted(k for field, k in tally if field == "failure")),
+        count_failures=tuple((n, c, e) for (n, c), e in zip(counts, CLASS_COUNTS) if c != e),
         elapsed_ms=int((time.monotonic() - start) * 1000),
     )

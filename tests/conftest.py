@@ -31,3 +31,33 @@ def diamond():
 @pytest.fixture
 def s5():
     return fx.s5()
+
+
+@pytest.fixture
+def fake_pools(monkeypatch):
+    """Replace ProcessPoolExecutor with a context manager that runs every
+    task in this process, so no worker starts.  Returns the pools made, in
+    order; each keeps the ``max_workers`` it was asked for and the
+    ``items`` it was handed."""
+    import concurrent.futures
+
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.items = []
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def map(self, fn, items):
+            self.items += items
+            return list(map(fn, items))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return pools

@@ -277,9 +277,10 @@ def test_stacked_diamonds_exit_zero_without_path_limit(capsys, tmp_path):
     code, report = run_cli(capsys, "analyze", deep)
     assert code == 0
     assert report["conclusiveness"]["soluble"] is True
-    with pytest.raises(SystemExit) as exc:
-        main(["--path-limit", "3", "analyze", deep])
-    assert exc.value.code == 2
+    code, payload = run_cli(capsys, "--path-limit", "3", "analyze", deep)
+    assert code == 2
+    # the parser takes the unknown option's value for the command
+    assert "argument command: invalid choice: '3'" in payload["error"]
 
 
 def _product(P, Q):
@@ -706,10 +707,32 @@ INTEGER_OPTIONS = {
 @pytest.mark.parametrize("option", sorted(INTEGER_OPTIONS))
 def test_integer_options_take_only_ascii_digits(capsys, option, spelling):
     # int() reads each of these as 2 or 20; the ring and fixture sizes refuse them too
+    code, payload = run_cli(capsys, *INTEGER_OPTIONS[option], spelling)
+    assert code == 2
+    assert "invalid integer value" in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", str(FIXTURE_DIR / "rp2.json"), "--bogus"], "unrecognized arguments: --bogus"),
+        (["sweep"], "posetderiv sweep: the following arguments are required: --max-n"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ],
+)
+def test_usage_errors_exit_2_with_a_json_error(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in json.loads(captured.out)["error"]
+    assert captured.err == ""
+
+
+def test_help_still_prints_text_and_exits_0(capsys):
     with pytest.raises(SystemExit) as exit_info:
-        main(INTEGER_OPTIONS[option] + [spelling])
-    assert exit_info.value.code == 2
-    assert "invalid integer value" in capsys.readouterr().err
+        main(["sweep", "--help"])
+    assert exit_info.value.code == 0
+    assert "--max-n" in capsys.readouterr().out
 
 
 def test_sweep_size_guard(capsys):
@@ -725,28 +748,14 @@ def test_sweep_rejects_jobs_below_one(capsys):
         assert "at least 1 job" in payload["error"]
 
 
-def test_sweep_starts_at_most_cpu_count_workers(capsys, monkeypatch):
-    import concurrent.futures
+def test_sweep_starts_at_most_cpu_count_workers(capsys, monkeypatch, fake_pools):
     import os
 
-    started = []
-
-    class FakePool:
-        # runs in this process, so no worker starts whatever --jobs asks for
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    # the fake pool runs in this process, so no worker starts whatever --jobs asks for
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     code, payload = run_cli(capsys, "sweep", "--max-n", "4", "--jobs", str(10**6))
     assert code == 0
-    assert started == [3]
+    assert [pool.max_workers for pool in fake_pools] == [3]
     assert payload["counts_by_n"] == [[1, 1], [2, 2], [3, 5], [4, 16]]
 
 

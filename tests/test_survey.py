@@ -1,4 +1,5 @@
 import importlib
+import json
 from collections import Counter
 
 import pytest
@@ -229,29 +230,35 @@ def test_sweep_names_an_inconclusive_class(capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_sweep_hands_inherited_verdicts_to_workers(monkeypatch):
-    import concurrent.futures
+def test_sweep_is_not_ok_when_a_level_misses_classes(capsys, monkeypatch):
+    from posetderiv.cli import main
 
+    assert sweep(7).count_failures == ()
+    real = survey._children
+
+    def dropping(P):
+        # the last child of each class on 6 elements goes missing
+        children = list(real(P))
+        return children[:-1] if P.n == 6 else children
+
+    monkeypatch.setattr(survey, "_children", dropping)
+    report = sweep(7)
+    assert report.count_failures == ((7, 1727, 2045),)
+    assert report.identity_failures == ()
+    assert not report.ok
+    code, payload = main(["sweep", "--max-n", "7"]), json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert payload["count_failures"] == [[7, 1727, 2045]] and payload["ok"] is False
+
+
+def test_sweep_hands_inherited_verdicts_to_workers(monkeypatch, fake_pools):
     from posetderiv.homology import classify
 
-    roots = []
-
-    class FakePool:
-        # records the subtree roots and walks them in this process
-        def __init__(self, max_workers):
-            pass
-
-        def map(self, fn, items, chunksize=1):
-            items = list(items)
-            roots.extend(items)
-            return map(fn, items)
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    # the fake pool records the subtree roots and walks them in this process
     monkeypatch.setattr(survey.os, "cpu_count", lambda: 2)
     pooled = sweep_json(sweep(7, parallelism=2))
+    [pool] = fake_pools
+    roots = pool.items
     # roots are (class on 5 elements, its record, max_n)
     assert [P.n for P, _, _ in roots] == [5] * 63
     assert {canonical_form(P) for P, _, _ in roots} == {canonical_form(P) for P in enumerate_posets(5)}
