@@ -312,8 +312,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        try:
+            args = _build_parser().parse_args(argv)
+        except InputError:
+            # before the command only --help is known, and it exits first;
+            # argparse takes an unknown option's value for the command
+            first = argv[0] if argv else ""
+            if first.startswith("-") and first.strip("-"):
+                raise InputError(f"posetderiv: unrecognized arguments: {first}") from None
+            raise
         payload, code = _COMMANDS[args.command](args)
     except (PosetderivError, OSError) as exc:
         payload, code = {"error": str(exc)}, 2

@@ -283,13 +283,14 @@ def shape_stats(P: Poset) -> ShapeStats:
     )
 
 
-def _beat_points(alive: int, above, below):
-    """Yield the beat points of the subposet on the bitmask ``alive``, ascending.
+def _beat_points(scan: int, alive: int, above, below):
+    """Yield the elements of ``scan`` that are beat points of the subposet
+    on the bitmask ``alive``, ascending.
 
     A finite set has one maximal element iff it has a greatest element,
     which ``_least`` finds without listing the maximal elements.
     """
-    for i in _bits(alive):
+    for i in _bits(scan):
         if (
             _least(below[i] & alive, above, below) is not None
             or _least(above[i] & alive, below, above) is not None
@@ -300,7 +301,7 @@ def _beat_points(alive: int, above, below):
 def beat_points(P: Poset) -> list[str]:
     """Elements that cover exactly one element or are covered by exactly one."""
     full = (1 << P.n) - 1
-    return [P.elements[i] for i in _beat_points(full, P.above, P.below)]
+    return [P.elements[i] for i in _beat_points(full, full, P.above, P.below)]
 
 
 def core(P: Poset) -> Poset:
@@ -308,18 +309,33 @@ def core(P: Poset) -> Poset:
 
     Walks a bitmask of the surviving elements and builds one poset at the
     end from their masks, renumbered, or returns P itself when it has no
-    beat point.
+    beat point.  Removing beat point b changes the sets ``below[i] &
+    alive`` and ``above[i] & alive`` only of the elements i comparable to
+    b, and no survivor before b was a beat point, so the scan for the next
+    one resumes at the survivors before b comparable to it and goes on
+    after b: each removal is still the first beat point in element order.
     """
     above, below = P.above, P.below
-    full = alive = (1 << P.n) - 1
-    while (beat := next(_beat_points(alive, above, below), None)) is not None:
+    full = alive = scan = (1 << P.n) - 1
+    while (beat := next(_beat_points(scan, alive, above, below), None)) is not None:
         alive ^= 1 << beat
+        near = (above[beat] | below[beat]) & alive & ((1 << beat) - 1)
+        scan = near | alive & -(2 << beat)
     if alive == full:
         return P
     keep = list(_bits(alive))
-    pos = {i: k for k, i in enumerate(keep)}
-    up = [sum(1 << pos[j] for j in _bits(above[i] & alive)) for i in keep]
-    down = [sum(1 << pos[j] for j in _bits(below[i] & alive)) for i in keep]
+    bit = [0] * P.n  # the new bit of each survivor
+    for k, i in enumerate(keep):
+        bit[i] = 1 << k
+
+    def remap(mask):
+        out = 0
+        for j in _bits(mask & alive):
+            out |= bit[j]
+        return out
+
+    up = [remap(above[i]) for i in keep]
+    down = [remap(below[i]) for i in keep]
     names = tuple(P.elements[i] for i in keep)
     covers = tuple((names[i], names[j]) for i, mask in enumerate(up) for j in _minimal(mask, down))
     return Poset._from_masks(names, covers, up, down, [_minimal(m, up) for m in down])
@@ -541,6 +557,17 @@ def _canonical_search(above, below):
     before it, so the least certificate and the labeling of its first
     leaf do not depend on how much is pruned, only on ``_refine``.
 
+    Twins, elements with equal ``above`` and ``below`` masks, prune
+    without a search: swapping two twins is an automorphism, and two
+    twins in a node's cell are both outside its prefix, so it fixes the
+    prefix.  A node skips every twin of a child it has explored, and
+    every child in the orbit of such a twin, where the search proper
+    would have explored a twin's subtree only to find that swap.  On an
+    antichain the search is one path of n nodes.  Each twin class adds
+    the swaps of its least element with each other one to the
+    generators; a node's swap is their product, so the generators still
+    reach every child the node skipped.
+
     Returns the least certificate, the labeling ``lab`` of its first leaf
     (``lab[k]`` is the element at position k) and the automorphisms found,
     each a pair (image list, bitmask of moved elements); they generate
@@ -552,6 +579,10 @@ def _canonical_search(above, below):
     leaves: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     gens: list[tuple[list[int], int]] = []
     path: list[int] = []
+    twin_class: dict[tuple[int, int], int] = {}
+    for i, key in enumerate(zip(above, below)):
+        twin_class[key] = twin_class.get(key, 0) | 1 << i
+    twins = [twin_class[key] for key in zip(above, below)]
 
     def leaf(part):
         lab = [m.bit_length() - 1 for m in part]
@@ -589,7 +620,7 @@ def _canonical_search(above, below):
         bit = cells & -cells
         s = bit.bit_length() - 1
         C = part[s]
-        explored = 0
+        explored = 0  # the children explored and their twins
         seen = 0
         orbit: dict[int, list[int]] = {}
         rest = C
@@ -614,7 +645,8 @@ def _canonical_search(above, below):
             path.append(v)
             back = search(child, child_cells, fixed | low)
             path.pop()
-            explored |= low
+            explored |= twins[v]
+            rest &= ~twins[v]
             if back < depth:
                 return back
         return depth
@@ -623,6 +655,13 @@ def _canonical_search(above, below):
         search(root, _refine(root, 1 if n > 1 else 0, [0], above, below), 0)
     finally:
         del search  # it holds itself: free the search state now, not at a later collection
+    for mask in twin_class.values():
+        first = mask & -mask
+        t = first.bit_length() - 1
+        for u in _bits(mask ^ first):
+            g = list(range(n))
+            g[t], g[u] = u, t
+            gens.append((g, first | 1 << u))
     cert, (lab, _) = min(leaves.items())
     return list(cert), lab, gens
 

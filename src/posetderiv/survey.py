@@ -108,9 +108,13 @@ def _children(P: Poset):
     """Yield the children of P accepted by canonical deletion of a maximal element.
 
     The child on ``P.n + 1`` elements puts its new top t above a down-set
-    of P.  It is kept iff t lies in the child's canonical orbit of maximal
-    elements: those with the greatest ``_top_key``, and among them the
-    orbit of the one that comes first in the child's canonical labeling.
+    d of P.  It is kept iff t lies in the child's canonical orbit of
+    maximal elements: those with the greatest ``_top_key``, and among them
+    the orbit of the one that comes first in the child's canonical
+    labeling.  A tie needs that labeling, from a canonical search of the
+    child, unless every rival's down-set is d: then each rival is t's
+    twin, swapping the two is an automorphism, and t lies in the orbit of
+    whichever of them comes first.
     """
     n = P.n
     above, below = P.above, P.below
@@ -125,8 +129,9 @@ def _children(P: Poset):
             continue
         rivals = [i for i, k in others if k == key]
         child = _extend(P, d, tops)
-        if rivals:
-            # a tie: only the child's canonical search can decide
+        if any(below[i] != d for i in rivals):
+            # a tie with a rival that is not t's twin: only the child's
+            # canonical search can decide
             _, lab, child_gens = _canonical_search(child.above, child.below)
             orbit: dict[int, list[int]] = {}
             for g, moved in child_gens:

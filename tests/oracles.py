@@ -25,7 +25,9 @@ masks, canonical forms by one round of colour refinement and then a
 brute-force search over every cell-respecting element order,
 automorphisms by trying every element order that keeps the relation,
 and poset classes by extending every class with a new top above each
-down-set and keeping one poset per canonical form.
+down-set and keeping one poset per canonical form; the children of
+canonical augmentation by a canonical search of every tied child, twins
+or not.
 
 Dense-matrix helpers build and multiply ``IntegerMatrix`` values for the
 tests: ``matrix`` from dense rows, ``identity``, ``zeros``, ``dense_rows``,
@@ -952,3 +954,37 @@ def dedup_enumerate_posets(n: int):
         level = nxt
     for form in sorted(level):
         yield level[form]
+
+
+def tie_search_children(P):
+    """The children of P accepted by canonical deletion of a maximal element,
+    deciding every tie by the child's canonical search and orbits.
+
+    The package's ``_children`` before it settled a tie whose rivals are
+    all twins of the new top without a search.
+    """
+    from posetderiv.poset import _canonical_search, _merge_orbits, _minimal
+    from posetderiv.survey import _down_sets, _extend, _top_key
+
+    n = P.n
+    above, below = P.above, P.below
+    gens = _canonical_search(above, below)[2] if n else []
+    maximal = [(i, _top_key(below[i], P.down_covers[i], below)) for i in range(n) if not above[i]]
+    for d in _down_sets(P, gens):
+        tops = _minimal(d, above)
+        key = _top_key(d, tops, below)
+        others = [(i, k) for i, k in maximal if not d >> i & 1]
+        if any(k > key for _, k in others):
+            continue
+        rivals = [i for i, k in others if k == key]
+        child = _extend(P, d, tops)
+        if rivals:
+            _, lab, child_gens = _canonical_search(child.above, child.below)
+            orbit: dict[int, list[int]] = {}
+            for g, moved in child_gens:
+                _merge_orbits(orbit, g, moved)
+            rivals.append(n)
+            first = min(rivals, key=lab.index)
+            if not orbit.get(n, (1 << n,))[0] >> first & 1:
+                continue
+        yield child

@@ -279,8 +279,8 @@ def test_stacked_diamonds_exit_zero_without_path_limit(capsys, tmp_path):
     assert report["conclusiveness"]["soluble"] is True
     code, payload = run_cli(capsys, "--path-limit", "3", "analyze", deep)
     assert code == 2
-    # the parser takes the unknown option's value for the command
-    assert "argument command: invalid choice: '3'" in payload["error"]
+    # the unknown option is named, not its value, which argparse takes for the command
+    assert "unrecognized arguments: --path-limit" in payload["error"]
 
 
 def _product(P, Q):

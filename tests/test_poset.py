@@ -407,6 +407,10 @@ def test_minimal_element_rule_matches_oracles(P, rng):
     # covers, beat points and cores come from poset._minimal
     C, D = core(P), iterated_core(P)
     assert (C.elements, C.covers) == (D.elements, D.covers)
+    # the remapped masks give every field the validated poset has
+    V = Poset(C.elements, C.covers)
+    for field in ("above", "below", "down_covers", "topological_order", "component_ids", "component_count"):
+        assert getattr(C, field) == getattr(V, field), field
     assert beat_points(P) == cover_count_beat_points(P)
     if not beat_points(P):
         assert C is P
@@ -702,6 +706,24 @@ def test_canonical_search_orbit_work_is_quadratic_on_an_antichain(monkeypatch):
     monkeypatch.setattr(poset, "_bits", counted)
     canonical_form(P)
     assert steps[0] <= 2 * n * n, steps
+
+
+def test_canonical_search_takes_one_path_on_an_antichain(monkeypatch):
+    # all its elements are twins: a node explores one child and skips its
+    # twins, where the search proper explored each twin to find the swap
+    import posetderiv.poset as poset
+
+    refine = poset._refine
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return refine(*args)
+
+    n = 200
+    monkeypatch.setattr(poset, "_refine", counted)
+    canonical_form(fx.antichain(n))
+    assert calls[0] <= 2 * n, calls
 
 
 def _orbit_partition(items, gens, act):

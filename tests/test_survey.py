@@ -18,7 +18,9 @@ from posetderiv import (
 from posetderiv.derivations import consistency_matrix, relation_divisors, relation_rows_into
 from posetderiv.report import sweep_json
 
-from oracles import all_labeled_strict_orders, dedup_enumerate_posets
+from posetderiv import fixtures as fx
+
+from oracles import all_labeled_strict_orders, dedup_enumerate_posets, tie_search_children
 
 # unlabeled posets on 1..7 points
 CLASS_COUNTS = (1, 2, 5, 16, 63, 318, 2045)
@@ -79,6 +81,32 @@ def test_enumeration_from_given_parents_matches_growing_from_the_root():
         level = list(enumerate_posets(n, parents))
         assert [P.covers for P in level] == [P.covers for P in enumerate_posets(n)]
         parents = level
+
+
+def test_children_match_the_tie_search_oracle():
+    # a tie whose rivals are all twins of the new top is settled without a
+    # search; antichain:4 and crown:2 have two or more twin tops
+    posets = [Poset((), ()), fx.antichain(4), fx.crown(2)]
+    for n in range(1, 7):
+        posets += enumerate_posets(n)
+    for P in posets:
+        children = [(C.elements, C.covers) for C in survey._children(P)]
+        assert children == [(C.elements, C.covers) for C in tie_search_children(P)], P.covers
+
+
+def test_sweep_to_seven_searches_few_ties(monkeypatch):
+    # 405 searches for the automorphisms of the classes on 0..6 elements,
+    # and the rest for ties between tops that are not twins
+    calls = []
+    real = survey._canonical_search
+
+    def counting(above, below):
+        calls.append(len(above))
+        return real(above, below)
+
+    monkeypatch.setattr(survey, "_canonical_search", counting)
+    assert sweep(7).ok
+    assert len(calls) <= 650, len(calls)
 
 
 def test_sweep_grows_each_level_once(monkeypatch):
