@@ -565,8 +565,8 @@ def _canonical_search(above, below):
     would have explored a twin's subtree only to find that swap.  On an
     antichain the search is one path of n nodes.  Each twin class adds
     the swaps of its least element with each other one to the
-    generators; a node's swap is their product, so the generators still
-    reach every child the node skipped.
+    generators; any swap of two twins is a product of those, so the
+    generators still reach every child a node skipped.
 
     Returns the least certificate, the labeling ``lab`` of its first leaf
     (``lab[k]`` is the element at position k) and the automorphisms found,
@@ -579,10 +579,22 @@ def _canonical_search(above, below):
     leaves: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
     gens: list[tuple[list[int], int]] = []
     path: list[int] = []
-    twin_class: dict[tuple[int, int], int] = {}
-    for i, key in enumerate(zip(above, below)):
-        twin_class[key] = twin_class.get(key, 0) | 1 << i
-    twins = [twin_class[key] for key in zip(above, below)]
+    # the twin class of each element that has a twin, and the swaps of each
+    # class's least element with each other one
+    twins: dict[int, int] = {}
+    swaps: list[tuple[list[int], int]] = []
+    if len(set(zip(above, below))) < n:
+        classes: dict[tuple[int, int], int] = {}
+        for i, key in enumerate(zip(above, below)):
+            classes[key] = classes.get(key, 0) | 1 << i
+        for mask in classes.values():
+            first = mask & -mask
+            t = first.bit_length() - 1
+            for u in _bits(mask ^ first):
+                twins[t] = twins[u] = mask
+                g = list(range(n))
+                g[t], g[u] = u, t
+                swaps.append((g, first | 1 << u))
 
     def leaf(part):
         lab = [m.bit_length() - 1 for m in part]
@@ -645,8 +657,10 @@ def _canonical_search(above, below):
             path.append(v)
             back = search(child, child_cells, fixed | low)
             path.pop()
-            explored |= twins[v]
-            rest &= ~twins[v]
+            if v in twins:
+                low = twins[v]
+                rest &= ~low
+            explored |= low
             if back < depth:
                 return back
         return depth
@@ -655,15 +669,8 @@ def _canonical_search(above, below):
         search(root, _refine(root, 1 if n > 1 else 0, [0], above, below), 0)
     finally:
         del search  # it holds itself: free the search state now, not at a later collection
-    for mask in twin_class.values():
-        first = mask & -mask
-        t = first.bit_length() - 1
-        for u in _bits(mask ^ first):
-            g = list(range(n))
-            g[t], g[u] = u, t
-            gens.append((g, first | 1 << u))
     cert, (lab, _) = min(leaves.items())
-    return list(cert), lab, gens
+    return list(cert), lab, gens + swaps
 
 
 def canonical_form(P: Poset) -> bytes:
