@@ -16,9 +16,8 @@ from posetderiv import (
     sweep,
 )
 from posetderiv.derivations import consistency_matrix, relation_divisors, relation_rows_into
-from posetderiv.report import sweep_json
-
 from posetderiv import fixtures as fx
+from posetderiv.report import sweep_json
 
 from oracles import all_labeled_strict_orders, dedup_enumerate_posets, tie_search_children
 
@@ -95,8 +94,8 @@ def test_children_match_the_tie_search_oracle():
 
 
 def test_sweep_to_seven_searches_few_ties(monkeypatch):
-    # 405 searches for the automorphisms of the classes on 0..6 elements,
-    # and the rest for ties between tops that are not twins
+    # 405 searches for the automorphisms of the classes on 1..6 elements,
+    # and the rest for ties with a top that is not the new top's twin
     calls = []
     real = survey._canonical_search
 
