@@ -8,10 +8,11 @@ limit, order-complex chains past the chain limit of 900 elements, as in
 elements alone spans 2**k - 1 simplices), 4 internal cross-check failure
 (H1 read off the relation matrix's Smith divisors differs from H1 of the
 order complex) in `analyze` or a sweep, or a sweep level whose class
-count differs from OEIS A000112.  All output is JSON on stdout, errors
-included, except `--help`; progress goes to stderr.  `main` may be
-called many times in one process: the argument parser is built on the
-first call only, and each call parses its arguments afresh.
+count differs from OEIS A000112.  A leading `--` is dropped, since no
+option before the command takes a value.  All output is JSON on stdout,
+errors included, except `--help`; progress goes to stderr.  `main` may
+be called many times in one process: the argument parser is built on
+the first call only, and each call parses its arguments afresh.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .report import (
     function_json,
     function_values_from_json,
     poset_from_json,
+    poset_json,
     sweep_json,
 )
 
@@ -252,14 +254,7 @@ def _cmd_homology(args) -> tuple[dict, int]:
 
 def _cmd_core(args) -> tuple[dict, int]:
     C = core(_load_poset(args))
-    return (
-        {
-            "elements": list(C.elements),
-            "covers": [list(c) for c in C.covers],
-            "canonical_sha256": canonical_sha256(C),
-        },
-        0,
-    )
+    return {**poset_json(C), "canonical_sha256": canonical_sha256(C)}, 0
 
 
 def _cmd_crowns(args) -> tuple[dict, int]:
@@ -313,6 +308,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] == "--":
+        argv = argv[1:]
     try:
         try:
             args = _build_parser().parse_args(argv)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from .derivations import TransitiveFunction
 from .errors import SizeLimitError, UnknownFixtureError
-from .linalg import _ascii_int
+from .linalg import _ascii_int, mod_ring
 from .poset import Poset
+from .report import function_json, poset_json
 
 # 13-element minimal finite model of the real projective plane: three
 # minimal elements n*, six middle elements a*, four maximal elements m*.
@@ -119,35 +121,27 @@ def _parse_size(name: str, arg: str, minimum: int) -> int:
     return value
 
 
+_NAMED = {"rp2": rp2, "diamond": diamond, "s5": s5}
+
+# each sized fixture with its least size
+_SIZED = {
+    "crown": (crown, 2), "chain": (chain, 1), "antichain": (antichain, 1), "fence": (fence, 1)
+}
+
+
 def fixture_poset(name: str) -> Poset:
     """Look up a poset fixture by name; sizes use a colon, e.g. crown:3."""
-    if name == "rp2":
-        return rp2()
-    if name == "diamond":
-        return diamond()
-    if name == "s5":
-        return s5()
-    if name.startswith("crown:"):
-        return crown(_parse_size(name, name[6:], 2))
-    if name.startswith("chain:"):
-        return chain(_parse_size(name, name[6:], 1))
-    if name.startswith("antichain:"):
-        return antichain(_parse_size(name, name[10:], 1))
-    if name.startswith("fence:"):
-        return fence(_parse_size(name, name[6:], 1))
+    kind, colon, size = name.partition(":")
+    if not colon and kind in _NAMED:
+        return _NAMED[kind]()
+    if colon and kind in _SIZED:
+        make, minimum = _SIZED[kind]
+        return make(_parse_size(name, size, minimum))
     raise UnknownFixtureError(f"unknown fixture {name!r}")
 
 
 def fixture_json(name: str) -> dict:
     """Fixture serialized for the CLI: poset JSON, or function JSON for table1."""
     if name == "table1":
-        values = table1_cover_values()
-        return {
-            "ring": "mod:2",
-            "cover_values": [[lo, hi, values[(lo, hi)]] for lo, hi in RP2_COVERS],
-        }
-    P = fixture_poset(name)
-    return {
-        "elements": list(P.elements),
-        "covers": [[lo, hi] for lo, hi in P.covers],
-    }
+        return function_json(TransitiveFunction(rp2(), mod_ring(2), table1_cover_values()))
+    return poset_json(fixture_poset(name))

@@ -1,5 +1,9 @@
 """External JSON schemas: input parsing and report assembly.
 
+``poset_json`` and ``function_json`` are the only writers of the poset
+and function formats, the inverses of ``poset_from_json`` and
+``function_values_from_json``.
+
 Every numeric value in a report is exact: integers stay integers and
 rationals are rendered as "p/q" strings.  No floats appear anywhere.
 """
@@ -65,6 +69,10 @@ def poset_from_json(obj, reduce: bool = False) -> Poset:
     if reduce:
         pairs = transitive_reduction(elements, pairs)
     return Poset(elements, pairs)
+
+
+def poset_json(P: Poset) -> dict:
+    return {"elements": list(P.elements), "covers": [[lo, hi] for lo, hi in P.covers]}
 
 
 def _parse_value(ring: Ring, raw):

@@ -115,6 +115,23 @@ def test_fixture_size_takes_ascii_digits_only(capsys, name):
     assert payload == {"error": f"bad size in fixture {name!r}"}
 
 
+@pytest.mark.parametrize(
+    "argv, file",
+    [
+        (["fixture", "rp2"], "rp2.json"),
+        (["fixture", "table1"], "table1.json"),
+        (["fixture", "diamond"], "diamond.json"),
+        (["fixture", "s5"], "s5.json"),
+        (["fixture", "chain:4"], "chain4.json"),
+        (["fixture", "crown:2"], "crown2.json"),
+        (["--", "fixture", "rp2"], "rp2.json"),
+    ],
+)
+def test_fixture_prints_the_committed_file(capsys, argv, file):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (FIXTURE_DIR / file).read_text()
+
+
 def test_fixture_is_deterministic(capsys):
     _, first = run_cli(capsys, "fixture", "rp2")
     _, second = run_cli(capsys, "fixture", "rp2")
@@ -718,6 +735,7 @@ def test_integer_options_take_only_ascii_digits(capsys, option, spelling):
         (["analyze", str(FIXTURE_DIR / "rp2.json"), "--bogus"], "unrecognized arguments: --bogus"),
         (["sweep"], "posetderiv sweep: the following arguments are required: --max-n"),
         (["bogus"], "argument command: invalid choice: 'bogus'"),
+        (["--", "bogus"], "invalid choice: 'bogus'"),
     ],
 )
 def test_usage_errors_exit_2_with_a_json_error(capsys, argv, message):
