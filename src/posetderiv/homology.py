@@ -59,6 +59,13 @@ class ConclusiveVerdict(
 
     __slots__ = ()
 
+    @classmethod
+    def from_h1(cls, betti1: int, torsion1: tuple[int, ...]) -> ConclusiveVerdict:
+        """The verdict of H1 = Z^betti1 plus the cyclic groups of torsion1:
+        the one place its flags are derived."""
+        torsion_free = not torsion1
+        return cls(betti1, torsion1, betti1 == 0 and torsion_free, betti1 >= 1, torsion_free)
+
 
 def order_complex(P: Poset, max_dim: int) -> OrderComplex:
     """All chains of P with at most max_dim + 1 elements, by dimension.
@@ -167,14 +174,7 @@ def euler_by_moebius(P: Poset) -> int:
 
 def classify(P: Poset) -> ConclusiveVerdict:
     h1 = homology(P, 1)
-    torsion_free = not h1.torsion
-    return ConclusiveVerdict(
-        betti1=h1.betti,
-        torsion1=h1.torsion,
-        soluble=h1.betti == 0 and torsion_free,
-        defective_uct=h1.betti >= 1,
-        conclusive_torsion_free=torsion_free,
-    )
+    return ConclusiveVerdict.from_h1(h1.betti, h1.torsion)
 
 
 def relation_h1(P: Poset, divisors) -> tuple[int, tuple[int, ...]]:

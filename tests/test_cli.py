@@ -1018,3 +1018,14 @@ def test_sweep_progress_counts_inherited_verdicts(capsys):
     # the diamond is the first class whose new top receives relation rows
     assert [f["smith"] for f in fields] == ["0", "0", "0", "1", "7", "53", "469"]
     assert "smith" not in captured.out
+
+
+def test_sweep_progress_counts_classified_classes(capsys):
+    assert main(["sweep", "--max-n", "7"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    fields = [dict(f.split("=") for f in line.split()[1:]) for line in lines]
+    # the classes whose H1 the Mayer-Vietoris rule leaves to an order complex
+    assert [f["classified"] for f in fields] == ["0", "0", "0", "0", "1", "9", "100"]
+    # the field comes before inherited=, so that the line still ends in the
+    # inherited and smith counts
+    assert lines[-1].endswith(" classified=100 inherited=1305 smith=469")

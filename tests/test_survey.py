@@ -222,6 +222,44 @@ def test_inherited_verdicts_equal_classify():
     assert inherited["inherited", 7] == 1305
 
 
+def test_new_top_h1_equals_classify():
+    from posetderiv.homology import classify
+
+    fallbacks = Counter()
+    parents = [Poset((), ())]
+    for n in range(1, 8):
+        level = []
+        for parent in parents:
+            verdict = classify(parent)
+            for P in enumerate_posets(n, (parent,)):
+                h1 = survey._new_top_h1(verdict, P)
+                if h1 is None:
+                    fallbacks[n] += 1
+                else:
+                    expected = classify(P)
+                    assert h1 == (expected.betti1, expected.torsion1), P.covers
+                level.append(P)
+        parents = level
+    assert fallbacks == {5: 1, 6: 9, 7: 100}
+
+
+def test_sweep_fails_when_the_new_top_miscounts_components(capsys, monkeypatch):
+    from posetderiv.cli import main
+
+    real = survey._components_meeting
+
+    def off_by_one(seeds, mask, above, below):
+        # c_Q(d) counts the parent's components that d meets; c(d) has mask d
+        return real(seeds, mask, above, below) + (mask != seeds)
+
+    monkeypatch.setattr(survey, "_components_meeting", off_by_one)
+    report = sweep(7)
+    assert report.identity_failures and not report.ok
+    code, payload = main(["sweep", "--max-n", "7", "--jobs", "1"]), json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert payload["identity_failures"] == list(report.identity_failures) and payload["ok"] is False
+
+
 def test_sweep_seven_counts():
     report = sweep(7)
     assert report.counts_by_n[4:] == ((5, 63), (6, 318), (7, 2045))
@@ -236,8 +274,14 @@ def test_sweep_names_an_inconclusive_class(capsys, monkeypatch):
     # the package's name homology is the function
     homology = importlib.import_module("posetderiv.homology")
 
-    # a class on 5 elements whose top has two down-covers, so it is classified
-    P = next(P for P in enumerate_posets(5) if len(P.down_covers[-1]) >= 2)
+    # the one class on 5 elements whose H1 the Mayer-Vietoris rule leaves
+    # to classify
+    (P,) = (
+        P
+        for parent in enumerate_posets(4)
+        for P in enumerate_posets(5, (parent,))
+        if survey._new_top_h1(homology.classify(parent), P) is None
+    )
     name = canonical_form(P).decode("ascii")
     real = homology.classify
 

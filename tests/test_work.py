@@ -8,11 +8,14 @@ raises a bound names the row and the reason.  A count is a regression
 gate, never a speed claim.
 """
 
+import importlib
+
 import pytest
 
 from posetderiv import fixtures as fx
-from posetderiv import poset
+from posetderiv import poset, survey
 from posetderiv.poset import Poset, core
+from posetderiv.survey import sweep
 
 from test_poset import _chain_product
 
@@ -28,11 +31,20 @@ INPUTS = {
     # 400 elements that are not beat points, then 400 that are in turn:
     # a scan that restarted at the first survivor would make 320800 calls
     "crown200+chain400": lambda: _union(fx.crown(200), fx.chain(400)),
+    "sweep:7": lambda: 7,
 }
 
-# counter: (routine, module, the function of it whose calls are counted)
+# the package's name homology is the function
+homology = importlib.import_module("posetderiv.homology")
+
+# counter: (routine, module, the function of it whose calls are counted,
+# and the size of the sweep's classes whose records count them, or None
+# for every call)
 COUNTERS = {
-    "core_least_calls": (core, poset, "_least"),
+    "core_least_calls": (core, poset, "_least", None),
+    "canonical_searches": (sweep, survey, "_canonical_search", None),
+    "level7_classify_calls": (sweep, homology, "classify", 7),
+    "level7_smith_calls": (sweep, survey, "smith_divisors", 7),
 }
 
 LEDGER = [
@@ -41,20 +53,39 @@ LEDGER = [
     ("grid40x40", "core_least_calls", 4721),
     ("B6", "core_least_calls", 185),
     ("crown200+chain400", "core_least_calls", 1600),
+    # the automorphisms of the 405 classes on 1..6 elements, and ties with
+    # a top that is not the new top's twin
+    ("sweep:7", "canonical_searches", 637),
+    # the classes whose H1 the Mayer-Vietoris rule leaves to an order
+    # complex: 740 when every top with two or more down-covers was
+    # classified
+    ("sweep:7", "level7_classify_calls", 100),
+    # the classes with relation rows into their new top
+    ("sweep:7", "level7_smith_calls", 469),
 ]
 
 
-def _calls(monkeypatch, module, name, run) -> int:
-    """How many times ``run()`` calls ``module.name``."""
-    real = getattr(module, name)
-    calls = 0
+def _calls(monkeypatch, module, name, run, level=None) -> int:
+    """How many times ``run()`` calls ``module.name``; with a level, only
+    the calls made while the sweep records a class on that many elements."""
+    real, real_record = getattr(module, name), survey._record
+    calls, size = 0, None
 
     def counted(*args):
         nonlocal calls
-        calls += 1
+        calls += level in (None, size)
         return real(*args)
 
+    def recording(parent, P, tally):
+        nonlocal size
+        size = P.n
+        try:
+            return real_record(parent, P, tally)
+        finally:
+            size = None
+
     monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(survey, "_record", recording)
     run()
     return calls
 
@@ -62,5 +93,5 @@ def _calls(monkeypatch, module, name, run) -> int:
 @pytest.mark.parametrize("source, counter, bound", LEDGER)
 def test_work_stays_within_its_bound(monkeypatch, source, counter, bound):
     P = INPUTS[source]()
-    routine, module, name = COUNTERS[counter]
-    assert _calls(monkeypatch, module, name, lambda: routine(P)) <= bound
+    routine, module, name, level = COUNTERS[counter]
+    assert _calls(monkeypatch, module, name, lambda: routine(P), level) <= bound
