@@ -1,4 +1,5 @@
-"""Order complexes of posets and exact integral simplicial homology."""
+"""Order complexes of posets, exact integral simplicial homology, and H1
+of a poset from its parent's in the sweep (the Mayer-Vietoris rule)."""
 
 from __future__ import annotations
 
@@ -122,10 +123,10 @@ def homology(P: Poset, n: int) -> HomologySummary:
     deformation retraction of the order complex (Stong 1966; Barmak,
     LNM 2032, 2011), so every homology group is unchanged.
     betti = dim ker d_n - rank d_{n+1} over the rationals (d_0 is the
-    zero map); torsion coefficients are the Smith divisors of d_{n+1}
-    that exceed 1, already in divisibility order.  A complex on c
-    vertices has no simplex of dimension c or more, so for n >= c the
-    group is 0 and nothing is built.
+    zero map, d_1 has rank V minus its own count of components); torsion
+    coefficients are the Smith divisors of d_{n+1} that exceed 1, already
+    in divisibility order.  A complex on c vertices has no simplex of
+    dimension c or more, so for n >= c the group is 0 and nothing is built.
     """
     if n < 0:
         raise DimensionError(f"homology dimension must be >= 0, got {n}")
@@ -137,9 +138,12 @@ def homology(P: Poset, n: int) -> HomologySummary:
     if n == 0:
         rank_n = 0
     elif n == 1:
-        # the 1-skeleton is the comparability graph, so H0 is free of rank
-        # component_count and d_1 has rank V - C
-        rank_n = C.n - C.component_count
+        # d_1 has rank V - C, C the comparability graph's components.  This
+        # walk counts them, not poset._components: the relation route
+        # (relation_h1, der_pot_from_divisors) keeps that union-find, and a
+        # count both routes shared could be off in both, unseen.
+        full = (1 << C.n) - 1
+        rank_n = C.n - _components_meeting(full, full, C.above, C.below)
     else:
         rank_n = len(smith_divisors(boundary_matrix(K, n)))
     kernel_dim = chains_n - rank_n
@@ -175,6 +179,49 @@ def euler_by_moebius(P: Poset) -> int:
 def classify(P: Poset) -> ConclusiveVerdict:
     h1 = homology(P, 1)
     return ConclusiveVerdict.from_h1(h1.betti, h1.torsion)
+
+
+def _components_meeting(seeds: int, mask: int, above, below) -> int:
+    """The number of components of the subposet on ``mask`` that meet ``seeds``."""
+    count = 0
+    while seeds:
+        component = todo = seeds & -seeds
+        while todo:
+            x = todo.bit_length() - 1
+            todo ^= 1 << x
+            grown = (above[x] | below[x]) & mask & ~component
+            component |= grown
+            todo |= grown
+        seeds &= ~component
+        count += 1
+    return count
+
+
+def _new_top_h1(parent: ConclusiveVerdict, P: Poset) -> tuple | None:
+    """(betti1, torsion1) of P from its parent's verdict, or None.
+
+    P is its parent Q plus a new top t above a down-set d of Q, so K(P) is
+    K(Q) with the cone over K(d) glued on along K(d), and the reduced
+    Mayer-Vietoris sequence gives H1(P) = coker(H1(K(d)) -> H1(K(Q))) plus
+    Z^(c(d) - c_Q(d)), where c(d) counts d's components and c_Q(d) the
+    components of Q that d meets.  Two cases need no complex: a soluble
+    parent, where H1(P) is that free part, and H1(K(d)) = 0, where H1(P)
+    is H1(Q) plus it.  H1(K(d)) vanishes when t has at most one down-cover
+    (d is empty or a cone; t is isolated or a beat point, Stong 1966, and
+    the free part is 0), and when d's Hasse diagram is a forest, since its
+    edges generate the edge-path group (Barmak, LNM 2032, 2011).
+    """
+    if len(P.down_covers[-1]) <= 1:
+        return parent.betti1, parent.torsion1
+    d, above, below = P.below[-1], P.above, P.below
+    components = _components_meeting(d, d, above, below)
+    if not parent.soluble:
+        # d's Hasse diagram is a forest iff it has |d| - c(d) covers
+        if sum(len(P.down_covers[x]) for x in _bits(d)) != d.bit_count() - components:
+            return None
+    # t is P's last element, so Q's elements are the bits below it
+    free = components - _components_meeting(d, (1 << P.n - 1) - 1, above, below)
+    return parent.betti1 + free, parent.torsion1
 
 
 def relation_h1(P: Poset, divisors) -> tuple[int, tuple[int, ...]]:

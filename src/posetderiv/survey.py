@@ -9,7 +9,7 @@ arises this way, since deleting a maximal element leaves a smaller poset
 and a down-set, and only once: an isomorphism between two kept children
 can be made to send new element to new element, so it restricts to an
 automorphism of their common parent that carries one down-set to the
-other.
+other.  Each class's H1 comes from homology (``_new_top_h1``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from collections import Counter, namedtuple
 from . import poset
 from .errors import InputError, SizeLimitError
 from .derivations import relation_rows_into
-from .homology import ConclusiveVerdict, routes_agree
+from .homology import ConclusiveVerdict, _new_top_h1, routes_agree
 from .linalg import IntegerMatrix, smith_divisors
 from .poset import Poset, _bits, _canonical_search, _merge_orbits, _minimal
 
@@ -160,61 +160,19 @@ def enumerate_posets(n: int, parents=None):
         yield from _children(P)
 
 
-def _components_meeting(seeds: int, mask: int, above, below) -> int:
-    """The number of components of the subposet on ``mask`` that meet ``seeds``."""
-    count = 0
-    while seeds:
-        component = todo = seeds & -seeds
-        while todo:
-            x = todo.bit_length() - 1
-            todo ^= 1 << x
-            grown = (above[x] | below[x]) & mask & ~component
-            component |= grown
-            todo |= grown
-        seeds &= ~component
-        count += 1
-    return count
-
-
-def _new_top_h1(parent: ConclusiveVerdict, P: Poset) -> tuple | None:
-    """(betti1, torsion1) of P from its parent's verdict, or None.
-
-    P is its parent Q plus a new top t above a down-set d of Q, so K(P) is
-    K(Q) with the cone over K(d) glued on along K(d), and the reduced
-    Mayer-Vietoris sequence gives H1(P) = coker(H1(K(d)) -> H1(K(Q))) plus
-    Z^(c(d) - c_Q(d)), where c(d) counts d's components and c_Q(d) the
-    components of Q that d meets.  Two cases need no complex: a soluble
-    parent, where H1(P) is that free part, and H1(K(d)) = 0, where H1(P)
-    is H1(Q) plus it.  H1(K(d)) vanishes when t has at most one down-cover
-    (d is empty or a cone; t is isolated or a beat point, Stong 1966, and
-    the free part is 0), and when d's Hasse diagram is a forest, since its
-    edges generate the edge-path group (Barmak, LNM 2032, 2011).
-    """
-    if len(P.down_covers[-1]) <= 1:
-        return parent.betti1, parent.torsion1
-    d, above, below = P.below[-1], P.above, P.below
-    components = _components_meeting(d, d, above, below)
-    if not parent.soluble:
-        # d's Hasse diagram is a forest iff it has |d| - c(d) covers
-        if sum(len(P.down_covers[x]) for x in _bits(d)) != d.bit_count() - components:
-            return None
-    # t is P's last element, so Q's elements are the bits below it
-    free = components - _components_meeting(d, (1 << P.n - 1) - 1, above, below)
-    return parent.betti1 + free, parent.torsion1
-
-
 def _record(parent: tuple, P: Poset, tally: Counter) -> tuple:
     """P's sweep record, (verdict, relation rows, Smith divisors), made from
     its parent's and counted in ``tally`` by (field, level), and by (field,
     name) if inconclusive or failing ``routes_agree``.  P's H1 comes from
-    its parent's through the Mayer-Vietoris rule of ``_new_top_h1``; only
-    where that rule has no answer does P build an order complex
+    its parent's through homology's Mayer-Vietoris rule, ``_new_top_h1``;
+    only where that rule has no answer does P build an order complex
     (``classify``).  A new top with at most one down-cover, isolated or a
     beat point, leaves H1 unchanged, so P inherits its parent's H1.
     P's relation rows are its parent's, whose columns ``_extend`` keeps,
     plus the rows into its new top; only those need an elimination of the
     combined rows, otherwise the divisors carry over.  The relation route
-    shares no code with the rule, so ``routes_agree`` still checks it."""
+    shares no code with the rule, not even its component count, so
+    ``routes_agree`` still checks it."""
     verdict, rows, divisors = parent
     n = P.n
     tally["classes", n] += 1

@@ -20,7 +20,7 @@ from posetderiv.cli import _json_text, main
 from posetderiv.errors import InputError
 from posetderiv.fixtures import fixture_json
 from posetderiv.poset import find_crowns
-from posetderiv.report import _identifier_ok, poset_from_json
+from posetderiv.report import IDENTITY_CONFLICT, _identifier_ok, poset_from_json
 
 from conftest import FIXTURE_DIR, GOLDEN_DIR
 from test_poset import random_posets
@@ -819,6 +819,51 @@ def test_analyze_catches_a_wrong_torsion_exponent(capsys, monkeypatch):
         "but H1 has betti 0 and torsion [2]"
     ]
     assert [r["der_dim"] - r["pot_dim"] for r in payload["rings"]] == [0, 1, 0]
+
+
+def _identity_conflicts(capsys, tmp_path, name):
+    """analyze's exit code on fixture ``name`` and its identity conflicts."""
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(fixture_json(name)))
+    code, payload = run_cli(capsys, "analyze", str(path))
+    return code, [c for c in payload["conflicts"] if c.startswith(IDENTITY_CONFLICT)]
+
+
+# H1 is 0, Z and 0: a component count one too high raises betti1 by one
+COMPONENT_FAULT_INPUTS = ["rp2", "crown:3", "s5"]
+
+
+@pytest.mark.parametrize("name", COMPONENT_FAULT_INPUTS)
+def test_analyze_catches_a_miscount_of_the_relation_routes_components(
+    capsys, tmp_path, monkeypatch, name
+):
+    # the union-find behind Poset.component_count, which only the relation
+    # route reads
+    poset = importlib.import_module("posetderiv.poset")
+    real = poset._components
+
+    def one_too_many(down_covers):
+        ids, count = real(down_covers)
+        return ids, count + 1
+
+    monkeypatch.setattr(poset, "_components", one_too_many)
+    code, conflicts = _identity_conflicts(capsys, tmp_path, name)
+    assert code == 4 and conflicts
+
+
+@pytest.mark.parametrize("name", COMPONENT_FAULT_INPUTS)
+def test_analyze_catches_a_miscount_of_the_order_complexs_components(
+    capsys, tmp_path, monkeypatch, name
+):
+    # the walk homology() runs over the whole core
+    real = HOMOLOGY._components_meeting
+
+    def one_too_many(seeds, mask, above, below):
+        return real(seeds, mask, above, below) + (seeds == mask)
+
+    monkeypatch.setattr(HOMOLOGY, "_components_meeting", one_too_many)
+    code, conflicts = _identity_conflicts(capsys, tmp_path, name)
+    assert code == 4 and conflicts
 
 
 def test_homology_command_other_dims(capsys):

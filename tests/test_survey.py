@@ -246,13 +246,15 @@ def test_new_top_h1_equals_classify():
 def test_sweep_fails_when_the_new_top_miscounts_components(capsys, monkeypatch):
     from posetderiv.cli import main
 
-    real = survey._components_meeting
+    # the package's name homology is the function
+    homology = importlib.import_module("posetderiv.homology")
+    real = homology._components_meeting
 
     def off_by_one(seeds, mask, above, below):
         # c_Q(d) counts the parent's components that d meets; c(d) has mask d
         return real(seeds, mask, above, below) + (mask != seeds)
 
-    monkeypatch.setattr(survey, "_components_meeting", off_by_one)
+    monkeypatch.setattr(homology, "_components_meeting", off_by_one)
     report = sweep(7)
     assert report.identity_failures and not report.ok
     code, payload = main(["sweep", "--max-n", "7", "--jobs", "1"]), json.loads(capsys.readouterr().out)

@@ -12,9 +12,10 @@ import importlib
 
 import pytest
 
+from posetderiv import derivations, poset, survey
 from posetderiv import fixtures as fx
-from posetderiv import poset, survey
-from posetderiv.poset import Poset, core
+from posetderiv.derivations import consistency_matrix
+from posetderiv.poset import Poset, canonical_form, core
 from posetderiv.survey import sweep
 
 from test_poset import _chain_product
@@ -27,11 +28,16 @@ def _union(P, Q):
 
 INPUTS = {
     "grid40x40": lambda: _chain_product(40, 40),
+    "grid24x24": lambda: _chain_product(24, 24),
+    "B5": lambda: _chain_product(*[2] * 5),
     "B6": lambda: _chain_product(*[2] * 6),
     # 400 elements that are not beat points, then 400 that are in turn:
     # a scan that restarted at the first survivor would make 320800 calls
     "crown200+chain400": lambda: _union(fx.crown(200), fx.chain(400)),
     "sweep:7": lambda: 7,
+    "rp2": fx.rp2,
+    "crown:5": lambda: fx.crown(5),
+    "s5": fx.s5,
 }
 
 # the package's name homology is the function
@@ -42,6 +48,9 @@ homology = importlib.import_module("posetderiv.homology")
 # for every call)
 COUNTERS = {
     "core_least_calls": (core, poset, "_least", None),
+    "relation_rows": (consistency_matrix, derivations, "_row", None),
+    "canonical_refinements": (canonical_form, poset, "_refine", None),
+    "sweep_refinements": (sweep, poset, "_refine", None),
     "canonical_searches": (sweep, survey, "_canonical_search", None),
     "level7_classify_calls": (sweep, homology, "classify", 7),
     "level7_smith_calls": (sweep, survey, "smith_divisors", 7),
@@ -51,6 +60,7 @@ LEDGER = [
     # about 3 calls per element: after a removal the scan restarts at the
     # least element, but stops at the first beat point it meets
     ("grid40x40", "core_least_calls", 4721),
+    ("B5", "core_least_calls", 90),
     ("B6", "core_least_calls", 185),
     ("crown200+chain400", "core_least_calls", 1600),
     # the automorphisms of the 405 classes on 1..6 elements, and ties with
@@ -62,6 +72,16 @@ LEDGER = [
     ("sweep:7", "level7_classify_calls", 100),
     # the classes with relation rows into their new top
     ("sweep:7", "level7_smith_calls", 469),
+    # one row per pair of down-covers and maximal common lower bound: in
+    # these lattices one per square of covers, 23 x 23 in the grid
+    ("grid24x24", "relation_rows", 529),
+    ("B5", "relation_rows", 80),
+    # the refinements of the canonical searches of a whole sweep, and of one
+    # search on each of three fixtures
+    ("sweep:7", "sweep_refinements", 1555),
+    ("rp2", "canonical_refinements", 10),
+    ("crown:5", "canonical_refinements", 6),
+    ("s5", "canonical_refinements", 7),
 ]
 
 
