@@ -30,11 +30,10 @@ _EXPORTS = {
     "kernel_basis mod_ring prime_field rank_from_divisors rank_over "
     "ring_from_string smith_divisors smith_normal_form solve_linear",
     "homology": "ConclusiveVerdict HomologySummary OrderComplex boundary_matrix "
-    "classify euler_characteristic full_order_complex homology order_complex "
-    "routes_agree",
+    "classify euler_characteristic full_order_complex homology order_complex",
     "derivations": "ConsistencyMatrix CycleWalk ParallelPair TransitiveFunction "
     "circulation consistency_matrix from_cover_values has_outer_derivation "
-    "is_potential outer_witness parallel_pairs",
+    "is_potential outer_witness parallel_pairs routes_agree",
     "criteria": "Co18Result CriteriaReport CrownReport co18_bound co18_threshold "
     "criteria_report crown_obstruction_report crowns_without_bounds "
     "table2_conflict table2_lookup",

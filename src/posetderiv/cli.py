@@ -3,9 +3,10 @@
 Exit codes: 0 success, 2 input error, usage error (an unknown command
 or option, a missing or malformed argument) or size limit (a fixture
 above 4096, a sweep outside 1..9, a canonical search past the recursion
-limit, order-complex chains past the chain limit of 900 elements, as in
-`homology --dim 950` on 1100 stacked antichains, since a chain of k
-elements alone spans 2**k - 1 simplices), 4 internal cross-check failure
+limit, a number past the 4300-digit limit on integer text, order-complex
+chains past the chain limit of 900 elements, as in `homology --dim 950`
+on 1100 stacked antichains, since a chain of k elements alone spans
+2**k - 1 simplices), 4 internal cross-check failure
 (H1 read off the relation matrix's Smith divisors differs from H1 of the
 order complex) in `analyze` or a sweep, or a sweep level whose class
 count differs from OEIS A000112.  A leading `--` is dropped, since no
@@ -204,10 +205,10 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path!r} is not valid JSON: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{path!r} is not UTF-8 text: {exc}") from None
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+        raise InputError(f"{path!r} is not valid JSON: {exc}") from None
     except RecursionError:
         raise InputError(f"{path!r} is nested too deeply") from None
 

@@ -11,7 +11,8 @@ every row sums to zero on them, so a transitive function is held as its
 cover values.  The signed incidence matrix of those rows decides, by its
 rank over a coefficient field, whether every transitive function is a
 potential (difference of a vertex function) or outer derivations exist:
-der = E - rank_k, pot = V - C.
+der = E - rank_k, pot = V - C (``der_pot_from_divisors``); ``relation_h1``
+reads H1 as betti1 = der - pot over Q and torsion = the divisors above 1.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from collections import namedtuple
 
 from .errors import InputError, NotComparableError
 from .linalg import (
+    RATIONALS,
     IntegerMatrix,
     Ring,
     kernel_basis,
@@ -195,6 +197,22 @@ def der_pot_from_divisors(P: Poset, divisors, k: Ring) -> tuple[int, int]:
 def has_outer_derivation(P: Poset, k: Ring) -> bool:
     der, pot = der_pot_from_divisors(P, relation_divisors(P), k)
     return der > pot
+
+
+def relation_h1(P: Poset, divisors) -> tuple[int, tuple[int, ...]]:
+    """(betti1, torsion1) of P read off the Smith divisors of its relation
+    matrix, whose cokernel Z^E / rows is H1 + Z^(V - C): betti1 is der - pot
+    over the rationals, and the torsion is the divisors above 1."""
+    der, pot = der_pot_from_divisors(P, divisors, RATIONALS)
+    return der - pot, tuple(d for d in divisors if d > 1)
+
+
+def routes_agree(P: Poset, verdict, divisors) -> bool:
+    """The cross-route identity: H1 from the relation divisors of P is the
+    verdict's.  The rank over GF(p) counts the divisors p does not divide,
+    so it implies der - pot = betti1 + #{torsion that char k divides} over
+    every field k."""
+    return relation_h1(P, divisors) == (verdict.betti1, verdict.torsion1)
 
 
 def from_cover_values(P: Poset, ring: Ring, cover_values: dict):

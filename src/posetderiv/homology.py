@@ -139,9 +139,9 @@ def homology(P: Poset, n: int) -> HomologySummary:
         rank_n = 0
     elif n == 1:
         # d_1 has rank V - C, C the comparability graph's components.  This
-        # walk counts them, not poset._components: the relation route
-        # (relation_h1, der_pot_from_divisors) keeps that union-find, and a
-        # count both routes shared could be off in both, unseen.
+        # walk counts them, not poset._components: derivations'
+        # der_pot_from_divisors, behind relation_h1, keeps that union-find,
+        # and a count both routes shared could be off in both, unseen.
         full = (1 << C.n) - 1
         rank_n = C.n - _components_meeting(full, full, C.above, C.below)
     else:
@@ -222,19 +222,3 @@ def _new_top_h1(parent: ConclusiveVerdict, P: Poset) -> tuple | None:
     # t is P's last element, so Q's elements are the bits below it
     free = components - _components_meeting(d, (1 << P.n - 1) - 1, above, below)
     return parent.betti1 + free, parent.torsion1
-
-
-def relation_h1(P: Poset, divisors) -> tuple[int, tuple[int, ...]]:
-    """(betti1, torsion1) of P read off the Smith divisors of its relation
-    matrix, whose cokernel Z^E / rows is H1 + Z^(V - C): betti1 is
-    E - rank - (V - C), and the torsion is the divisors above 1."""
-    betti = len(P.covers) - len(divisors) - (P.n - P.component_count)
-    return betti, tuple(d for d in divisors if d > 1)
-
-
-def routes_agree(P: Poset, verdict: ConclusiveVerdict, divisors) -> bool:
-    """The cross-route identity: H1 from the relation divisors of P is the
-    verdict's.  The rank over GF(p) counts the divisors p does not divide,
-    so it implies der - pot = betti1 + #{torsion that char k divides} over
-    every field k."""
-    return relation_h1(P, divisors) == (verdict.betti1, verdict.torsion1)

@@ -11,11 +11,13 @@ rationals are rendered as "p/q" strings.  No floats appear anywhere.
 from __future__ import annotations
 
 import re
+import sys
 
 from .derivations import (
-    TransitiveFunction, der_pot_from_divisors, outer_witness, relation_divisors
+    TransitiveFunction, der_pot_from_divisors, outer_witness, relation_divisors,
+    relation_h1, routes_agree,
 )
-from .errors import InputError
+from .errors import InputError, SizeLimitError
 from .linalg import Ring, _field_modulus, ring_from_string
 from .poset import Poset, canonical_form, transitive_reduction
 
@@ -81,10 +83,12 @@ def _parse_value(ring: Ring, raw):
     if isinstance(raw, int):
         return ring.normalize(raw)
     if ring.tag == "rationals" and isinstance(raw, str):
-        try:
-            return ring.normalize(raw)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"bad rational value {raw!r}") from None
+        try:  # "p/q" only: Fraction also takes "1e5000", "0.5" or " 1_0"
+            if re.fullmatch(r"-?[0-9]+(/[0-9]+)?", raw):
+                return ring.normalize(raw)
+        except (ValueError, ZeroDivisionError):  # digits past the limit, or q = 0
+            pass
+        raise InputError(f"bad rational value {raw!r}")
     raise InputError(f"bad ring value {raw!r}")
 
 
@@ -118,7 +122,11 @@ def function_values_from_json(obj):
 
 def encode_value(ring: Ring, value):
     if ring.tag == "rationals":
-        return str(ring.normalize(value))
+        try:
+            return str(ring.normalize(value))
+        except ValueError:  # past the interpreter's limit on integer text
+            digits = sys.get_int_max_str_digits()
+            raise SizeLimitError(f"a rational value passes the {digits}-digit limit") from None
     return int(value)
 
 
@@ -146,11 +154,11 @@ def analysis_report(P: Poset, rings, include_witness: bool = False) -> dict:
     """Full per-poset report: homology, per-ring dimensions, criteria.
 
     Both routes run on every report and are cross-checked once
-    (homology.routes_agree); a failure becomes one `conflicts` entry
+    (derivations.routes_agree); a failure becomes one `conflicts` entry
     starting with IDENTITY_CONFLICT.
     """
     from .criteria import criteria_report, table2_conflict
-    from .homology import classify, relation_h1, routes_agree
+    from .homology import classify
 
     # characteristic of each ring; a ring without a rank raises here
     moduli = [_field_modulus(ring) for ring in rings]

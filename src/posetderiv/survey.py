@@ -24,8 +24,8 @@ from collections import Counter, namedtuple
 # a name bound then keeps the wrapper.
 from . import poset
 from .errors import InputError, SizeLimitError
-from .derivations import relation_rows_into
-from .homology import ConclusiveVerdict, _new_top_h1, routes_agree
+from .derivations import relation_rows_into, routes_agree
+from .homology import ConclusiveVerdict, _new_top_h1
 from .linalg import IntegerMatrix, smith_divisors
 from .poset import Poset, _bits, _canonical_search, _merge_orbits, _minimal
 
@@ -230,7 +230,7 @@ def _subtree(root: tuple) -> Counter:
 def sweep(max_n: int, parallelism: int = 1, progress: bool = False) -> SweepReport:
     """Classify every poset class up to max_n elements and cross-check.
 
-    The cross-check (homology.routes_agree, as in analyze) compares H1
+    The cross-check (derivations.routes_agree, as in analyze) compares H1
     read off the relation matrix's Smith divisors with H1 of the order
     complex.  The augmentation tree is walked from the empty poset
     (``_walk``), serially down to ``SPLIT_N`` elements; the subtrees

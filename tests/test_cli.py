@@ -866,6 +866,83 @@ def test_analyze_catches_a_miscount_of_the_order_complexs_components(
     assert code == 4 and conflicts
 
 
+# analyze's per-ring dimensions and the relation route's H1 both come from
+# der_pot_from_divisors, so a fault in it must fail the identity
+DER_POT_FAULT_INPUTS = ["rp2", "crown:2", "diamond"]
+
+
+def _der_pot_off_by_one(index):
+    """der_pot_from_divisors with der (index 0) or pot (index 1) one too high."""
+    derivations = importlib.import_module("posetderiv.derivations")
+    real = derivations.der_pot_from_divisors
+
+    def faulty(P, divisors, k):
+        counts = list(real(P, divisors, k))
+        counts[index] += 1
+        return tuple(counts)
+
+    return faulty
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["der", "pot"])
+@pytest.mark.parametrize("name", DER_POT_FAULT_INPUTS)
+def test_analyze_catches_a_wrong_der_or_pot(capsys, tmp_path, monkeypatch, name, index):
+    faulty = _der_pot_off_by_one(index)
+    for module in ("derivations", "report"):
+        monkeypatch.setattr(f"posetderiv.{module}.der_pot_from_divisors", faulty)
+    code, conflicts = _identity_conflicts(capsys, tmp_path, name)
+    assert code == 4 and conflicts
+
+
+def test_sweep_catches_a_wrong_pot(monkeypatch):
+    from posetderiv.survey import sweep
+
+    monkeypatch.setattr("posetderiv.derivations.der_pot_from_divisors", _der_pot_off_by_one(1))
+    assert not sweep(5).ok
+
+
+# -- numbers past the interpreter's 4300-digit limit on integer text ---------
+
+
+def test_input_integer_past_the_digit_limit_exits_2(capsys, tmp_path):
+    big = tmp_path / "big.json"
+    big.write_text('{"elements": [' + "1" * 5000 + '], "covers": []}')
+    values = tmp_path / "values.json"
+    values.write_text('{"ring": "mod:2", "cover_values": [["x", "a", ' + "1" * 5001 + "]]}")
+    diamond = str(FIXTURE_DIR / "diamond.json")
+    for argv in (["analyze", str(big)], ["derivation", "verify", diamond, str(values)]):
+        code, payload = run_cli(capsys, *argv)
+        assert code == 2
+        assert "4300 digits" in payload["error"]
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["1e5000", "0.5", "1e3", "+1/2", " 1/2", "1_0", "1/0"]
+    + [pytest.param("1/" + "1" * 5000, id="1/1...1")],
+)
+def test_derivation_verify_takes_only_the_rational_grammar(capsys, tmp_path, value):
+    edges = fixture_json("diamond")["covers"]
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"ring": "q", "cover_values": [e + [value] for e in edges]}))
+    code, payload = run_cli(
+        capsys, "derivation", "verify", str(FIXTURE_DIR / "diamond.json"), str(path)
+    )
+    assert code == 2
+    assert payload["error"] == f"bad rational value {value!r}"
+
+
+def test_derivation_verify_output_past_the_digit_limit_exits_2(capsys, tmp_path):
+    # phi(c3) = 1/(10^4000+1) + 1/(10^4000+3) has an 8000-digit denominator
+    values = [["c1", "c2", f"1/{10**4000 + 1}"], ["c2", "c3", f"1/{10**4000 + 3}"]]
+    poset, function = tmp_path / "chain3.json", tmp_path / "f.json"
+    poset.write_text(json.dumps(fixture_json("chain:3")))
+    function.write_text(json.dumps({"ring": "q", "cover_values": values}))
+    code, payload = run_cli(capsys, "derivation", "verify", str(poset), str(function))
+    assert code == 2
+    assert payload["error"] == "a rational value passes the 4300-digit limit"
+
+
 def test_homology_command_other_dims(capsys):
     code, payload = run_cli(
         capsys, "homology", str(FIXTURE_DIR / "rp2.json"), "--dim", "0"

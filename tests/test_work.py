@@ -15,7 +15,7 @@ import pytest
 from posetderiv import derivations, poset, survey
 from posetderiv import fixtures as fx
 from posetderiv.derivations import consistency_matrix
-from posetderiv.poset import Poset, canonical_form, core
+from posetderiv.poset import Poset, canonical_form, core, find_crowns
 from posetderiv.survey import sweep
 
 from test_poset import _chain_product
@@ -48,6 +48,7 @@ homology = importlib.import_module("posetderiv.homology")
 # for every call)
 COUNTERS = {
     "core_least_calls": (core, poset, "_least", None),
+    "crown_bound_calls": (find_crowns, poset, "_least", None),
     "relation_rows": (consistency_matrix, derivations, "_row", None),
     "canonical_refinements": (canonical_form, poset, "_refine", None),
     "sweep_refinements": (sweep, poset, "_refine", None),
@@ -63,6 +64,10 @@ LEDGER = [
     ("B5", "core_least_calls", 90),
     ("B6", "core_least_calls", 185),
     ("crown200+chain400", "core_least_calls", 1600),
+    # one call per distinct bound mask, a crown's join or meet, not one per
+    # crown: B5 has 5191 crowns of at most 6 elements.  The crown walk's
+    # pops live on a local stack, so this row stands in for them
+    ("B5", "crown_bound_calls", 32),
     # the automorphisms of the 405 classes on 1..6 elements, and ties with
     # a top that is not the new top's twin
     ("sweep:7", "canonical_searches", 637),
